@@ -26,7 +26,13 @@ from .instances import (
     save_problem,
 )
 from .objectives import build_objective, multilinear_exact, multilinear_mc
-from .offline import OfflineSolution, continuous_greedy, load_solution, save_solution
+from .offline import (
+    OfflineSolution,
+    SolutionError,
+    continuous_greedy,
+    load_solution,
+    save_solution,
+)
 from .online import POLICY_NAMES, simulate
 
 # reference lines echoed in experiment reports: online-phase guarantee
@@ -326,7 +332,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (UsageError, IngestError, FileNotFoundError) as exc:
+    except (UsageError, IngestError, SolutionError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -1,12 +1,16 @@
 """Exact linear programming over the b-matching polytope.
 
-One dense primal simplex (Bland's rule: lowest eligible index enters, lowest
-variable index leaves among minimum ratios) serves both the linear
-maximization oracle inside the fractional ascent and the special-case
-offline programs.  Variable upper bounds are handled implicitly (nonbasic
-variables may sit at either bound), which keeps the tableau at one row per
-graph constraint.  All generated programs have nonnegative right-hand sides,
-so the all-slack basis is always primal feasible and no phase-1 is needed.
+One dense primal simplex serves both the linear maximization oracle inside
+the fractional ascent and the special-case offline programs.  The entering
+variable is the eligible one with the largest reduced cost |d_j| (Dantzig
+pricing, lowest index on ties); after DEGENERATE_LIMIT consecutive degenerate
+pivots it is the lowest eligible index instead (Bland's rule) until the next
+nondegenerate pivot, so the solver cannot cycle.  The leaving variable is
+always the lowest variable index among minimum ratios.  Variable upper
+bounds are handled implicitly (nonbasic variables may sit at either bound),
+which keeps the tableau at one row per graph constraint.  All generated
+programs have nonnegative right-hand sides, so the all-slack basis is always
+primal feasible and no phase-1 is needed.
 
 A separate rational-arithmetic tableau (`reference_solve`) provides an
 independent exact optimum for auditing the float path.
@@ -24,6 +28,8 @@ from .instances import Instance
 
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
+# consecutive degenerate pivots before entering switches to Bland's rule
+DEGENERATE_LIMIT = 50
 
 LOWER, UPPER, BASIC = 0, 1, 2
 
@@ -59,6 +65,7 @@ class LpSolution:
     duals: np.ndarray | None = None
     reduced_costs: np.ndarray | None = None
     iterations: int = 0
+    degenerate_pivots: int = 0   # pivots whose step length is zero
 
     def audit(self, lp: LinearProgram, tol: float = FEAS_TOL) -> list[str]:
         """Primal feasibility, dual sign, and complementary slackness checks."""
@@ -86,7 +93,14 @@ class LpSolution:
 
 
 def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
-    """Dense bounded-variable primal simplex, deterministic via Bland's rule."""
+    """Dense bounded-variable primal simplex.
+
+    Dantzig pricing enters the eligible variable with the largest |d_j|;
+    a run of DEGENERATE_LIMIT degenerate pivots switches entering to Bland's
+    lowest index until a pivot moves the objective.  Both rules and the
+    lowest-index leaving rule break ties by index, so the result is a
+    deterministic function of the program.
+    """
     m, n = lp.A.shape
     if np.any(lp.b < 0):
         raise ValueError("negative right-hand side; generated programs keep b >= 0")
@@ -103,6 +117,8 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
         max_iterations = 200 * (N + m) + 10_000
 
     iterations = 0
+    degenerate = 0
+    degenerate_run = 0
     while True:
         enter_mask = (
             ((vstat == LOWER) & (d > PIVOT_TOL))
@@ -111,7 +127,10 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
         cand = np.flatnonzero(enter_mask)
         if cand.size == 0:
             break
-        j = int(cand[0])  # Bland: lowest index enters
+        if degenerate_run < DEGENERATE_LIMIT:
+            j = int(cand[np.argmax(np.abs(d[cand]))])  # Dantzig
+        else:
+            j = int(cand[0])  # Bland: lowest index enters
         sigma = 1.0 if vstat[j] == LOWER else -1.0
         col = M[:, j]
         v = sigma * col
@@ -142,11 +161,17 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
 
         if not np.isfinite(best_t):
             return LpSolution(status="unbounded", x=None, value=np.inf,
-                              iterations=iterations)
+                              iterations=iterations,
+                              degenerate_pivots=degenerate)
 
         iterations += 1
         if iterations > max_iterations:
             raise RuntimeError("simplex iteration limit exceeded")
+        if best_t == 0.0:
+            degenerate += 1
+            degenerate_run += 1
+        else:
+            degenerate_run = 0
 
         if leave_row < 0:
             # bound flip, no basis change
@@ -181,7 +206,8 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
     value = float(lp.c @ x)
     duals = -d[n:]
     return LpSolution(status="optimal", x=x, value=value, duals=duals,
-                      reduced_costs=d[:n].copy(), iterations=iterations)
+                      reduced_costs=d[:n].copy(), iterations=iterations,
+                      degenerate_pivots=degenerate)
 
 
 def reference_solve(lp: LinearProgram) -> Fraction:

@@ -339,35 +339,63 @@ def save_solution(path, inst: Instance, solution: OfflineSolution) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+class SolutionError(ValueError):
+    """Raised when a marginals artifact cannot guide the given instance."""
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
 def load_solution(path, inst: Instance) -> OfflineSolution:
+    """Read a marginals artifact written by `save_solution` for `inst`.
+
+    Raises SolutionError, naming the file, on a short or unparsable record,
+    a non-finite number, edge ids that differ from the instance's, or an x
+    outside the instance's b-matching polytope.
+    """
     text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != SOLUTION_HEADER:
-        raise ValueError(f"{path}: not a solution file (missing {SOLUTION_HEADER!r})")
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1)
+             if ln.strip()]
+    if not lines or lines[0][1] != SOLUTION_HEADER:
+        raise SolutionError(f"{path}: not a solution file (missing {SOLUTION_HEADER!r})")
     meta: dict[str, str] = {}
     values: dict[str, float] = {}
     benchmark_kind = None
     benchmark_value = None
-    for line in lines[1:]:
+    for lineno, line in lines[1:]:
         tok = line.split()
-        if tok[0] == "x":
-            values[tok[1]] = float(tok[2])
-        elif tok[0] == "benchmark":
-            benchmark_kind, benchmark_value = tok[1], float(tok[2])
-        else:
-            meta[tok[0]] = tok[1]
+        try:
+            if tok[0] == "x":
+                values[tok[1]] = _finite_float(tok[2])
+            elif tok[0] == "benchmark":
+                benchmark_kind, benchmark_value = tok[1], _finite_float(tok[2])
+            else:
+                meta[tok[0]] = tok[1]
+        except (IndexError, ValueError):
+            raise SolutionError(
+                f"{path}: bad record at line {lineno}: {line!r}") from None
     missing = [eid for eid in inst.edge_ids if eid not in values]
     if missing or len(values) != inst.n_edges:
-        raise ValueError(f"{path}: edge marginals do not match the instance")
+        raise SolutionError(f"{path}: edge marginals do not match the instance")
     x = np.array([values[eid] for eid in inst.edge_ids])
-    return OfflineSolution(
-        x=x,
-        objective_estimate=float(meta.get("objective-estimate", "nan")),
-        estimate_std_error=float(meta.get("estimate-std-error", "nan")),
-        solver=meta.get("solver", "unknown"),
-        seed=int(meta["seed"]) if "seed" in meta else None,
-        steps=int(meta["steps"]) if "steps" in meta else None,
-        grad_samples=int(meta["grad-samples"]) if "grad-samples" in meta else None,
-        benchmark_kind=benchmark_kind,
-        benchmark_value=benchmark_value,
-    )
+    if not lpmod.feasible_for_matching(inst, x):
+        raise SolutionError(
+            f"{path}: edge marginals lie outside the instance's b-matching polytope")
+    try:
+        return OfflineSolution(
+            x=x,
+            objective_estimate=float(meta.get("objective-estimate", "nan")),
+            estimate_std_error=float(meta.get("estimate-std-error", "nan")),
+            solver=meta.get("solver", "unknown"),
+            seed=int(meta["seed"]) if "seed" in meta else None,
+            steps=int(meta["steps"]) if "steps" in meta else None,
+            grad_samples=int(meta["grad-samples"]) if "grad-samples" in meta else None,
+            benchmark_kind=benchmark_kind,
+            benchmark_value=benchmark_value,
+        )
+    except ValueError as exc:
+        raise SolutionError(f"{path}: bad metadata: {exc}") from None

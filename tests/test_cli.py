@@ -149,6 +149,30 @@ class TestSimulate:
         assert code == 0
         assert "ratio=" in out
 
+    @pytest.mark.parametrize("corrupt", ["truncated", "non_finite", "infeasible"])
+    def test_malformed_artifact_exits_2_naming_file(self, tmp_path, corrupt):
+        inst_file = small_problem_file(tmp_path)
+        x_file = tmp_path / "x.txt"
+        assert run_cli("offline", "--instance", str(inst_file),
+                       "--out", str(x_file))[0] == 0
+        lines = x_file.read_text().splitlines()
+        first_x = next(k for k, ln in enumerate(lines) if ln.startswith("x "))
+        if corrupt == "truncated":
+            lines[first_x] = " ".join(lines[first_x].split()[:2])
+        elif corrupt == "non_finite":
+            lines[first_x] = " ".join(lines[first_x].split()[:2] + ["nan"])
+        else:
+            lines = [" ".join(ln.split()[:2] + ["5"]) if ln.startswith("x ")
+                     else ln for ln in lines]
+        x_file.write_text("\n".join(lines) + "\n")
+        for algorithm in ("greedy", "dependent-rounding"):
+            code, _, err = run_cli(
+                "simulate", "--instance", str(inst_file), "--x-star",
+                str(x_file), "--algorithm", algorithm, "--trials", "5")
+            assert code == 2
+            assert str(x_file) in err
+            assert "Traceback" not in err
+
     def test_zero_trials_rejected_at_parse_time(self, tmp_path):
         inst_file = small_problem_file(tmp_path)
         code, _, _ = run_cli("simulate", "--instance", str(inst_file),

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import small_instance, small_objective
-from osbm.instances import build_instance
+from osbm import lp as lpmod
+from osbm.instances import build_instance, generate_synthetic
 from osbm.lp import (
     LinearProgram,
     build_matching_lmo,
@@ -20,6 +21,7 @@ from osbm.objectives import (
     BudgetAdditiveObjective,
     CoverageObjective,
     LinearObjective,
+    build_objective,
 )
 from osbm.offline import expected_opt
 
@@ -69,7 +71,9 @@ class TestSolve:
             assert s.audit(lp) == []
 
     def test_degenerate_ties_are_stable(self):
-        # identical rows and costs: Bland's rule must terminate and agree
+        # identical rows and costs: tied reduced costs enter by lowest index,
+        # every pivot after the first is degenerate, and the solve must
+        # terminate on the rational optimum
         lp = LinearProgram(
             c=[1.0, 1.0, 1.0],
             A=[[1.0, 1.0, 1.0]] * 3,
@@ -79,6 +83,76 @@ class TestSolve:
         s = solve(lp)
         assert s.value == pytest.approx(1.0)
         assert float(reference_solve(lp)) == pytest.approx(1.0)
+
+
+def beale_lp():
+    """Beale's (1955) program, on which largest-coefficient pricing cycles."""
+    return LinearProgram(
+        c=[0.75, -20.0, 0.5, -6.0],
+        A=[[0.25, -8.0, -1.0, 9.0],
+           [0.5, -12.0, -0.5, 3.0],
+           [0.0, 0.0, 1.0, 0.0]],
+        b=[0.0, 0.0, 1.0],
+        upper=[np.inf] * 4,
+    )
+
+
+class TestAntiCycling:
+    def test_beale_reaches_optimum(self):
+        lp = beale_lp()
+        a, b = solve(lp), solve(lp)
+        assert a.status == "optimal"
+        assert a.value == pytest.approx(1.25, rel=1e-12)
+        assert abs(a.value - float(reference_solve(lp))) <= 1e-9
+        assert a.audit(lp) == []
+        assert np.array_equal(a.x, b.x)
+
+    def test_beale_cycles_without_the_bland_fallback(self, monkeypatch):
+        monkeypatch.setattr(lpmod, "DEGENERATE_LIMIT", 10**9)
+        with pytest.raises(RuntimeError, match="iteration limit"):
+            solve(beale_lp(), max_iterations=500)
+
+    def test_degenerate_pivots_counted_on_beale(self):
+        s = solve(beale_lp())
+        assert 0 < s.degenerate_pivots <= s.iterations
+
+    def test_nondegenerate_box_has_no_degenerate_pivots(self):
+        lp = LinearProgram(c=[1.0, 2.0, 3.0], A=[[1.0, 1.0, 1.0]], b=[10.0],
+                           upper=[1.0, 1.0, 1.0])
+        s = solve(lp)
+        assert s.value == pytest.approx(6.0)
+        assert s.iterations > 0
+        assert s.degenerate_pivots == 0
+
+
+class TestHighsCrossCheck:
+    """Recipe-size programs against scipy's HiGHS (test-only dependency)."""
+
+    @staticmethod
+    def assert_matches_highs(lp):
+        optimize = pytest.importorskip("scipy.optimize")
+        res = optimize.linprog(
+            -lp.c, A_ub=lp.A, b_ub=lp.b,
+            bounds=np.column_stack([np.zeros(len(lp.c)), lp.upper]),
+            method="highs")
+        assert res.status == 0
+        s = solve(lp)
+        assert s.status == "optimal"
+        assert s.value == pytest.approx(-res.fun, rel=1e-7)
+        assert s.audit(lp) == []
+
+    @pytest.mark.parametrize("b", [1, 5])
+    def test_coverage_epigraph_lp(self, b):
+        problem = generate_synthetic("coverage", 11)
+        inst = problem.instance.with_capacities(b)
+        self.assert_matches_highs(build_special_lp(inst, build_objective(problem)))
+
+    @pytest.mark.parametrize("eta", [1, 2])
+    def test_budget_additive_matching_lmo(self, eta):
+        problem = generate_synthetic("budget_additive", 11)
+        inst = problem.instance.with_eta(eta)
+        weights = build_objective(problem).weights
+        self.assert_matches_highs(build_matching_lmo(inst, weights))
 
 
 class TestMatchingOracle:
