@@ -46,12 +46,12 @@ from .offline import (
     continuous_greedy,
     expected_opt,
     hindsight_optimal,
-    pipage_round,
 )
 from .rounding import (
     SampledSupport,
     dependent_round_stars,
     independent_sample,
+    pipage_round,
     sample_support,
     select_per_star,
 )

@@ -19,6 +19,7 @@ import numpy as np
 from . import lp as lpmod
 from .instances import (
     IngestError,
+    InstanceError,
     Problem,
     generate_synthetic,
     ingest_ratings,
@@ -332,7 +333,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (UsageError, IngestError, SolutionError, FileNotFoundError) as exc:
+    except (UsageError, IngestError, InstanceError, SolutionError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

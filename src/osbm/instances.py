@@ -39,6 +39,10 @@ class IngestError(ValueError):
     """Raised when a ratings/genre file cannot be turned into an instance."""
 
 
+class InstanceError(ValueError):
+    """Raised when an instance file cannot be read into a problem."""
+
+
 @dataclass(frozen=True)
 class Instance:
     """Bipartite b-matching instance with known-i.i.d. arrival rates.
@@ -608,11 +612,20 @@ def save_problem(problem: Problem, path) -> None:
 
 
 def load_problem(path) -> Problem:
-    """Read a problem written by :func:`save_problem`."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Read a problem written by :func:`save_problem`.
+
+    Raises InstanceError, naming the file, on a missing header, a short or
+    unparsable record, a missing ``T`` or ``eta`` record, a feature index
+    outside ``[0, features)``, a ``uw`` record for an unknown online type,
+    or a structural violation such as a dangling edge endpoint.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise InstanceError(f"{path}: not an instance file (not UTF-8 text)") from None
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != SCHEMA_HEADER:
-        raise ValueError(f"{path}: not an instance file (missing {SCHEMA_HEADER!r})")
+        raise InstanceError(f"{path}: not an instance file (missing {SCHEMA_HEADER!r})")
     horizon = eta = None
     kind = "linear"
     budget = None
@@ -639,6 +652,8 @@ def load_problem(path) -> Problem:
                 budget = float(tok[1])
             elif tag == "features":
                 n_features = int(tok[1])
+                if n_features < 0:
+                    raise ValueError("negative feature count")
             elif tag == "fn":
                 feature_names[int(tok[1])] = tok[2]
             elif tag == "u":
@@ -657,11 +672,14 @@ def load_problem(path) -> Problem:
                 user_weight_rows.append((tok[1], int(tok[2]), float(tok[3])))
             else:
                 raise ValueError(f"unknown record tag {tag!r}")
-        except (IndexError, ValueError) as exc:
-            raise ValueError(f"{path}: bad record at line {lineno}: {line!r}") from exc
+        except (IndexError, ValueError):
+            raise InstanceError(f"{path}: bad record at line {lineno}: {line!r}") from None
     if horizon is None or eta is None:
-        raise ValueError(f"{path}: missing T or eta record")
+        raise InstanceError(f"{path}: missing T or eta record")
     inst = build_instance(offline, online, edges, horizon, eta)
+    problems = _structural_violations(inst)
+    if problems:
+        raise InstanceError(f"{path}: " + "; ".join(problems))
 
     ew = None
     if edge_weights:
@@ -671,7 +689,11 @@ def load_problem(path) -> Problem:
         fs = tuple(q_sets.get(eid, frozenset()) for eid in inst.edge_ids)
     fw = None
     if feature_weights:
-        fw = np.zeros(n_features or (max(feature_weights) + 1))
+        size = n_features or max(feature_weights) + 1
+        bad = [z for z in feature_weights if not 0 <= z < size]
+        if bad:
+            raise InstanceError(f"{path}: fw feature index {bad[0]} outside [0, {size})")
+        fw = np.zeros(size)
         for z, w in feature_weights.items():
             fw[z] = w
     uw = None
@@ -679,6 +701,11 @@ def load_problem(path) -> Problem:
         uw = np.zeros((inst.n_online, n_features))
         vidx = inst.online_index
         for vid, z, w in user_weight_rows:
+            if vid not in vidx:
+                raise InstanceError(f"{path}: uw record for unknown online type {vid!r}")
+            if not 0 <= z < n_features:
+                raise InstanceError(
+                    f"{path}: uw feature index {z} outside [0, {n_features})")
             uw[vidx[vid], z] = w
     names = None
     if feature_names:

@@ -1,6 +1,5 @@
-"""Offline phase: fractional ascent over the matching polytope, randomized
-pipage rounding to integral matchings, and brute-force optima for tiny
-instances.
+"""Offline phase: fractional ascent over the matching polytope and
+brute-force optima for tiny instances.
 
 `continuous_greedy` maximizes the multilinear extension over the b-matching
 polytope by repeatedly estimating its gradient and stepping toward the best
@@ -100,90 +99,6 @@ def continuous_greedy(
         solver="continuous-greedy", seed=seed, steps=steps,
         grad_samples=grad_samples, trajectory=trajectory,
     )
-
-
-# -- pipage rounding ---------------------------------------------------------
-
-
-def _fractional_walk(adj: dict[int, list[int]], edge_ends, frac_edges: set[int]):
-    """Find a cycle or a maximal path in the fractional support.
-
-    Returns a list of edge indices forming the walk.  Vertices are encoded
-    as ints (offline as-is, online offset); `adj` maps vertex -> incident
-    fractional edges (kept current by the caller).
-    """
-    # prefer an endpoint of a path: a vertex of fractional degree one
-    start = None
-    for vert in sorted(adj):
-        if len(adj[vert]) == 1:
-            start = vert
-            break
-    if start is None:
-        start = min(adj)
-    walk_edges: list[int] = []
-    seen_at: dict[int, int] = {start: 0}
-    current = start
-    prev_edge = -1
-    while True:
-        nxt = None
-        for e in adj[current]:
-            if e != prev_edge:
-                nxt = e
-                break
-        if nxt is None:
-            return walk_edges  # maximal path
-        a, b = edge_ends[nxt]
-        current = b if a == current else a
-        walk_edges.append(nxt)
-        prev_edge = nxt
-        if current in seen_at:
-            return walk_edges[seen_at[current]:]  # cycle slice
-        seen_at[current] = len(walk_edges)
-
-
-def pipage_round(x, inst: Instance, seed) -> np.ndarray:
-    """Randomized pipage rounding of feasible marginals to an integral
-    matching: shift mass along alternating paths/cycles of the fractional
-    support with the two-sided probabilities that preserve per-edge
-    marginals, until integral.  Offline degrees never exceed capacities;
-    online degrees never exceed the ceiling of their fractional bound.
-    """
-    x = np.asarray(x, dtype=float).copy()
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
-    n_u = inst.n_offline
-    edge_ends = [(int(u), n_u + int(v)) for u, v in zip(inst.edge_u, inst.edge_v)]
-
-    def is_frac(val: float) -> bool:
-        return 1e-12 < val < 1.0 - 1e-12
-
-    frac_edges = {e for e in range(inst.n_edges) if is_frac(x[e])}
-    while frac_edges:
-        adj: dict[int, list[int]] = {}
-        for e in frac_edges:
-            a, b = edge_ends[e]
-            adj.setdefault(a, []).append(e)
-            adj.setdefault(b, []).append(e)
-        for lst in adj.values():
-            lst.sort()
-        walk = _fractional_walk(adj, edge_ends, frac_edges)
-        sign = np.empty(len(walk))
-        sign[::2] = 1.0
-        sign[1::2] = -1.0
-        vals = x[walk]
-        up = np.where(sign > 0, 1.0 - vals, vals).min()      # room along +sign
-        down = np.where(sign > 0, vals, 1.0 - vals).min()    # room along -sign
-        if rng.random() < down / (up + down):
-            x[walk] = vals + up * sign
-        else:
-            x[walk] = vals - down * sign
-        for e in walk:
-            if x[e] <= 1e-12:
-                x[e] = 0.0
-            elif x[e] >= 1.0 - 1e-12:
-                x[e] = 1.0
-            if not is_frac(x[e]):
-                frac_edges.discard(e)
-    return x > 0.5
 
 
 # -- hindsight optimum -------------------------------------------------------

@@ -50,13 +50,12 @@ E_OVER_E_MINUS_1 = math.e / (math.e - 1.0)
 class MatchState:
     """Mutable per-trial state: capacities only decrease, matches only grow."""
 
-    __slots__ = ("remaining", "matched", "matched_set", "clock")
+    __slots__ = ("remaining", "matched", "matched_set")
 
     def __init__(self, inst: Instance):
         self.remaining = list(inst.capacities)
         self.matched: list[int] = []
         self.matched_set: set[int] = set()
-        self.clock = 0
 
     def commit(self, e: int, u: int) -> None:
         if self.remaining[u] <= 0:
@@ -258,7 +257,6 @@ def run_trial(policy: OnlinePolicy, inst: Instance,
     edge_u = inst.edge_u
     eta = inst.eta
     for t, v in seq.arrivals:
-        match.clock = t
         picks = policy.on_arrival(trial, match, v, t)
         if len(picks) > eta:
             raise RuntimeError(f"{policy.name} returned more than eta edges")

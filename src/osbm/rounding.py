@@ -1,10 +1,17 @@
 """Randomized rounding primitives feeding the online policies.
 
-Three seeded operations: independent per-edge sampling, uniform thinning of
-each offline star to at most its capacity, and star-wise dependent rounding
-(paired mass shifts that preserve marginals, pin per-star degrees to the
-floor or ceiling of the fractional degree, and induce negative correlation
-within a star).
+Four seeded operations: independent per-edge sampling, uniform thinning of
+each offline star to at most its capacity, star-wise dependent rounding,
+and pipage rounding of a whole fractional b-matching.
+
+The last two share one pairing step, `_shift`: a two-sided mass shift
+along an alternating walk that preserves every edge's marginal.  Dependent
+rounding (after Gandhi, Khuller, Parthasarathy and Srinivasan, JACM 2006)
+shifts between consecutive fractional edges of one star, which pins each
+star's degree to the floor or ceiling of its fractional degree and makes
+edges of a star negatively correlated.  Pipage rounding (after Ageev and
+Sviridenko, 2004) shifts along paths and cycles of the whole fractional
+support.
 """
 
 from __future__ import annotations
@@ -77,47 +84,36 @@ def sample_support(x, inst: Instance, seed) -> SampledSupport:
     return SampledSupport(X=X, Y=Y)
 
 
-def _round_star(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """GKPS-style pairing on one star: repeatedly shift mass between the two
-    lowest-indexed fractional coordinates until at most one remains, then
-    resolve the leftover by an ordinary coin.  Marginals are preserved at
-    every step and the total moves monotonically toward floor/ceil.
+def _fractional(v: float) -> bool:
+    return SNAP_TOL < v < 1.0 - SNAP_TOL
+
+
+def _shift(p, walk, rng: np.random.Generator) -> None:
+    """The pairing step: move mass along an alternating walk of edges,
+    keeping every edge's marginal, and update `p` in place.
+
+    With probability down/(up+down) the even positions of `walk` rise by
+    `up` and the odd ones fall by `up`; otherwise they move the other way
+    by `down`.  `up` and `down` are the largest moves that keep every value
+    in [0, 1], so the expected move is zero and each step settles at least
+    one edge.  Values within SNAP_TOL of 0 or 1 are snapped there.
     """
-    p = values.astype(float).copy()
-
-    def fractional():
-        return [i for i, v in enumerate(p) if SNAP_TOL < v < 1.0 - SNAP_TOL]
-
-    frac = fractional()
-    while len(frac) >= 2:
-        i, j = frac[0], frac[1]
-        alpha = min(1.0 - p[i], p[j])
-        beta = min(p[i], 1.0 - p[j])
-        # +alpha with prob beta/(alpha+beta): expected shift is zero
-        if rng.random() < beta / (alpha + beta):
-            # raise i by alpha, lower j by alpha; pin the binding side exactly
-            if 1.0 - p[i] <= p[j]:
-                p[j] -= alpha
-                p[i] = 1.0
-            else:
-                p[i] += alpha
-                p[j] = 0.0
-        else:
-            if p[i] <= 1.0 - p[j]:
-                p[j] += beta
-                p[i] = 0.0
-            else:
-                p[i] -= beta
-                p[j] = 1.0
-        frac = fractional()
-    if frac:
-        i = frac[0]
-        p[i] = 1.0 if rng.random() < p[i] else 0.0
-    return p > 0.5
+    even, odd = walk[::2], walk[1::2]
+    up = min([1.0 - p[e] for e in even] + [p[e] for e in odd])
+    down = min([p[e] for e in even] + [1.0 - p[e] for e in odd])
+    step = up if rng.random() < down / (up + down) else -down
+    for k, e in enumerate(walk):
+        v = p[e] - step if k % 2 else p[e] + step
+        p[e] = 0.0 if v <= SNAP_TOL else 1.0 if v >= 1.0 - SNAP_TOL else v
 
 
 def dependent_round_stars(x, inst: Instance, seed) -> np.ndarray:
     """Round x star-by-star at each offline vertex into an integral edge set.
+
+    One pass over each star's edges in index order: every fractional edge
+    is paired with the fractional edge carried from the previous step (a
+    walk of two edges), and an edge left over at the end of the star is
+    settled alone (a walk of one).
 
     Requires the fractional degree of every star to fit its capacity.  Every
     run lands each star's degree in {floor(sum), ceil(sum)}; per-edge
@@ -125,15 +121,83 @@ def dependent_round_stars(x, inst: Instance, seed) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     rng = _as_rng(seed)
-    chosen = np.zeros(inst.n_edges, dtype=bool)
-    for ui in range(inst.n_offline):
-        star = inst.edges_at_u[ui]
-        if len(star) == 0:
-            continue
-        vals = x[star]
-        if vals.sum() > inst.capacities[ui] + 1e-9:
-            raise ValueError(
-                f"fractional degree exceeds capacity at {inst.offline_ids[ui]!r}"
-            )
-        chosen[star] = _round_star(vals, rng)
-    return chosen
+    degree = np.bincount(inst.edge_u, weights=x, minlength=inst.n_offline)
+    over = np.flatnonzero(degree > inst.capacity_array + 1e-9)
+    if len(over):
+        raise ValueError(
+            f"fractional degree exceeds capacity at {inst.offline_ids[over[0]]!r}"
+        )
+    p = x.tolist()
+    for star in inst.edges_at_u:
+        carried: list[int] = []
+        for e in star.tolist():
+            if _fractional(p[e]):
+                carried.append(e)
+                if len(carried) == 2:
+                    _shift(p, carried, rng)
+                    carried = [f for f in carried if _fractional(p[f])]
+        if carried:
+            _shift(p, carried, rng)
+    return np.array(p) > 0.5
+
+
+def _fractional_walk(adj: dict[int, list[int]], edge_ends) -> list[int]:
+    """Find a cycle or a maximal path in the fractional support.
+
+    Returns a list of edge indices forming the walk.  Vertices are encoded
+    as ints (offline as-is, online offset); `adj` maps vertex -> incident
+    fractional edges (kept current by the caller).
+    """
+    # prefer an endpoint of a path: a vertex of fractional degree one
+    start = None
+    for vert in sorted(adj):
+        if len(adj[vert]) == 1:
+            start = vert
+            break
+    if start is None:
+        start = min(adj)
+    walk_edges: list[int] = []
+    seen_at: dict[int, int] = {start: 0}
+    current = start
+    prev_edge = -1
+    while True:
+        nxt = None
+        for e in adj[current]:
+            if e != prev_edge:
+                nxt = e
+                break
+        if nxt is None:
+            return walk_edges  # maximal path
+        a, b = edge_ends[nxt]
+        current = b if a == current else a
+        walk_edges.append(nxt)
+        prev_edge = nxt
+        if current in seen_at:
+            return walk_edges[seen_at[current]:]  # cycle slice
+        seen_at[current] = len(walk_edges)
+
+
+def pipage_round(x, inst: Instance, seed) -> np.ndarray:
+    """Randomized pipage rounding of feasible marginals to an integral
+    matching: apply the pairing step along alternating paths/cycles of the
+    fractional support until integral.  Offline degrees never exceed
+    capacities; online degrees never exceed the ceiling of their fractional
+    bound.
+    """
+    x = np.array(x, dtype=float)
+    rng = _as_rng(seed)
+    n_u = inst.n_offline
+    edge_ends = [(int(u), n_u + int(v)) for u, v in zip(inst.edge_u, inst.edge_v)]
+    frac_edges = {e for e in range(inst.n_edges) if _fractional(x[e])}
+    while frac_edges:
+        adj: dict[int, list[int]] = {}
+        for e in frac_edges:
+            a, b = edge_ends[e]
+            adj.setdefault(a, []).append(e)
+            adj.setdefault(b, []).append(e)
+        for lst in adj.values():
+            lst.sort()
+        walk = _fractional_walk(adj, edge_ends)
+        _shift(x, walk, rng)
+        frac_edges.difference_update(e for e in walk if not _fractional(x[e]))
+    return x > 0.5

@@ -44,13 +44,9 @@ from osbm.objectives import (
     build_objective,
     multilinear_exact,
 )
-from osbm.offline import (
-    continuous_greedy,
-    expected_opt,
-    pipage_round,
-)
+from osbm.offline import continuous_greedy, expected_opt
 from osbm.online import make_policy, run_trial, simulate
-from osbm.rounding import dependent_round_stars
+from osbm.rounding import dependent_round_stars, pipage_round
 
 ONE_MINUS_1_OVER_E = 1.0 - 1.0 / math.e
 CR_FLOOR = 0.5 * (1.0 - math.exp(-0.5)) * ONE_MINUS_1_OVER_E

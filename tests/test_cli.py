@@ -173,6 +173,40 @@ class TestSimulate:
             assert str(x_file) in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("corrupt", [
+        "missing_header", "truncated_edge", "missing_eta", "negative_features",
+        "fw_index", "uw_negative_index", "uw_unknown_type", "dangling_endpoint",
+        "not_utf8"])
+    def test_malformed_instance_exits_2_naming_file(self, tmp_path, corrupt):
+        inst_file = small_problem_file(tmp_path)
+        lines = inst_file.read_text().splitlines()
+        first_e = next(k for k, ln in enumerate(lines) if ln.startswith("e "))
+        if corrupt == "missing_header":
+            del lines[0]
+        elif corrupt == "truncated_edge":
+            lines[first_e] = " ".join(lines[first_e].split()[:2])
+        elif corrupt == "missing_eta":
+            lines = [ln for ln in lines if not ln.startswith("eta ")]
+        elif corrupt == "negative_features":
+            lines += ["features -1"]
+        elif corrupt == "fw_index":
+            lines += ["features 2", "fw 2 0.5"]
+        elif corrupt == "uw_negative_index":
+            lines += ["features 2", "uw v0 -1 0.5"]
+        elif corrupt == "uw_unknown_type":
+            lines += ["features 2", "uw nobody 0 0.5"]
+        elif corrupt == "dangling_endpoint":
+            tok = lines[first_e].split()
+            lines[first_e] = " ".join(tok[:2] + ["ghost"] + tok[3:])
+        inst_file.write_text("\n".join(lines) + "\n")
+        if corrupt == "not_utf8":
+            inst_file.write_bytes(inst_file.read_bytes() + b"\xff\xfe\n")
+        code, _, err = run_cli("simulate", "--instance", str(inst_file),
+                               "--algorithm", "greedy", "--trials", "5")
+        assert code == 2
+        assert str(inst_file) in err
+        assert "Traceback" not in err
+
     def test_zero_trials_rejected_at_parse_time(self, tmp_path):
         inst_file = small_problem_file(tmp_path)
         code, _, _ = run_cli("simulate", "--instance", str(inst_file),

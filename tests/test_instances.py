@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from osbm.instances import (
+    EdgeFeatures,
     IngestError,
+    InstanceError,
+    Problem,
     build_instance,
     generate_synthetic,
     ingest_ratings,
@@ -257,3 +260,44 @@ class TestRoundTrip:
         assert f1.read_bytes() == f2.read_bytes()
         assert back.kind == "per_user_coverage"
         assert back.instance == prob.instance
+
+
+class TestLoadProblemFuzz:
+    def test_one_edit_loads_or_raises_instance_error(self, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        feats = EdgeFeatures(
+            n_features=3,
+            edge_weights=np.array([0.5, 1.0, 0.25]),
+            feature_sets=(frozenset({0}), frozenset({1, 2}), frozenset()),
+            feature_weights=np.array([1.0, 2.0, 0.5]),
+            user_weights=np.array([[0.0, 1.0, 0.5], [2.0, 0.0, 1.0]]),
+            feature_names=("a", "b", "c"))
+        path = tmp_path / "p.txt"
+        save_problem(Problem(tiny_instance(), feats, "budget_additive", 1.0), path)
+        lines = path.read_text().splitlines()
+        tokens = st.sampled_from(["", "-1", "0", "7", "nan", "x", "e1", "u1",
+                                  "v1", "T", "e", "uw", "fw"])
+        tokens = tokens | st.text(alphabet="0123456789-.eux", max_size=3)
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            k = data.draw(st.integers(0, len(lines) - 1))
+            edited = list(lines)
+            tok = edited[k].split()
+            op = data.draw(st.sampled_from(["drop line", "drop token", "replace token"]))
+            if op == "drop line":
+                del edited[k]
+            else:
+                j = data.draw(st.integers(0, len(tok) - 1))
+                tok[j:j + 1] = [] if op == "drop token" else [data.draw(tokens)]
+                edited[k] = " ".join(tok)
+            path.write_text("\n".join(edited) + "\n")
+            try:
+                assert isinstance(load_problem(path), Problem)
+            except InstanceError as exc:
+                assert str(path) in str(exc)
+
+        assert isinstance(load_problem(path), Problem)
+        check()

@@ -18,9 +18,9 @@ from osbm.offline import (
     expected_opt,
     hindsight_optimal,
     load_solution,
-    pipage_round,
     save_solution,
 )
+from osbm.rounding import pipage_round
 
 
 def grid_fractional_max(objective, inst, step=0.25):

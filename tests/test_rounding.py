@@ -1,18 +1,24 @@
 """Sampling and rounding primitives: marginals, degrees, correlations."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from conftest import small_instance
-from osbm.instances import build_instance
+from osbm import pipage_round
+from osbm.instances import build_instance, generate_synthetic
 from osbm.rounding import (
     dependent_round_stars,
     independent_sample,
     sample_support,
     select_per_star,
 )
+
+# sha256 of the packed masks of TestPairingStep.test_golden_masks; any change
+# to the draws or the results of either rounding moves it
+PAIRING_GOLDEN = "262393ed45b84fe1e1a01c5f39b11c3bf15e4a006208390cc86163c2568b707f"
 
 
 def star_instance(k, capacity=1, rate=1.0):
@@ -250,3 +256,45 @@ class TestDependentRounding:
         a = dependent_round_stars(x, inst, seed=123)
         b = dependent_round_stars(x, inst, seed=123)
         assert np.array_equal(a, b)
+
+
+class TestPairingStep:
+    """Dependent rounding and pipage rounding make the same pairing step."""
+
+    def test_one_star_matches_pipage_draw_for_draw(self):
+        g = np.random.default_rng(31)
+        for _ in range(500):
+            k, cap = int(g.integers(1, 8)), int(g.integers(1, 4))
+            inst = star_instance(k, capacity=cap)
+            # quarter-grid values mixed in, so ties and integral entries occur
+            x = np.where(g.random(k) < 0.4, g.integers(0, 5, k) / 4, g.random(k))
+            if x.sum() > cap:
+                x *= cap / x.sum()
+            seed = int(g.integers(1 << 30))
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(dependent_round_stars(x, inst, a),
+                                  pipage_round(x, inst, b))
+            assert a.bit_generator.state == b.bit_generator.state
+
+    def test_golden_masks(self):
+        # the guide is drawn, not solved, so a solver change cannot move it
+        inst = generate_synthetic("budget_additive", 11).instance
+        w = np.random.default_rng(11).random(inst.n_edges)
+        deg_u = np.bincount(inst.edge_u, minlength=inst.n_offline)[inst.edge_u]
+        digest = hashlib.sha256()
+        for b in (1, 5):
+            x = np.where(w < 0.15, 0.0, w * np.minimum(1.0, b / deg_u))
+            inst_b = inst.with_capacities(b)
+            for s in range(50):
+                chosen = dependent_round_stars(x, inst_b, np.random.default_rng((s, 1)))
+                digest.update(np.packbits(chosen).tobytes())
+        cycle = build_instance(
+            offline=[("u0", 1), ("u1", 1)],
+            online=[("v0", 1.0), ("v1", 1.0)],
+            edges=[("e0", "u0", "v0"), ("e1", "u1", "v0"), ("e2", "u0", "v1"),
+                   ("e3", "u1", "v1")],
+            horizon=2)
+        x2 = np.array([0.3, 0.45, 0.55, 0.2])
+        for s in range(50):
+            digest.update(np.packbits(pipage_round(x2, cycle, seed=s)).tobytes())
+        assert digest.hexdigest() == PAIRING_GOLDEN
