@@ -56,7 +56,6 @@ from .rounding import (
     select_per_star,
 )
 from .online import (
-    MatchState,
     RunMetrics,
     compute_benchmark,
     make_policy,

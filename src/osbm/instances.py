@@ -89,26 +89,28 @@ class Instance:
     def edge_index(self) -> dict[str, int]:
         return {eid: i for i, eid in enumerate(self.edge_ids)}
 
-    def _require_structural(self) -> None:
+    @cached_property
+    def _endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """Dense (offline, online) endpoint index per edge, built after the
+        structural check, so the check runs once per instance."""
         problems = _structural_violations(self)
         if problems:
             raise ValueError(
                 "instance has structural violations: " + "; ".join(problems)
             )
+        u_idx, v_idx = self.offline_index, self.online_index
+        return (np.array([u_idx[uid] for uid in self.edge_offline], dtype=np.int64),
+                np.array([v_idx[vid] for vid in self.edge_online], dtype=np.int64))
 
     @cached_property
     def edge_u(self) -> np.ndarray:
         """Dense offline endpoint index per edge."""
-        self._require_structural()
-        idx = self.offline_index
-        return np.array([idx[uid] for uid in self.edge_offline], dtype=np.int64)
+        return self._endpoints[0]
 
     @cached_property
     def edge_v(self) -> np.ndarray:
         """Dense online endpoint index per edge."""
-        self._require_structural()
-        idx = self.online_index
-        return np.array([idx[vid] for vid in self.edge_online], dtype=np.int64)
+        return self._endpoints[1]
 
     @cached_property
     def edges_at_u(self) -> tuple[np.ndarray, ...]:
@@ -433,16 +435,19 @@ def generate_synthetic(kind: str, seed: int) -> Problem:
 def _read_delimited(path, n_cols: int, what: str) -> list[tuple[str, ...]]:
     rows = []
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != n_cols:
-                raise IngestError(
-                    f"{what} file {path}: malformed row {lineno}: expected "
-                    f"{n_cols} fields, got {len(row)}"
-                )
-            rows.append(tuple(field.strip() for field in row))
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != n_cols:
+                    raise IngestError(
+                        f"{what} file {path}: malformed row {lineno}: expected "
+                        f"{n_cols} fields, got {len(row)}"
+                    )
+                rows.append(tuple(field.strip() for field in row))
+    except UnicodeDecodeError:
+        raise IngestError(f"{what} file {path}: not UTF-8 text") from None
     return rows
 
 
@@ -677,9 +682,10 @@ def load_problem(path) -> Problem:
     if horizon is None or eta is None:
         raise InstanceError(f"{path}: missing T or eta record")
     inst = build_instance(offline, online, edges, horizon, eta)
-    problems = _structural_violations(inst)
-    if problems:
-        raise InstanceError(f"{path}: " + "; ".join(problems))
+    try:
+        inst.edge_u  # builds the dense endpoints after the structural check
+    except ValueError as exc:
+        raise InstanceError(f"{path}: {exc}") from None
 
     ew = None
     if edge_weights:

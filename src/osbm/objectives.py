@@ -67,8 +67,10 @@ class SubmodularObjective:
 class Evaluator:
     """Mutable accumulator for one greedy/search run: O(f) marginal queries.
 
-    The generic fallback recomputes; concrete objectives plug in constant or
-    per-feature incremental state.
+    The base class owns membership and the running value: a member gains 0
+    and adding it again changes nothing.  Concrete objectives plug in their
+    own ``_gain`` for a non-member and ``_absorb`` for the state update when
+    it joins; the generic fallback recomputes through the value oracle.
     """
 
     def __init__(self, objective: SubmodularObjective):
@@ -79,13 +81,22 @@ class Evaluator:
     def gain(self, e: int) -> float:
         if e in self._members:
             return 0.0
-        return self._objective.value(self._members | {e}) - self.value
+        return self._gain(e)
 
     def add(self, e: int) -> float:
-        g = self.gain(e)
+        if e in self._members:
+            return 0.0
+        g = self._gain(e)
+        self._absorb(e)
         self._members.add(e)
         self.value += g
         return g
+
+    def _gain(self, e: int) -> float:
+        return self._objective.value(self._members | {e}) - self.value
+
+    def _absorb(self, e: int) -> None:
+        pass
 
 
 class LinearObjective(SubmodularObjective):
@@ -112,16 +123,8 @@ class LinearObjective(SubmodularObjective):
 
 
 class _LinearEvaluator(Evaluator):
-    def gain(self, e: int) -> float:
-        if e in self._members:
-            return 0.0
+    def _gain(self, e: int) -> float:
         return float(self._objective.weights[e])
-
-    def add(self, e: int) -> float:
-        g = self.gain(e)
-        self._members.add(e)
-        self.value += g
-        return g
 
 
 class BudgetAdditiveObjective(SubmodularObjective):
@@ -157,19 +160,12 @@ class _BudgetEvaluator(Evaluator):
         super().__init__(objective)
         self._raw = 0.0
 
-    def gain(self, e: int) -> float:
-        if e in self._members:
-            return 0.0
+    def _gain(self, e: int) -> float:
         b = self._objective.budget
         return min(b, self._raw + self._objective.weights[e]) - min(b, self._raw)
 
-    def add(self, e: int) -> float:
-        g = self.gain(e)
-        if e not in self._members:
-            self._raw += self._objective.weights[e]
-        self._members.add(e)
-        self.value = min(self._objective.budget, self._raw)
-        return g
+    def _absorb(self, e: int) -> None:
+        self._raw += self._objective.weights[e]
 
 
 class CoverageObjective(SubmodularObjective):
@@ -233,19 +229,13 @@ class _CoverageEvaluator(Evaluator):
         super().__init__(objective)
         self._covered = np.zeros(objective.n_features, dtype=bool)
 
-    def gain(self, e: int) -> float:
-        if e in self._members:
-            return 0.0
+    def _gain(self, e: int) -> float:
         q = self._objective.edge_features[e]
         fresh = q[~self._covered[q]]
         return float(self._objective.feature_weights[fresh].sum())
 
-    def add(self, e: int) -> float:
-        g = self.gain(e)
+    def _absorb(self, e: int) -> None:
         self._covered[self._objective.edge_features[e]] = True
-        self._members.add(e)
-        self.value += g
-        return g
 
 
 class PerUserCoverageObjective(CoverageObjective):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,6 @@ class OfflineSolution:
     grad_samples: int | None = None
     benchmark_kind: str | None = None
     benchmark_value: float | None = None
-    trajectory: list[tuple[float, float]] = field(default_factory=list)
 
 
 def _project_into_polytope(x: np.ndarray, inst: Instance) -> np.ndarray:
@@ -69,7 +68,6 @@ def continuous_greedy(
     grad_samples: int = 100,
     seed: int = 0,
     estimate_samples: int = 2000,
-    track_trajectory: bool = False,
 ) -> OfflineSolution:
     """Fractional ascent on the multilinear extension over the matching
     polytope: x accumulates `steps` equal-weight LMO vertices, each chosen
@@ -81,23 +79,18 @@ def continuous_greedy(
     rng = np.random.default_rng(seed)
     m = inst.n_edges
     x = np.zeros(m)
-    trajectory: list[tuple[float, float]] = []
     for _ in range(steps):
         grad = batch_gradient(objective, x, grad_samples, rng)
         sol = lpmod.solve(lpmod.build_matching_lmo(inst, grad))
         if sol.status != "optimal":
             raise RuntimeError(f"linear oracle returned {sol.status}")
         x = x + sol.x / steps
-        if track_trajectory:
-            est, se = multilinear_mc(objective, np.clip(x, 0.0, 1.0),
-                                     max(200, grad_samples), rng)
-            trajectory.append((est, se))
     x = _project_into_polytope(x, inst)
     est, se = multilinear_mc(objective, x, estimate_samples, rng)
     return OfflineSolution(
         x=x, objective_estimate=est, estimate_std_error=se,
         solver="continuous-greedy", seed=seed, steps=steps,
-        grad_samples=grad_samples, trajectory=trajectory,
+        grad_samples=grad_samples,
     )
 
 
@@ -268,11 +261,14 @@ def _finite_float(text: str) -> float:
 def load_solution(path, inst: Instance) -> OfflineSolution:
     """Read a marginals artifact written by `save_solution` for `inst`.
 
-    Raises SolutionError, naming the file, on a short or unparsable record,
-    a non-finite number, edge ids that differ from the instance's, or an x
-    outside the instance's b-matching polytope.
+    Raises SolutionError, naming the file, on non-UTF-8 text, a short or
+    unparsable record, a non-finite number, edge ids that differ from the
+    instance's, or an x outside the instance's b-matching polytope.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise SolutionError(f"{path}: not a solution file (not UTF-8 text)") from None
     lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1)
              if ln.strip()]
     if not lines or lines[0][1] != SOLUTION_HEADER:

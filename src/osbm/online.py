@@ -18,9 +18,11 @@ are provided:
 * ``dependent-rounding`` - pre-round the guide star-by-star into a
   semi-matching and serve arrivals uniformly from it.
 
-``simulate`` replays a policy over independent arrival sequences and
-reports per-trial objective values, their mean and standard error, and the
-empirical ratio against a chosen benchmark upper bound.
+Policies only propose picks from the remaining capacities; ``run_trial``
+commits them and audits each trial once against that rule.  ``simulate``
+replays a policy over independent arrival sequences and reports per-trial
+objective values, their mean and standard error, and the empirical ratio
+against a chosen benchmark upper bound.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -47,27 +50,10 @@ POLICY_NAMES = ("marginal-sampling", "contention-resolution", "greedy",
 E_OVER_E_MINUS_1 = math.e / (math.e - 1.0)
 
 
-class MatchState:
-    """Mutable per-trial state: capacities only decrease, matches only grow."""
-
-    __slots__ = ("remaining", "matched", "matched_set")
-
-    def __init__(self, inst: Instance):
-        self.remaining = list(inst.capacities)
-        self.matched: list[int] = []
-        self.matched_set: set[int] = set()
-
-    def commit(self, e: int, u: int) -> None:
-        if self.remaining[u] <= 0:
-            raise RuntimeError("matched into a saturated offline vertex")
-        self.remaining[u] -= 1
-        self.matched.append(e)
-        self.matched_set.add(e)
-
-
 class OnlinePolicy:
-    """Shared immutable preparation; per-trial randomness lives in the state
-    object returned by ``start_trial``."""
+    """Shared immutable preparation; per-trial state (the trial's generator
+    by default) comes from ``start_trial``, and ``on_arrival`` proposes the
+    picks for an arrival of ``v`` that ``run_trial`` commits."""
 
     name = "abstract"
     needs_guide = True
@@ -84,9 +70,9 @@ class OnlinePolicy:
                 raise ValueError("edge marginal vector length mismatch")
 
     def start_trial(self, rng: np.random.Generator):
-        return None
+        return rng
 
-    def on_arrival(self, trial, match: MatchState, v: int, t: int) -> list[int]:
+    def on_arrival(self, trial, remaining: list[int], v: int) -> list[int]:
         raise NotImplementedError
 
 
@@ -110,7 +96,7 @@ class MarginalSamplingPolicy(OnlinePolicy):
             self._edges.append(edges)
             self._cum.append(np.cumsum(probs))
 
-    def on_arrival(self, trial, match, v, t):
+    def on_arrival(self, trial, remaining, v):
         cum = self._cum[v]
         edges = self._edges[v]
         picks: list[int] = []
@@ -123,14 +109,11 @@ class MarginalSamplingPolicy(OnlinePolicy):
                 continue  # leftover mass: skip this draw
             e = int(edges[k])
             u = int(edge_u[e])
-            if u in used_u or match.remaining[u] <= 0:
+            if u in used_u or remaining[u] <= 0:
                 continue
             used_u.add(u)
             picks.append(e)
         return picks
-
-    def start_trial(self, rng):
-        return rng
 
 
 class ContentionResolutionPolicy(OnlinePolicy):
@@ -153,7 +136,7 @@ class ContentionResolutionPolicy(OnlinePolicy):
         support = sample_support(self.x_star, self.inst, rng)
         return (support, rng)
 
-    def on_arrival(self, trial, match, v, t):
+    def on_arrival(self, trial, remaining, v):
         support, rng = trial
         candidates = support.x_edges_at(self.inst.edges_at_v[v])
         if len(candidates) == 0:
@@ -162,7 +145,7 @@ class ContentionResolutionPolicy(OnlinePolicy):
         if not support.Y[e]:
             return []
         u = int(self.inst.edge_u[e])
-        if match.remaining[u] <= 0:
+        if remaining[u] <= 0:
             return []
         return [e]
 
@@ -184,7 +167,7 @@ class GreedyPolicy(OnlinePolicy):
     def start_trial(self, rng):
         return self.objective.evaluator()
 
-    def on_arrival(self, trial, match, v, t):
+    def on_arrival(self, trial, remaining, v):
         evaluator = trial
         picks: list[int] = []
         used_u: set[int] = set()
@@ -193,7 +176,7 @@ class GreedyPolicy(OnlinePolicy):
             best_u = -1
             best_gain = -1.0
             for u, e in self._by_u[v]:
-                if u in used_u or match.remaining[u] <= 0:
+                if u in used_u or remaining[u] <= 0:
                     continue
                 g = evaluator.gain(e)
                 if g > best_gain:
@@ -217,14 +200,14 @@ class DependentRoundingPolicy(OnlinePolicy):
         ]
         return (menu, rng)
 
-    def on_arrival(self, trial, match, v, t):
+    def on_arrival(self, trial, remaining, v):
         menu, rng = trial
         picks: list[int] = []
         used_u: set[int] = set()
         edge_u = self.inst.edge_u
         for _ in range(self.inst.eta):
             avail = [e for e in menu[v]
-                     if int(edge_u[e]) not in used_u and match.remaining[edge_u[e]] > 0]
+                     if int(edge_u[e]) not in used_u and remaining[edge_u[e]] > 0]
             if not avail:
                 break
             e = avail[int(rng.integers(len(avail)))]
@@ -250,26 +233,32 @@ def make_policy(name: str, inst: Instance, objective: SubmodularObjective,
 def run_trial(policy: OnlinePolicy, inst: Instance,
               objective: SubmodularObjective, seq: ArrivalSequence,
               rng: np.random.Generator) -> tuple[float, list[int]]:
-    """Replay one arrival sequence; returns (objective value, matched edges)."""
+    """Replay one arrival sequence; returns (objective value, matched edges).
+
+    The only code that commits a match.  ``matched`` keeps repeats of a
+    type-edge; the objective scores the set.
+    """
     trial = policy.start_trial(rng)
-    match = MatchState(inst)
-    edge_v = inst.edge_v
+    remaining = list(inst.capacities)
+    matched: list[int] = []
+    arrival_of: list[int] = []  # position in the sequence of each match
     edge_u = inst.edge_u
-    eta = inst.eta
-    for t, v in seq.arrivals:
-        picks = policy.on_arrival(trial, match, v, t)
-        if len(picks) > eta:
+    for i, (_, v) in enumerate(seq.arrivals):
+        for e in policy.on_arrival(trial, remaining, v):
+            remaining[edge_u[e]] -= 1
+            matched.append(e)
+            arrival_of.append(i)
+    if matched:  # one audit of the whole trial against the online rule
+        e, at = np.asarray(matched), np.asarray(arrival_of)
+        if np.bincount(at).max() > inst.eta:
             raise RuntimeError(f"{policy.name} returned more than eta edges")
-        seen_u: set[int] = set()
-        for e in picks:
-            u = int(edge_u[e])
-            if int(edge_v[e]) != v:
-                raise RuntimeError(f"{policy.name} matched a non-incident edge")
-            if u in seen_u:
-                raise RuntimeError(f"{policy.name} repeated an offline vertex")
-            seen_u.add(u)
-            match.commit(e, u)
-    return objective.value(match.matched_set), match.matched
+        if np.any(inst.edge_v[e] != seq.slots[seq.arrival_times[at]]):
+            raise RuntimeError(f"{policy.name} matched a non-incident edge")
+        if len(np.unique(at * inst.n_offline + edge_u[e])) < len(e):
+            raise RuntimeError(f"{policy.name} repeated an offline vertex")
+        if min(remaining) < 0:
+            raise RuntimeError("matched into a saturated offline vertex")
+    return objective.value(matched), matched
 
 
 @dataclass
@@ -318,25 +307,17 @@ def compute_benchmark(kind: str, inst: Instance,
     raise ValueError(f"unknown benchmark kind {kind!r}")
 
 
-def _trial_block(args):
-    policy, inst, objective, seed, lo, hi, keep = args
-    vals = np.empty(hi - lo)
-    matches: list[list[int]] | None = [] if keep else None
-    for i in range(lo, hi):
-        trial_seed = seed + i
-        seq = sample_arrivals(inst, trial_seed)
-        rng = np.random.default_rng((trial_seed, 1))
-        value, matched = run_trial(policy, inst, objective, seq, rng)
-        vals[i - lo] = value
-        if keep:
-            matches.append(matched)
-    return lo, vals, matches
+def _trial(policy, inst, objective, keep, trial_seed):
+    seq = sample_arrivals(inst, trial_seed)
+    rng = np.random.default_rng((trial_seed, 1))
+    value, matched = run_trial(policy, inst, objective, seq, rng)
+    return value, matched if keep else None
 
 
 def simulate(
     inst: Instance,
     objective: SubmodularObjective,
-    policy: str | OnlinePolicy,
+    policy: str,
     x_star: np.ndarray | None = None,
     trials: int = 100,
     seed: int = 0,
@@ -353,9 +334,8 @@ def simulate(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if isinstance(policy, str):
-        policy = make_policy(policy, inst, objective, x_star,
-                             allow_fractional_cr=allow_fractional_cr)
+    policy = make_policy(policy, inst, objective, x_star,
+                         allow_fractional_cr=allow_fractional_cr)
     if isinstance(benchmark, str):
         benchmark_kind, benchmark_value = compute_benchmark(
             benchmark, inst, objective, x_star=policy.x_star, seed=seed)
@@ -364,24 +344,16 @@ def simulate(
     else:
         benchmark_kind, benchmark_value = benchmark
 
-    values = np.empty(trials)
-    matches: list[list[int]] | None = [None] * trials if keep_matches else None
+    one = partial(_trial, policy, inst, objective, keep_matches)
+    seeds = range(seed, seed + trials)
     if workers > 1 and trials > 1:
-        blocks = []
-        step = max(1, math.ceil(trials / (workers * 4)))
-        for lo in range(0, trials, step):
-            blocks.append((policy, inst, objective, seed, lo,
-                           min(lo + step, trials), keep_matches))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for lo, vals, block_matches in pool.map(_trial_block, blocks):
-                values[lo: lo + len(vals)] = vals
-                if keep_matches:
-                    matches[lo: lo + len(vals)] = block_matches
+            results = list(pool.map(one, seeds,
+                                    chunksize=math.ceil(trials / (workers * 4))))
     else:
-        _, values[:], block_matches = _trial_block(
-            (policy, inst, objective, seed, 0, trials, keep_matches))
-        if keep_matches:
-            matches = block_matches
+        results = list(map(one, seeds))
+    values = np.array([value for value, _ in results], dtype=float)
+    matches = [m for _, m in results] if keep_matches else None
 
     mean = float(values.mean())
     std = float(values.std(ddof=1)) if trials > 1 else 0.0

@@ -74,6 +74,19 @@ class TestIngest:
         assert code == 0
         assert "|U|=6" in out and "|V|=8" in out
 
+    @pytest.mark.parametrize("which", ["ratings", "genres"])
+    def test_non_utf8_input_exits_2_naming_file(self, tmp_path, which):
+        files = dict(zip(("ratings", "genres"), write_ratings_fixture(
+            tmp_path, n_users=4, n_movies=3)))
+        files[which].write_bytes(files[which].read_bytes() + b"m\xff,g\xfe\n")
+        code, _, err = run_cli(
+            "ingest", "--ratings", str(files["ratings"]), "--genres",
+            str(files["genres"]), "--users", "4", "--movies", "3",
+            "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert str(files[which]) in err
+        assert "Traceback" not in err
+
     def test_missing_ratings_file_exits_2_naming_path(self, tmp_path):
         genres = tmp_path / "genres.csv"
         genres.write_text("m0,g0\n")
@@ -149,7 +162,8 @@ class TestSimulate:
         assert code == 0
         assert "ratio=" in out
 
-    @pytest.mark.parametrize("corrupt", ["truncated", "non_finite", "infeasible"])
+    @pytest.mark.parametrize("corrupt", ["truncated", "non_finite", "infeasible",
+                                         "not_utf8"])
     def test_malformed_artifact_exits_2_naming_file(self, tmp_path, corrupt):
         inst_file = small_problem_file(tmp_path)
         x_file = tmp_path / "x.txt"
@@ -161,10 +175,12 @@ class TestSimulate:
             lines[first_x] = " ".join(lines[first_x].split()[:2])
         elif corrupt == "non_finite":
             lines[first_x] = " ".join(lines[first_x].split()[:2] + ["nan"])
-        else:
+        elif corrupt == "infeasible":
             lines = [" ".join(ln.split()[:2] + ["5"]) if ln.startswith("x ")
                      else ln for ln in lines]
         x_file.write_text("\n".join(lines) + "\n")
+        if corrupt == "not_utf8":
+            x_file.write_bytes(x_file.read_bytes() + b"\xff\xfe\n")
         for algorithm in ("greedy", "dependent-rounding"):
             code, _, err = run_cli(
                 "simulate", "--instance", str(inst_file), "--x-star",

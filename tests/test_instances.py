@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from osbm import instances as instances_mod
 from osbm.instances import (
     EdgeFeatures,
     IngestError,
@@ -70,6 +71,27 @@ class TestValidate:
         msgs = validate(inst)
         assert any("duplicate (u, v) pair" in m for m in msgs)
         assert any("capacity" in m for m in msgs)
+
+    def test_structural_check_runs_once_per_instance(self, monkeypatch, tmp_path):
+        calls = []
+        check = instances_mod._structural_violations
+        monkeypatch.setattr(instances_mod, "_structural_violations",
+                            lambda inst: calls.append(inst) or check(inst))
+        inst = tiny_instance()
+        assert inst.edge_u.tolist() == [0, 1, 1]
+        assert inst.edge_v.tolist() == [0, 0, 1]
+        assert len(calls) == 1
+        copy = inst.with_capacities(3).with_eta(2)
+        assert np.array_equal(copy.edge_u, inst.edge_u)
+        assert np.array_equal(copy.edge_v, inst.edge_v)
+        assert len(calls) == 2
+        path = tmp_path / "p.txt"
+        save_problem(Problem(inst, EdgeFeatures(edge_weights=np.ones(3)), "linear"),
+                     path)
+        del calls[:]
+        loaded = load_problem(path).instance
+        loaded.edge_u, loaded.edge_v
+        assert len(calls) == 1
 
 
 class TestSampleArrivals:

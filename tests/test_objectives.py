@@ -223,13 +223,14 @@ class TestEvaluators:
                 assert ev.value == pytest.approx(obj.value(members), abs=1e-12)
 
     def test_re_adding_member_gains_nothing(self, rng):
-        obj = small_objective("coverage", 4, rng)
-        ev = obj.evaluator()
-        ev.add(2)
-        assert ev.gain(2) == 0.0
-        before = ev.value
-        ev.add(2)
-        assert ev.value == before
+        for kind in ("linear", "coverage", "budget_additive"):
+            obj = small_objective(kind, 4, rng)
+            ev = obj.evaluator()
+            ev.add(2)
+            assert ev.gain(2) == 0.0
+            before, gain_of_3 = ev.value, ev.gain(3)
+            assert ev.add(2) == 0.0
+            assert ev.value == before and ev.gain(3) == gain_of_3
 
 
 class TestPerUserCoverage:

@@ -14,6 +14,8 @@ from osbm.objectives import (
     multilinear_exact,
 )
 from osbm.offline import (
+    OfflineSolution,
+    SolutionError,
     continuous_greedy,
     expected_opt,
     hindsight_optimal,
@@ -72,14 +74,6 @@ class TestContinuousGreedy:
         achieved = multilinear_exact(obj, sol.x)
         floor = (1 - 1 / math.e - 0.05) * grid_fractional_max(obj, inst)
         assert achieved >= floor
-
-    def test_trajectory_is_monotone_within_noise(self, rng):
-        inst = small_instance(rng)
-        obj = small_objective("coverage", inst.n_edges, rng)
-        sol = continuous_greedy(obj, inst, steps=25, grad_samples=60, seed=5,
-                                track_trajectory=True)
-        for (a, sa), (b, sb) in zip(sol.trajectory, sol.trajectory[1:]):
-            assert b >= a - 3 * math.hypot(sa, sb)
 
     def test_deterministic_given_seed(self, rng):
         inst = small_instance(rng)
@@ -302,3 +296,47 @@ class TestSolutionArtifact:
         if other.edge_ids != inst.edge_ids:
             with pytest.raises(ValueError, match="marginals"):
                 load_solution(path, other)
+
+
+class TestLoadSolutionFuzz:
+    def test_one_edit_loads_or_raises_solution_error(self, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        inst = build_instance(
+            offline=[("u1", 1), ("u2", 2)],
+            online=[("v1", 0.5), ("v2", 1.0)],
+            edges=[("e1", "u1", "v1"), ("e2", "u2", "v1"), ("e3", "u2", "v2")],
+            horizon=4)
+        sol = OfflineSolution(
+            x=np.array([0.25, 0.25, 0.5]), objective_estimate=1.5,
+            estimate_std_error=0.125, solver="continuous-greedy", seed=3,
+            steps=10, grad_samples=20, benchmark_kind="guide-scaled",
+            benchmark_value=2.5)
+        path = tmp_path / "x.txt"
+        save_solution(path, inst, sol)
+        lines = path.read_text().splitlines()
+        tokens = st.sampled_from(["", "-1", "0", "0.5", "7", "nan", "inf", "1e400",
+                                  "x", "e1", "e9", "seed", "steps", "benchmark"])
+        tokens = tokens | st.text(alphabet="0123456789-.eux", max_size=3)
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            k = data.draw(st.integers(0, len(lines) - 1))
+            edited = list(lines)
+            tok = edited[k].split()
+            op = data.draw(st.sampled_from(["drop line", "drop token", "replace token"]))
+            if op == "drop line":
+                del edited[k]
+            else:
+                j = data.draw(st.integers(0, len(tok) - 1))
+                tok[j:j + 1] = [] if op == "drop token" else [data.draw(tokens)]
+                edited[k] = " ".join(tok)
+            path.write_text("\n".join(edited) + "\n")
+            try:
+                assert isinstance(load_solution(path, inst), OfflineSolution)
+            except SolutionError as exc:
+                assert str(path) in str(exc)
+
+        np.testing.assert_array_equal(load_solution(path, inst).x, sol.x)
+        check()

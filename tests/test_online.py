@@ -1,22 +1,32 @@
 """Online policies: behavior, distributional laws, simulator contracts."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from conftest import small_instance, small_objective
-from osbm.instances import ArrivalSequence, build_instance, sample_arrivals
+from osbm.instances import (
+    ArrivalSequence,
+    build_instance,
+    generate_synthetic,
+    sample_arrivals,
+)
 from osbm.lp import solve_offline_lp
-from osbm.objectives import BudgetAdditiveObjective, LinearObjective
+from osbm.objectives import BudgetAdditiveObjective, LinearObjective, build_objective
 from osbm.offline import expected_opt
 from osbm.online import (
-    MatchState,
+    POLICY_NAMES,
+    OnlinePolicy,
     make_policy,
     run_trial,
     simulate,
 )
 from osbm.rounding import SampledSupport, select_per_star
+
+
+SIMULATE_GOLDEN = "a4e50008e8227e38805fa0a6371b13b4cefb0d43c8679f7d2ddb8c8bafe8994f"
 
 
 def perfect_matching_instance(T):
@@ -175,20 +185,23 @@ class TestContentionResolution:
         obj = small_objective("linear", inst.n_edges, rng)
         x, _, _ = solve_offline_lp(inst, obj)
         policy = make_policy("contention-resolution", inst, obj, x)
+        supports = []
+        start_trial = policy.start_trial
+
+        def recording_start(rng_t):
+            trial = start_trial(rng_t)
+            supports.append(trial[0])
+            return trial
+
+        policy.start_trial = recording_start
         n = 12_000
         sampled = np.zeros(inst.n_edges)
         matched_given_sampled = np.zeros(inst.n_edges)
         for s in range(n):
-            seq = sample_arrivals(inst, s)
-            rng_t = np.random.default_rng((s, 1))
-            trial = policy.start_trial(rng_t)
-            support = trial[0]
-            match = MatchState(inst)
-            for t, v in seq.arrivals:
-                for e in policy.on_arrival(trial, match, v, t):
-                    match.commit(e, int(inst.edge_u[e]))
-            sampled += support.X
-            for e in match.matched_set:
+            _, matched = run_trial(policy, inst, obj, sample_arrivals(inst, s),
+                                   np.random.default_rng((s, 1)))
+            sampled += supports[-1].X
+            for e in set(matched):
                 matched_given_sampled[e] += 1
         for e in range(inst.n_edges):
             if sampled[e] < 500:
@@ -242,17 +255,14 @@ class TestContentionResolution:
         big[4] = big[5] = big[6] = True  # superset
 
         def match_rate(X, n=6000):
+            # the support is fixed to X; only the thinning to Y is drawn
+            policy.start_trial = lambda rng_t: (
+                SampledSupport(X=X, Y=select_per_star(X, inst, rng_t)), rng_t)
             hits = 0
             for s in range(n):
-                rng_t = np.random.default_rng((s, 7))
-                Y = select_per_star(X, inst, rng_t)
-                trial = (SampledSupport(X=X, Y=Y), rng_t)
-                match = MatchState(inst)
-                seq = sample_arrivals(inst, s)
-                for t, v in seq.arrivals:
-                    for e in policy.on_arrival(trial, match, v, t):
-                        match.commit(e, int(inst.edge_u[e]))
-                hits += int(0 in match.matched_set)
+                _, matched = run_trial(policy, inst, obj, sample_arrivals(inst, s),
+                                       np.random.default_rng((s, 7)))
+                hits += int(0 in matched)
             return hits / n
 
         lo, hi = match_rate(big), match_rate(small_support)
@@ -346,12 +356,55 @@ class TestSimulator:
                     used[inst.edge_u[e]] += 1
                 assert np.all(used <= inst.capacity_array)
 
-    def test_match_state_rejects_overcommit(self):
-        inst = perfect_matching_instance(1)
-        state = MatchState(inst)
-        state.commit(0, 0)
-        with pytest.raises(RuntimeError, match="saturated"):
-            state.commit(0, 0)
+    @pytest.mark.parametrize("picks, arrivals, eta, message", [
+        ([2], [0], 2, "non-incident edge"),
+        ([0, 1], [0], 1, "more than eta edges"),
+        ([0, 0], [0], 2, "repeated an offline vertex"),
+        ([1], [0, 0], 2, "saturated offline vertex"),
+    ], ids=["non_incident", "over_eta", "repeated_vertex", "over_capacity"])
+    def test_faulty_policy_fails_the_trial_audit(self, picks, arrivals, eta,
+                                                 message):
+        # v0 has e0 -> u0 (capacity 2) and e1 -> u1 (capacity 1); e2 joins
+        # u0 to v1.  Each faulty policy breaks exactly one rule.
+        inst = build_instance(
+            [("u0", 2), ("u1", 1)], [("v0", 1.0), ("v1", 1.0)],
+            [("e0", "u0", "v0"), ("e1", "u1", "v0"), ("e2", "u0", "v1")],
+            horizon=2, eta=eta)
+        obj = LinearObjective(np.ones(3))
+
+        class Faulty(OnlinePolicy):
+            name = "faulty"
+            needs_guide = False
+
+            def on_arrival(self, trial, remaining, v):
+                return list(picks)
+
+        with pytest.raises(RuntimeError, match=message):
+            run_trial(Faulty(inst, obj), inst, obj,
+                      ArrivalSequence(np.array(arrivals)), np.random.default_rng(0))
+
+    def test_golden_values_and_matches(self):
+        # pins every policy's values and matches bit for bit on the budget
+        # recipe at b in {1, 5} and eta in {1, 2}; the guide is drawn, not
+        # solved, so a solver change cannot move it
+        problem = generate_synthetic("budget_additive", 11)
+        inst, obj = problem.instance, build_objective(problem)
+        w = np.random.default_rng(11).random(inst.n_edges)
+        deg_u = np.bincount(inst.edge_u, minlength=inst.n_offline)[inst.edge_u]
+        deg_v = np.bincount(inst.edge_v, minlength=inst.n_online)[inst.edge_v]
+        digest = hashlib.sha256()
+        for b in (1, 5):
+            for eta in (1, 2):
+                cell = inst.with_capacities(b).with_eta(eta)
+                x = w * np.minimum(1.0, np.minimum(
+                    b / deg_u, eta * inst.rate_array[inst.edge_v] / deg_v))
+                for name in POLICY_NAMES:
+                    m = simulate(cell, obj, name, x_star=x, trials=20, seed=11,
+                                 allow_fractional_cr=True, keep_matches=True)
+                    digest.update(m.values.tobytes())
+                    for matched in m.matches:
+                        digest.update(np.array(matched + [-1], dtype=np.int64).tobytes())
+        assert digest.hexdigest() == SIMULATE_GOLDEN
 
     def test_greedy_single_edge_ratio_one(self):
         inst = build_instance([("u0", 1)], [("v0", 1.0)],
