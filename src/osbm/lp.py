@@ -10,7 +10,14 @@ always the lowest variable index among minimum ratios.  Variable upper
 bounds are handled implicitly (nonbasic variables may sit at either bound),
 which keeps the tableau at one row per graph constraint.  All generated
 programs have nonnegative right-hand sides, so the all-slack basis is always
-primal feasible and no phase-1 is needed.
+primal feasible and no phase-1 is needed.  Each pivot updates the rows with a
+nonzero entry in the entering column in place, one row at a time through a
+preallocated buffer: the same float operations as a full rank-1 update,
+without a temporary the size of the touched block.
+
+The coverage epigraph program is presolved exactly before it reaches the
+solver (see `build_special_lp`): features with identical covering-edge sets
+share one epigraph row, and features covered by a single edge need none.
 
 A separate rational-arithmetic tableau (`reference_solve`) provides an
 independent exact optimum for auditing the float path.
@@ -113,6 +120,7 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
     vstat[n:] = BASIC
     basis = np.arange(n, N)
     fixed = upper <= 0.0  # zero-width box: never eligible to enter
+    scratch = np.empty(N)
     if max_iterations is None:
         max_iterations = 200 * (N + m) + 10_000
 
@@ -191,9 +199,9 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
         pivot_row = M[leave_row, :]
         colj = M[:, j].copy()
         colj[leave_row] = 0.0
-        nz = np.flatnonzero(colj)
-        if nz.size:
-            M[nz] -= np.outer(colj[nz], pivot_row)
+        for i in np.flatnonzero(colj):
+            np.multiply(pivot_row, colj[i], out=scratch)
+            np.subtract(M[i], scratch, out=M[i])
         d -= d[j] * pivot_row
         beta[leave_row] = entering_value
 
@@ -313,63 +321,55 @@ def build_special_lp(inst: Instance, objective) -> LinearProgram:
     """Epigraph-form offline program for the closed-form objective kinds.
 
     linear: the matching LMO itself.
-    budget_additive: one auxiliary gamma with gamma <= sum w_e x_e and
-    gamma <= budget (upper bound).
-    coverage / per_user_coverage: one gamma per active feature with
-    gamma_z <= sum of covering x_e and gamma_z <= 1.
+    coverage / per_user_coverage: max sum_z w_z gamma_z with
+    gamma_z <= sum of the x_e covering z and gamma_z <= 1, after an exact
+    presolve (Andersen & Andersen 1995):
+      - features with identical covering-edge sets share one epigraph
+        column and one link row, weighted by the sum of their weights and
+        named after the lowest feature id (cover_z, link_z);
+      - a feature covered by a single edge e gets no row: x_e <= 1 makes
+        gamma_z = min(x_e, 1) = x_e, so its weight moves into c_e.
+    The optimum is that of the unpresolved program; the leading edge columns
+    keep their meaning.  Other kinds (budget_additive) raise ValueError.
     """
     kind = getattr(objective, "kind", None)
     m = inst.n_edges
     if getattr(objective, "n_edges", m) != m:
         raise ValueError("objective ground set does not match the instance")
-    A_match, b_match, row_names = matching_rows(inst)
 
     if kind == "linear":
         return build_matching_lmo(inst, objective.weights)
 
-    if kind == "budget_additive":
-        n = m + 1
-        A = np.zeros((A_match.shape[0] + 1, n))
-        A[:-1, :m] = A_match
-        A[-1, :m] = -objective.weights
-        A[-1, m] = 1.0
-        b = np.concatenate([b_match, [0.0]])
-        c = np.zeros(n)
-        c[m] = 1.0
-        upper = np.concatenate([np.ones(m), [objective.budget]])
-        return LinearProgram(
-            c=c, A=A, b=b, upper=upper,
-            col_names=tuple(inst.edge_ids) + ("gamma",),
-            row_names=row_names + ("budget_link",),
-            n_edge_vars=m,
-        )
-
     if kind in ("coverage", "per_user_coverage"):
         w = objective.feature_weights
-        covering: dict[int, list[int]] = {}
+        covering: dict[int, set[int]] = {}
         for e, feats in enumerate(objective.edge_features):
             for z in feats:
-                covering.setdefault(int(z), []).append(e)
-        active = sorted(z for z, edges in covering.items() if w[z] > 0 and edges)
-        n = m + len(active)
-        A = np.zeros((A_match.shape[0] + len(active), n))
-        A[: A_match.shape[0], :m] = A_match
-        b = np.concatenate([b_match, np.zeros(len(active))])
+                covering.setdefault(int(z), set()).add(e)
+        # cover set -> its positive-weight features, in feature-id order
+        merged: dict[tuple[int, ...], list[int]] = {}
+        for z in sorted(covering):
+            if w[z] > 0:
+                merged.setdefault(tuple(sorted(covering[z])), []).append(z)
+        links = [(cover, feats) for cover, feats in merged.items() if len(cover) > 1]
+        A_match, b_match, row_names = matching_rows(inst)
+        k0, n = A_match.shape[0], m + len(links)
+        A = np.zeros((k0 + len(links), n))
+        A[:k0, :m] = A_match
         c = np.zeros(n)
-        names = list(inst.edge_ids)
-        rnames = list(row_names)
-        for k, z in enumerate(active):
-            col = m + k
-            row = A_match.shape[0] + k
-            A[row, covering[z]] = -1.0
-            A[row, col] = 1.0
-            c[col] = w[z]
-            names.append(f"cover_{z}")
-            rnames.append(f"link_{z}")
-        upper = np.ones(n)
+        for cover, feats in merged.items():
+            if len(cover) == 1:  # gamma_z = min(x_e, 1) = x_e
+                c[cover[0]] = w[feats].sum()
+        for k, (cover, feats) in enumerate(links):
+            A[k0 + k, list(cover)] = -1.0
+            A[k0 + k, m + k] = 1.0
+            c[m + k] = w[feats].sum()
         return LinearProgram(
-            c=c, A=A, b=b, upper=upper,
-            col_names=tuple(names), row_names=tuple(rnames), n_edge_vars=m,
+            c=c, A=A, b=np.concatenate([b_match, np.zeros(len(links))]),
+            upper=np.ones(n),
+            col_names=tuple(inst.edge_ids) + tuple(f"cover_{f[0]}" for _, f in links),
+            row_names=row_names + tuple(f"link_{f[0]}" for _, f in links),
+            n_edge_vars=m,
         )
 
     raise ValueError(f"objective kind {kind!r} has no closed-form program")

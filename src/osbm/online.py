@@ -297,7 +297,7 @@ def compute_benchmark(kind: str, inst: Instance,
         value, _ = expected_opt(inst, objective, mode="exact")
         return "brute", value
     if kind == "guide-scaled":
-        if x_star is None:
+        if x_star is None or len(x_star) != inst.n_edges:
             raise ValueError("guide-scaled benchmark needs edge marginals")
         if inst.n_edges <= 20:
             est = multilinear_exact(objective, x_star)
@@ -338,7 +338,7 @@ def simulate(
                          allow_fractional_cr=allow_fractional_cr)
     if isinstance(benchmark, str):
         benchmark_kind, benchmark_value = compute_benchmark(
-            benchmark, inst, objective, x_star=policy.x_star, seed=seed)
+            benchmark, inst, objective, x_star=x_star, seed=seed)
     elif benchmark is None:
         benchmark_kind, benchmark_value = None, None
     else:

@@ -162,6 +162,21 @@ class TestSimulate:
         assert code == 0
         assert "ratio=" in out
 
+    def test_greedy_guide_scaled_benchmark_reads_the_artifact(self, tmp_path):
+        inst_file = small_problem_file(tmp_path)
+        x_file = tmp_path / "x.txt"
+        assert run_cli("offline", "--instance", str(inst_file),
+                       "--out", str(x_file))[0] == 0
+        benchmarks = []
+        for algorithm in ("greedy", "marginal-sampling"):
+            code, out, err = run_cli(
+                "simulate", "--instance", str(inst_file), "--x-star", str(x_file),
+                "--algorithm", algorithm, "--benchmark", "guide-scaled",
+                "--trials", "20", "--seed", "2")
+            assert code == 0, err
+            benchmarks.append(out.split("benchmark=guide-scaled:")[1].split()[0])
+        assert benchmarks[0] == benchmarks[1]
+
     @pytest.mark.parametrize("corrupt", ["truncated", "non_finite", "infeasible",
                                          "not_utf8"])
     def test_malformed_artifact_exits_2_naming_file(self, tmp_path, corrupt):

@@ -1,5 +1,7 @@
 """Simplex solver, program builders, rational cross-check, MPS dump."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from osbm.lp import (
     build_matching_lmo,
     build_special_lp,
     feasible_for_matching,
+    matching_rows,
     reference_solve,
     saturate_marginals,
     solve,
@@ -21,9 +24,35 @@ from osbm.objectives import (
     BudgetAdditiveObjective,
     CoverageObjective,
     LinearObjective,
+    PerUserCoverageObjective,
     build_objective,
 )
 from osbm.offline import expected_opt
+
+# sha256 of x, duals, reduced costs and pivot counts of the programs in
+# TestSolve.test_golden_digest, recorded before the in-place pivot update
+SOLVE_GOLDEN = "137f8dfb84d54c1f9fed5e832c5df2f946bc2d6db7a13fbb61db609fc16563d1"
+
+
+def raw_epigraph_lp(inst, objective):
+    """The coverage epigraph program without presolve: one epigraph column
+    and one link row per positive-weight covered feature."""
+    A_match, b_match, _ = matching_rows(inst)
+    covering: dict[int, set[int]] = {}
+    for e, feats in enumerate(objective.edge_features):
+        for z in feats:
+            covering.setdefault(int(z), set()).add(e)
+    active = [z for z in sorted(covering) if objective.feature_weights[z] > 0]
+    m, k0 = inst.n_edges, A_match.shape[0]
+    A = np.zeros((k0 + len(active), m + len(active)))
+    A[:k0, :m] = A_match
+    c = np.zeros(m + len(active))
+    for k, z in enumerate(active):
+        A[k0 + k, sorted(covering[z])] = -1.0
+        A[k0 + k, m + k] = 1.0
+        c[m + k] = objective.feature_weights[z]
+    return LinearProgram(c=c, A=A, b=np.concatenate([b_match, np.zeros(len(active))]),
+                         upper=np.ones(m + len(active)), n_edge_vars=m)
 
 
 def random_lp(rng, max_vars=6, max_rows=5):
@@ -84,6 +113,29 @@ class TestSolve:
         assert s.value == pytest.approx(1.0)
         assert float(reference_solve(lp)) == pytest.approx(1.0)
 
+    def test_golden_digest(self):
+        # pins the float path bit for bit: recipe-size matching LMOs with
+        # weights drawn from a fixed stream, and the unpresolved coverage
+        # epigraph at b=5 (107 degenerate pivots) from the test-local
+        # builder, so a presolve or pricing-input change cannot move them
+        rng = np.random.default_rng(11)
+        programs = []
+        for kind in ("coverage", "budget_additive"):
+            inst = generate_synthetic(kind, 11).instance
+            for b in (1, 5):
+                programs.append(build_matching_lmo(inst.with_capacities(b),
+                                                   rng.random(inst.n_edges)))
+        problem = generate_synthetic("coverage", 11)
+        programs.append(raw_epigraph_lp(problem.instance.with_capacities(5),
+                                        build_objective(problem)))
+        digest = hashlib.sha256()
+        for lp in programs:
+            s = solve(lp)
+            for arr in (s.x, s.duals, s.reduced_costs):
+                digest.update(arr.tobytes())
+            digest.update(f"{s.iterations} {s.degenerate_pivots};".encode())
+        assert digest.hexdigest() == SOLVE_GOLDEN
+
 
 def beale_lp():
     """Beale's (1955) program, on which largest-coefficient pricing cycles."""
@@ -125,27 +177,37 @@ class TestAntiCycling:
         assert s.degenerate_pivots == 0
 
 
+def highs_value(lp):
+    optimize = pytest.importorskip("scipy.optimize")
+    res = optimize.linprog(
+        -lp.c, A_ub=lp.A, b_ub=lp.b,
+        bounds=np.column_stack([np.zeros(len(lp.c)), lp.upper]),
+        method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
 class TestHighsCrossCheck:
     """Recipe-size programs against scipy's HiGHS (test-only dependency)."""
 
     @staticmethod
-    def assert_matches_highs(lp):
-        optimize = pytest.importorskip("scipy.optimize")
-        res = optimize.linprog(
-            -lp.c, A_ub=lp.A, b_ub=lp.b,
-            bounds=np.column_stack([np.zeros(len(lp.c)), lp.upper]),
-            method="highs")
-        assert res.status == 0
+    def assert_matches_highs(lp, raw=None):
+        """solve(lp) is optimal and audited, and its value matches HiGHS on
+        lp and, when given, on the unpresolved program raw."""
         s = solve(lp)
         assert s.status == "optimal"
-        assert s.value == pytest.approx(-res.fun, rel=1e-7)
+        assert s.value == pytest.approx(highs_value(lp), rel=1e-7)
+        if raw is not None:
+            assert s.value == pytest.approx(highs_value(raw), rel=1e-7)
         assert s.audit(lp) == []
 
     @pytest.mark.parametrize("b", [1, 5])
     def test_coverage_epigraph_lp(self, b):
         problem = generate_synthetic("coverage", 11)
         inst = problem.instance.with_capacities(b)
-        self.assert_matches_highs(build_special_lp(inst, build_objective(problem)))
+        obj = build_objective(problem)
+        self.assert_matches_highs(build_special_lp(inst, obj),
+                                  raw=raw_epigraph_lp(inst, obj))
 
     @pytest.mark.parametrize("eta", [1, 2])
     def test_budget_additive_matching_lmo(self, eta):
@@ -221,8 +283,10 @@ class TestSpecialPrograms:
                               [("e1", "u1", "v1"), ("e2", "u2", "v2")],
                               horizon=2)
         obj = BudgetAdditiveObjective([3.0, 4.0], budget=5.0)
-        s = solve(build_special_lp(inst, obj))
-        assert s.value == pytest.approx(5.0)
+        _, value, _ = solve_offline_lp(inst, obj)
+        assert value == pytest.approx(5.0)
+        with pytest.raises(ValueError, match="no closed-form program"):
+            build_special_lp(inst, obj)
 
     def test_single_feature_single_edge(self):
         inst = build_instance([("u1", 1)], [("v1", 0.4)],
@@ -235,9 +299,48 @@ class TestSpecialPrograms:
         inst = small_instance(rng)
         w = rng.random(inst.n_edges)
         obj = BudgetAdditiveObjective(w, budget=1e9)
-        s_budget = solve(build_special_lp(inst, obj))
+        _, value, _ = solve_offline_lp(inst, obj)
         s_match = solve(build_matching_lmo(inst, w))
-        assert s_budget.value == pytest.approx(s_match.value, rel=1e-9)
+        assert value == pytest.approx(s_match.value, rel=1e-9)
+
+    def test_presolve_shape_on_the_coverage_recipe(self):
+        # 736 features have 557 distinct cover sets; 13 of those (20 features)
+        # are a single edge, which leaves 544 link rows beside 240 degree rows
+        problem = generate_synthetic("coverage", 11)
+        inst = problem.instance.with_capacities(1)
+        obj = build_objective(problem)
+        assert raw_epigraph_lp(inst, obj).A.shape == (976, 1802)
+        lp = build_special_lp(inst, obj)
+        assert lp.A.shape == (784, 1610)
+        assert lp.n_edge_vars == inst.n_edges == 1066
+
+    @pytest.mark.parametrize("kind", ["coverage", "per_user_coverage"])
+    def test_presolve_keeps_the_rational_optimum(self, kind, rng):
+        # feature pairs (2k, 2k+1) share every cover set, and each edge has
+        # a private pair only it covers: both presolve rules fire each time
+        for _ in range(6):
+            inst = small_instance(rng, n_offline=3, n_online=3, horizon=4)
+            blocks = [rng.choice(3, size=int(rng.integers(1, 3)), replace=False)
+                      for _ in range(inst.n_edges)]
+            if kind == "coverage":
+                sets = [frozenset([2 * k for k in q] + [2 * k + 1 for k in q]
+                                  + [6 + 2 * e, 7 + 2 * e])
+                        for e, q in enumerate(blocks)]
+                obj = CoverageObjective(sets, 0.3 + rng.random(6 + 2 * inst.n_edges))
+            else:
+                # per-type genres: features (v, 2k), (v, 2k+1) always pair up
+                sets = [frozenset([2 * k for k in q] + [2 * k + 1 for k in q])
+                        for q in blocks]
+                obj = PerUserCoverageObjective(inst.edge_v, sets,
+                                               0.3 + rng.random((inst.n_online, 6)))
+            raw = raw_epigraph_lp(inst, obj)
+            lp = build_special_lp(inst, obj)
+            assert lp.A.shape[0] < raw.A.shape[0]
+            s = solve(lp)
+            assert s.audit(lp) == []
+            ref = float(reference_solve(raw))
+            assert s.value == pytest.approx(ref, rel=1e-9)
+            assert float(reference_solve(lp)) == pytest.approx(ref, rel=1e-12)
 
     def test_linear_kind_reuses_matching_oracle(self, rng):
         inst = small_instance(rng)

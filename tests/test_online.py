@@ -448,6 +448,13 @@ class TestSimulator:
         scaled = simulate(inst, obj, "marginal-sampling", x_star=x, trials=50,
                           seed=15, benchmark="guide-scaled")
         assert scaled.benchmark_value > 0
+        # greedy ignores the guide, but the benchmark still scales the caller's x
+        by_greedy = simulate(inst, obj, "greedy", x_star=x, trials=50,
+                             seed=15, benchmark="guide-scaled")
+        assert by_greedy.benchmark_value == scaled.benchmark_value
+        with pytest.raises(ValueError, match="needs edge marginals"):
+            simulate(inst, obj, "greedy", x_star=x[:-1], trials=5,
+                     benchmark="guide-scaled")
 
     def test_ratio_never_exceeds_one_plus_noise(self, rng):
         for _ in range(5):
