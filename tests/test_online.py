@@ -27,6 +27,7 @@ from osbm.rounding import SampledSupport, select_per_star
 
 
 SIMULATE_GOLDEN = "a4e50008e8227e38805fa0a6371b13b4cefb0d43c8679f7d2ddb8c8bafe8994f"
+COVERAGE_GOLDEN = "0f4895682a06b2dca2df406fe1c90619d9cc12e4dd50b8d4101c382f848cb2ed"
 
 
 def perfect_matching_instance(T):
@@ -40,6 +41,30 @@ def perfect_matching_instance(T):
 
 def binom_sigma(p, n):
     return math.sqrt(max(p * (1 - p), 1e-12) / n)
+
+
+def recipe_digest(kind, bs, etas, trials=20):
+    """sha256 over every policy's values and matches on recipe seed 11, one
+    cell per (b, eta).  The guide is drawn, not solved, so a solver change
+    cannot move it."""
+    problem = generate_synthetic(kind, 11)
+    inst, obj = problem.instance, build_objective(problem)
+    w = np.random.default_rng(11).random(inst.n_edges)
+    deg_u = np.bincount(inst.edge_u, minlength=inst.n_offline)[inst.edge_u]
+    deg_v = np.bincount(inst.edge_v, minlength=inst.n_online)[inst.edge_v]
+    digest = hashlib.sha256()
+    for b in bs:
+        for eta in etas:
+            cell = inst.with_capacities(b).with_eta(eta)
+            x = w * np.minimum(1.0, np.minimum(
+                b / deg_u, eta * inst.rate_array[inst.edge_v] / deg_v))
+            for name in POLICY_NAMES:
+                m = simulate(cell, obj, name, x_star=x, trials=trials, seed=11,
+                             allow_fractional_cr=True, keep_matches=True)
+                digest.update(m.values.tobytes())
+                for matched in m.matches:
+                    digest.update(np.array(matched + [-1], dtype=np.int64).tobytes())
+    return digest.hexdigest()
 
 
 class TestMarginalSampling:
@@ -384,27 +409,13 @@ class TestSimulator:
                       ArrivalSequence(np.array(arrivals)), np.random.default_rng(0))
 
     def test_golden_values_and_matches(self):
-        # pins every policy's values and matches bit for bit on the budget
-        # recipe at b in {1, 5} and eta in {1, 2}; the guide is drawn, not
-        # solved, so a solver change cannot move it
-        problem = generate_synthetic("budget_additive", 11)
-        inst, obj = problem.instance, build_objective(problem)
-        w = np.random.default_rng(11).random(inst.n_edges)
-        deg_u = np.bincount(inst.edge_u, minlength=inst.n_offline)[inst.edge_u]
-        deg_v = np.bincount(inst.edge_v, minlength=inst.n_online)[inst.edge_v]
-        digest = hashlib.sha256()
-        for b in (1, 5):
-            for eta in (1, 2):
-                cell = inst.with_capacities(b).with_eta(eta)
-                x = w * np.minimum(1.0, np.minimum(
-                    b / deg_u, eta * inst.rate_array[inst.edge_v] / deg_v))
-                for name in POLICY_NAMES:
-                    m = simulate(cell, obj, name, x_star=x, trials=20, seed=11,
-                                 allow_fractional_cr=True, keep_matches=True)
-                    digest.update(m.values.tobytes())
-                    for matched in m.matches:
-                        digest.update(np.array(matched + [-1], dtype=np.int64).tobytes())
-        assert digest.hexdigest() == SIMULATE_GOLDEN
+        # budget recipe at b in {1, 5} and eta in {1, 2}
+        assert recipe_digest("budget_additive", (1, 5), (1, 2)) == SIMULATE_GOLDEN
+
+    def test_coverage_golden_values_and_matches(self):
+        # coverage reaches greedy's incremental coverage evaluator, which
+        # the budget recipe does not
+        assert recipe_digest("coverage", (1, 5), (1,)) == COVERAGE_GOLDEN
 
     def test_greedy_single_edge_ratio_one(self):
         inst = build_instance([("u0", 1)], [("v0", 1.0)],
