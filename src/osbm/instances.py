@@ -16,6 +16,7 @@ the unit that serializes to disk.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -120,11 +121,23 @@ class Instance:
         return tuple(np.array(lst, dtype=np.int64) for lst in out)
 
     @cached_property
+    def edges_by_u(self) -> np.ndarray:
+        """All edges grouped by offline vertex: the stars of `edges_at_u`
+        concatenated in vertex order."""
+        return np.argsort(self.edge_u, kind="stable")
+
+    @cached_property
     def edges_at_v(self) -> tuple[np.ndarray, ...]:
         out: list[list[int]] = [[] for _ in range(self.n_online)]
         for e, v in enumerate(self.edge_v):
             out[v].append(e)
         return tuple(np.array(lst, dtype=np.int64) for lst in out)
+
+    @cached_property
+    def edges_by_v(self) -> np.ndarray:
+        """All edges grouped by online type: the lists of `edges_at_v`
+        concatenated in type order."""
+        return np.argsort(self.edge_v, kind="stable")
 
     @cached_property
     def rate_array(self) -> np.ndarray:
@@ -433,6 +446,9 @@ def generate_synthetic(kind: str, seed: int) -> Problem:
 # -- ratings ingestion -----------------------------------------------------
 
 def _read_delimited(path, n_cols: int, what: str) -> list[tuple[str, ...]]:
+    """Rows of ``n_cols`` non-empty fields, each ``(line number, *fields)``.
+    Fields become ids in the space-separated instance format, so a field
+    holding whitespace is malformed."""
     rows = []
     path = Path(path)
     try:
@@ -440,12 +456,16 @@ def _read_delimited(path, n_cols: int, what: str) -> list[tuple[str, ...]]:
             for lineno, row in enumerate(csv.reader(fh), start=1):
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
-                if len(row) != n_cols:
-                    raise IngestError(
-                        f"{what} file {path}: malformed row {lineno}: expected "
-                        f"{n_cols} fields, got {len(row)}"
-                    )
-                rows.append(tuple(field.strip() for field in row))
+                fields = tuple(field.strip() for field in row)
+                if len(fields) != n_cols:
+                    problem = f"expected {n_cols} fields, got {len(fields)}"
+                elif any(not f or any(c.isspace() for c in f) for f in fields):
+                    problem = "empty field or whitespace inside a field"
+                else:
+                    rows.append((lineno, *fields))
+                    continue
+                raise IngestError(
+                    f"{what} file {path}: malformed row {lineno}: {problem}")
     except UnicodeDecodeError:
         raise IngestError(f"{what} file {path}: not UTF-8 text") from None
     return rows
@@ -484,21 +504,22 @@ def ingest_ratings(
     ratings: dict[tuple[str, str], float] = {}
     user_counts: dict[str, int] = {}
     movie_set: set[str] = set()
-    for lineno, (user, movie, value) in enumerate(rating_rows, start=1):
+    for lineno, user, movie, value in rating_rows:
         try:
             r = float(value)
-        except ValueError as exc:
-            raise IngestError(
-                f"ratings file: malformed row {lineno}: bad rating {value!r}"
-            ) from exc
+        except ValueError:
+            r = math.nan
+        if not math.isfinite(r):
+            raise IngestError(f"ratings file {ratings_path}: malformed row "
+                              f"{lineno}: bad rating {value!r}")
         ratings[(user, movie)] = r
         user_counts[user] = user_counts.get(user, 0) + 1
         movie_set.add(movie)
 
-    genre_names = sorted({g for _, g in genre_rows})
+    genre_names = sorted({g for _, _, g in genre_rows})
     genre_index = {g: z for z, g in enumerate(genre_names)}
     movie_genres: dict[str, set[int]] = {}
-    for movie, genre in genre_rows:
+    for _, movie, genre in genre_rows:
         movie_genres.setdefault(movie, set()).add(genre_index[genre])
 
     if len(user_counts) < num_users:

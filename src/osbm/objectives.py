@@ -10,6 +10,7 @@ with probability ``x_e``.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -151,6 +152,10 @@ class BudgetAdditiveObjective(SubmodularObjective):
         base = np.where(member, total - self.weights, total)
         return np.minimum(self.budget, base + self.weights) - np.minimum(self.budget, base)
 
+    @cached_property
+    def weight_list(self) -> list[float]:
+        return self.weights.tolist()
+
     def evaluator(self):
         return _BudgetEvaluator(self)
 
@@ -159,13 +164,15 @@ class _BudgetEvaluator(Evaluator):
     def __init__(self, objective):
         super().__init__(objective)
         self._raw = 0.0
+        # Python floats: the same float64 sums, without numpy scalar calls
+        self._weights = objective.weight_list
 
     def _gain(self, e: int) -> float:
         b = self._objective.budget
-        return min(b, self._raw + self._objective.weights[e]) - min(b, self._raw)
+        return min(b, self._raw + self._weights[e]) - min(b, self._raw)
 
     def _absorb(self, e: int) -> None:
-        self._raw += self._objective.weights[e]
+        self._raw += self._weights[e]
 
 
 class CoverageObjective(SubmodularObjective):
@@ -304,12 +311,18 @@ def build_objective(problem: Problem) -> SubmodularObjective:
 
 # -- multilinear extension -------------------------------------------------
 
+def _point(objective: SubmodularObjective, x) -> np.ndarray:
+    """x as a float vector with one entry per edge of the ground set."""
+    x = np.asarray(x, dtype=float)
+    if len(x) != objective.n_edges:
+        raise ValueError("x length does not match the ground set")
+    return x
+
+
 def multilinear_exact(objective: SubmodularObjective, x) -> float:
     """F(x) by full subset enumeration; only for small ground sets."""
-    x = np.asarray(x, dtype=float)
+    x = _point(objective, x)
     m = len(x)
-    if m != objective.n_edges:
-        raise ValueError("x length does not match the ground set")
     if m > EXACT_ENUMERATION_LIMIT:
         raise ValueError(
             f"exact enumeration limited to {EXACT_ENUMERATION_LIMIT} edges (got {m})"
@@ -331,7 +344,7 @@ def multilinear_mc(objective: SubmodularObjective, x, samples: int, seed) -> tup
     """Monte Carlo estimate of F(x); returns (estimate, standard error)."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    x = np.asarray(x, dtype=float)
+    x = _point(objective, x)
     rng = np.random.default_rng(seed)
     vals = np.empty(samples)
     for i in range(samples):
@@ -349,7 +362,7 @@ def partial_derivative(objective: SubmodularObjective, x, e: int,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    x = np.asarray(x, dtype=float)
+    x = _point(objective, x)
     rng = np.random.default_rng(seed)
     m = len(x)
     diffs = np.empty(samples)

@@ -18,19 +18,33 @@ are provided:
 * ``dependent-rounding`` - pre-round the guide star-by-star into a
   semi-matching and serve arrivals uniformly from it.
 
-Policies only propose picks from the remaining capacities; ``run_trial``
-commits them and audits each trial once against that rule.  ``simulate``
-replays a policy over independent arrival sequences and reports per-trial
-objective values, their mean and standard error, and the empirical ratio
-against a chosen benchmark upper bound.
+A trial runs in two parts.  ``start_trials`` prepares the per-trial state
+of a whole batch at once (one ``sample_support`` or ``dependent_round_stars``
+call with one generator per trial); ``replay`` then runs one trial's
+arrivals over plain Python lists, drawing up front what has a known count
+(marginal sampling's ``eta`` uniforms per arrival, contention resolution's
+one index per arrival with candidates).  ``run_trial`` is the one place
+that accepts a trial's matches: it audits them once, recounting each
+offline vertex's load from the matches instead of trusting the policy's own
+capacity bookkeeping, and scores them.
+
+``simulate`` replays a policy over independent arrival sequences and reports
+per-trial objective values, their mean and standard error, and the
+empirical ratio against a chosen benchmark upper bound.  Trial ``i`` of a
+run with seed ``s`` draws its arrivals from seed ``s + i`` and its policy
+randomness from ``default_rng((s + i, 1))``; every batched step makes
+exactly the draws of the one-trial-at-a-time loop, so values do not depend
+on batching or on the worker count.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -51,9 +65,11 @@ E_OVER_E_MINUS_1 = math.e / (math.e - 1.0)
 
 
 class OnlinePolicy:
-    """Shared immutable preparation; per-trial state (the trial's generator
-    by default) comes from ``start_trial``, and ``on_arrival`` proposes the
-    picks for an arrival of ``v`` that ``run_trial`` commits."""
+    """Shared immutable preparation.  ``start_trials`` prepares the state of
+    a batch of trials in one call, one generator per trial (by default the
+    state is the trial's generator); ``replay`` runs one trial's arrival
+    sequence from its state and returns the picks that ``run_trial``
+    audits and scores."""
 
     name = "abstract"
     needs_guide = True
@@ -69,10 +85,16 @@ class OnlinePolicy:
             if len(self.x_star) != inst.n_edges:
                 raise ValueError("edge marginal vector length mismatch")
 
-    def start_trial(self, rng: np.random.Generator):
-        return rng
+    def start_trials(self, rngs: list[np.random.Generator]) -> list:
+        return list(rngs)
 
-    def on_arrival(self, trial, remaining: list[int], v: int) -> list[int]:
+    def start_trial(self, rng: np.random.Generator):
+        return self.start_trials([rng])[0]
+
+    def replay(self, trial, seq: ArrivalSequence) -> tuple[list[int], list[int]]:
+        """Match along the arrivals of ``seq``: returns the matched edges in
+        commit order and, for each, its position in ``seq.arrivals``.  The
+        policy keeps its own remaining capacities."""
         raise NotImplementedError
 
 
@@ -81,8 +103,9 @@ class MarginalSamplingPolicy(OnlinePolicy):
 
     def __init__(self, inst, objective, x_star):
         super().__init__(inst, objective, x_star)
-        self._cum: list[np.ndarray] = []
-        self._edges: list[np.ndarray] = []
+        # per type: cumulative sampling mass and (edge, offline vertex) pairs
+        self._cum: list[list[float]] = []
+        self._pairs: list[list[tuple[int, int]]] = []
         eta = inst.eta
         for vi in range(inst.n_online):
             edges = inst.edges_at_v[vi]
@@ -93,27 +116,31 @@ class MarginalSamplingPolicy(OnlinePolicy):
                     f"infeasible marginals at type {inst.online_ids[vi]!r}: "
                     f"sampling mass {total:.6g} > 1"
                 )
-            self._edges.append(edges)
-            self._cum.append(np.cumsum(probs))
+            self._cum.append(np.cumsum(probs).tolist())
+            self._pairs.append(list(zip(edges.tolist(), inst.edge_u[edges].tolist())))
 
-    def on_arrival(self, trial, remaining, v):
-        cum = self._cum[v]
-        edges = self._edges[v]
-        picks: list[int] = []
-        used_u: set[int] = set()
-        edge_u = self.inst.edge_u
-        for _ in range(self.inst.eta):
-            r = trial.random()
-            k = int(np.searchsorted(cum, r, side="right"))
-            if k >= len(edges):
-                continue  # leftover mass: skip this draw
-            e = int(edges[k])
-            u = int(edge_u[e])
-            if u in used_u or remaining[u] <= 0:
-                continue
-            used_u.add(u)
-            picks.append(e)
-        return picks
+    def replay(self, rng, seq):
+        eta, arrivals = self.inst.eta, seq.arrivals
+        # eta draws per arrival, whether or not they match
+        draws = iter(rng.random(eta * len(arrivals)).tolist())
+        remaining = list(self.inst.capacities)
+        matched: list[int] = []
+        arrival_of: list[int] = []
+        for i, (_, v) in enumerate(arrivals):
+            cum, pairs = self._cum[v], self._pairs[v]
+            used_u: list[int] = []
+            for r in islice(draws, eta):
+                k = bisect_right(cum, r)
+                if k >= len(pairs):
+                    continue  # leftover mass: skip this draw
+                e, u = pairs[k]
+                if u in used_u or remaining[u] <= 0:
+                    continue
+                used_u.append(u)
+                remaining[u] -= 1
+                matched.append(e)
+                arrival_of.append(i)
+        return matched, arrival_of
 
 
 class ContentionResolutionPolicy(OnlinePolicy):
@@ -132,22 +159,32 @@ class ContentionResolutionPolicy(OnlinePolicy):
                 "run it anyway"
             )
 
-    def start_trial(self, rng):
-        support = sample_support(self.x_star, self.inst, rng)
-        return (support, rng)
+    def start_trials(self, rngs):
+        supports = sample_support(self.x_star, self.inst, list(rngs))
+        return list(zip(supports, rngs))
 
-    def on_arrival(self, trial, remaining, v):
+    def replay(self, trial, seq):
         support, rng = trial
-        candidates = support.x_edges_at(self.inst.edges_at_v[v])
-        if len(candidates) == 0:
-            return []
-        e = int(candidates[rng.integers(len(candidates))])
-        if not support.Y[e]:
-            return []
-        u = int(self.inst.edge_u[e])
-        if remaining[u] <= 0:
-            return []
-        return [e]
+        inst = self.inst
+        # X-edges grouped by type; an arrival of v draws one of its k_v
+        # X-edges uniformly, and an arrival with none draws nothing
+        present = inst.edges_by_v[support.X[inst.edges_by_v]]
+        k = np.bincount(inst.edge_v[present], minlength=inst.n_online)
+        first = np.cumsum(k) - k
+        vs = seq.slots[seq.arrival_times]
+        drawn = np.flatnonzero(k[vs] > 0)
+        picks = present[first[vs[drawn]] + rng.integers(0, k[vs[drawn]])]
+        kept = support.Y[picks]
+        remaining = list(inst.capacities)
+        matched: list[int] = []
+        arrival_of: list[int] = []
+        for i, e, u in zip(drawn[kept].tolist(), picks[kept].tolist(),
+                           inst.edge_u[picks[kept]].tolist()):
+            if remaining[u] > 0:
+                remaining[u] -= 1
+                matched.append(e)
+                arrival_of.append(i)
+        return matched, arrival_of
 
 
 class GreedyPolicy(OnlinePolicy):
@@ -164,56 +201,76 @@ class GreedyPolicy(OnlinePolicy):
             )
             self._by_u.append(pairs)
 
-    def start_trial(self, rng):
-        return self.objective.evaluator()
+    def start_trials(self, rngs):
+        return [self.objective.evaluator() for _ in rngs]
 
-    def on_arrival(self, trial, remaining, v):
-        evaluator = trial
-        picks: list[int] = []
-        used_u: set[int] = set()
-        for _ in range(self.inst.eta):
-            best_e = -1
-            best_u = -1
-            best_gain = -1.0
-            for u, e in self._by_u[v]:
-                if u in used_u or remaining[u] <= 0:
-                    continue
-                g = evaluator.gain(e)
-                if g > best_gain:
-                    best_gain, best_e, best_u = g, e, u
-            if best_e < 0:
-                break
-            evaluator.add(best_e)
-            used_u.add(best_u)
-            picks.append(best_e)
-        return picks
+    def replay(self, evaluator, seq):
+        remaining = list(self.inst.capacities)
+        matched: list[int] = []
+        arrival_of: list[int] = []
+        for i, (_, v) in enumerate(seq.arrivals):
+            used_u: list[int] = []
+            for _ in range(self.inst.eta):
+                best_e = -1
+                best_u = -1
+                best_gain = -1.0
+                for u, e in self._by_u[v]:
+                    if u in used_u or remaining[u] <= 0:
+                        continue
+                    g = evaluator.gain(e)
+                    if g > best_gain:
+                        best_gain, best_e, best_u = g, e, u
+                if best_e < 0:
+                    break
+                evaluator.add(best_e)
+                used_u.append(best_u)
+                remaining[best_u] -= 1
+                matched.append(best_e)
+                arrival_of.append(i)
+        return matched, arrival_of
 
 
 class DependentRoundingPolicy(OnlinePolicy):
     name = "dependent-rounding"
 
-    def start_trial(self, rng):
-        chosen = dependent_round_stars(self.x_star, self.inst, rng)
-        menu = [
-            [int(e) for e in self.inst.edges_at_v[vi] if chosen[e]]
-            for vi in range(self.inst.n_online)
-        ]
-        return (menu, rng)
+    def __init__(self, inst, objective, x_star):
+        super().__init__(inst, objective, x_star)
+        self._edge_u = inst.edge_u.tolist()
 
-    def on_arrival(self, trial, remaining, v):
+    def start_trials(self, rngs):
+        inst = self.inst
+        chosen = dependent_round_stars(self.x_star, inst, list(rngs))
+        trials = []
+        for row, rng in zip(chosen, rngs):
+            # the rounded edges of each type, in index order
+            kept = inst.edges_by_v[row[inst.edges_by_v]]
+            ends = np.cumsum(np.bincount(inst.edge_v[kept],
+                                         minlength=inst.n_online)).tolist()
+            kept = kept.tolist()
+            menu = [kept[a:b] for a, b in zip([0] + ends[:-1], ends)]
+            trials.append((menu, rng))
+        return trials
+
+    def replay(self, trial, seq):
         menu, rng = trial
-        picks: list[int] = []
-        used_u: set[int] = set()
-        edge_u = self.inst.edge_u
-        for _ in range(self.inst.eta):
-            avail = [e for e in menu[v]
-                     if int(edge_u[e]) not in used_u and remaining[edge_u[e]] > 0]
-            if not avail:
-                break
-            e = avail[int(rng.integers(len(avail)))]
-            used_u.add(int(edge_u[e]))
-            picks.append(e)
-        return picks
+        edge_u = self._edge_u
+        remaining = list(self.inst.capacities)
+        matched: list[int] = []
+        arrival_of: list[int] = []
+        for i, (_, v) in enumerate(seq.arrivals):
+            used_u: list[int] = []
+            for _ in range(self.inst.eta):
+                avail = [e for e in menu[v]
+                         if edge_u[e] not in used_u and remaining[edge_u[e]] > 0]
+                if not avail:
+                    break
+                # the bound depends on capacity, so each draw is made here
+                e = avail[int(rng.integers(len(avail)))]
+                used_u.append(edge_u[e])
+                remaining[edge_u[e]] -= 1
+                matched.append(e)
+                arrival_of.append(i)
+        return matched, arrival_of
 
 
 def make_policy(name: str, inst: Instance, objective: SubmodularObjective,
@@ -232,31 +289,30 @@ def make_policy(name: str, inst: Instance, objective: SubmodularObjective,
 
 def run_trial(policy: OnlinePolicy, inst: Instance,
               objective: SubmodularObjective, seq: ArrivalSequence,
-              rng: np.random.Generator) -> tuple[float, list[int]]:
+              rng: np.random.Generator | None = None,
+              trial=None) -> tuple[float, list[int]]:
     """Replay one arrival sequence; returns (objective value, matched edges).
 
-    The only code that commits a match.  ``matched`` keeps repeats of a
-    type-edge; the objective scores the set.
+    The trial starts from ``policy.start_trial(rng)``, or from ``trial``, a
+    state made by ``policy.start_trials``.  This is the only code that
+    accepts a trial's matches: it audits the whole trial once against the
+    online rule, recounting each offline vertex's load from the matches
+    rather than trusting the policy's own bookkeeping.  ``matched`` keeps
+    repeats of a type-edge; the objective scores the set.
     """
-    trial = policy.start_trial(rng)
-    remaining = list(inst.capacities)
-    matched: list[int] = []
-    arrival_of: list[int] = []  # position in the sequence of each match
-    edge_u = inst.edge_u
-    for i, (_, v) in enumerate(seq.arrivals):
-        for e in policy.on_arrival(trial, remaining, v):
-            remaining[edge_u[e]] -= 1
-            matched.append(e)
-            arrival_of.append(i)
-    if matched:  # one audit of the whole trial against the online rule
+    if trial is None:
+        trial = policy.start_trial(rng)
+    matched, arrival_of = policy.replay(trial, seq)
+    if matched:
         e, at = np.asarray(matched), np.asarray(arrival_of)
         if np.bincount(at).max() > inst.eta:
             raise RuntimeError(f"{policy.name} returned more than eta edges")
         if np.any(inst.edge_v[e] != seq.slots[seq.arrival_times[at]]):
             raise RuntimeError(f"{policy.name} matched a non-incident edge")
-        if len(np.unique(at * inst.n_offline + edge_u[e])) < len(e):
+        if len(np.unique(at * inst.n_offline + inst.edge_u[e])) < len(e):
             raise RuntimeError(f"{policy.name} repeated an offline vertex")
-        if min(remaining) < 0:
+        load = np.bincount(inst.edge_u[e], minlength=inst.n_offline)
+        if np.any(load > inst.capacity_array):
             raise RuntimeError("matched into a saturated offline vertex")
     return objective.value(matched), matched
 
@@ -307,11 +363,21 @@ def compute_benchmark(kind: str, inst: Instance,
     raise ValueError(f"unknown benchmark kind {kind!r}")
 
 
-def _trial(policy, inst, objective, keep, trial_seed):
-    seq = sample_arrivals(inst, trial_seed)
-    rng = np.random.default_rng((trial_seed, 1))
-    value, matched = run_trial(policy, inst, objective, seq, rng)
-    return value, matched if keep else None
+# Trials started together.  A block's dependent-rounding draws take
+# 8 bytes per trial and fractional edge, so blocks shrink on big instances.
+TRIAL_BLOCK = 1024
+BLOCK_CELLS = 1 << 21
+
+
+def _trial_block(policy, inst, objective, keep, seeds):
+    """One batched start for the block's trials, then one replay each."""
+    states = policy.start_trials([np.random.default_rng((s, 1)) for s in seeds])
+    results = []
+    for s, state in zip(seeds, states):
+        value, matched = run_trial(policy, inst, objective,
+                                   sample_arrivals(inst, s), trial=state)
+        results.append((value, matched if keep else None))
+    return results
 
 
 def simulate(
@@ -344,14 +410,17 @@ def simulate(
     else:
         benchmark_kind, benchmark_value = benchmark
 
-    one = partial(_trial, policy, inst, objective, keep_matches)
+    block = max(1, min(TRIAL_BLOCK, BLOCK_CELLS // max(1, inst.n_edges)))
+    if workers > 1 and trials > 1:
+        block = min(block, math.ceil(trials / (workers * 4)))
     seeds = range(seed, seed + trials)
+    blocks = [seeds[i:i + block] for i in range(0, trials, block)]
+    one = partial(_trial_block, policy, inst, objective, keep_matches)
     if workers > 1 and trials > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, seeds,
-                                    chunksize=math.ceil(trials / (workers * 4))))
+            results = [r for rs in pool.map(one, blocks) for r in rs]
     else:
-        results = list(map(one, seeds))
+        results = [r for b in blocks for r in one(b)]
     values = np.array([value for value, _ in results], dtype=float)
     matches = [m for _, m in results] if keep_matches else None
 

@@ -31,6 +31,16 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _as_rngs(seed) -> tuple[list[np.random.Generator], bool]:
+    """A list of generators is a batch of trials, one generator each; any
+    other seed is a single trial.  Returns the generators and whether the
+    call was batched."""
+    if isinstance(seed, list) and all(isinstance(g, np.random.Generator)
+                                      for g in seed):
+        return seed, True
+    return [_as_rng(seed)], False
+
+
 @dataclass(frozen=True, eq=False)
 class SampledSupport:
     """Sampled edge support X and its per-star thinned selection Y <= X."""
@@ -58,53 +68,67 @@ def select_per_star(X, inst: Instance, seed) -> np.ndarray:
     resolution.  For b_u > 1 it is its direct b-matching analogue (the
     source documents state only the capacity-1 form), so each present edge
     survives with probability min(b_u, k)/k.  Randomness is drawn only in
-    stars with k > b_u, and at b_u = 1 the draws are one ``integers(k)``
-    per such star.
+    stars with k > b_u, in star order: at b_u = 1 one ``integers(k)`` per
+    such star (drawn as one ``integers(0, ks)`` call when every contested
+    star has capacity 1, which makes the same draws), otherwise one
+    ``permutation(k)``.
     """
     X = np.asarray(X, dtype=bool)
     rng = _as_rng(seed)
-    Y = np.zeros_like(X)
-    for ui, cap in enumerate(inst.capacities):
-        star = inst.edges_at_u[ui]
-        present = star[X[star]]
-        k = len(present)
-        if k <= cap:
-            Y[present] = True
-        elif cap == 1:
-            Y[present[rng.integers(k)]] = True
-        else:
-            Y[present[rng.permutation(k)[:cap]]] = True
+    # present edges grouped by star, each star's edges in index order
+    present = inst.edges_by_u[X[inst.edges_by_u]]
+    k = np.bincount(inst.edge_u[present], minlength=inst.n_offline)
+    first = np.cumsum(k) - k  # position of each star's first present edge
+    cap = inst.capacity_array
+    Y = X & (k <= cap)[inst.edge_u]
+    over = np.flatnonzero(k > cap)
+    if np.all(cap[over] == 1):
+        Y[present[first[over] + rng.integers(0, k[over])]] = True
+    else:
+        for u in over.tolist():
+            chosen = rng.permutation(k[u])[:cap[u]] if cap[u] > 1 \
+                else rng.integers(k[u])
+            Y[present[first[u] + chosen]] = True
     return Y
 
 
-def sample_support(x, inst: Instance, seed) -> SampledSupport:
-    rng = _as_rng(seed)
-    X = independent_sample(x, rng)
-    Y = select_per_star(X, inst, rng)
-    return SampledSupport(X=X, Y=Y)
+def sample_support(x, inst: Instance, seed):
+    """Sample X edge by edge, then thin it star by star into Y.  A list of
+    generators returns one support per generator, each equal to the call
+    with that generator alone."""
+    rngs, batched = _as_rngs(seed)
+    out = []
+    for rng in rngs:
+        X = independent_sample(x, rng)
+        out.append(SampledSupport(X=X, Y=select_per_star(X, inst, rng)))
+    return out if batched else out[0]
 
 
 def _fractional(v: float) -> bool:
     return SNAP_TOL < v < 1.0 - SNAP_TOL
 
 
-def _shift(p, walk, rng: np.random.Generator) -> None:
-    """The pairing step: move mass along an alternating walk of edges,
-    keeping every edge's marginal, and update `p` in place.
+def _shift(p: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The pairing step: move mass along alternating walks of edges,
+    keeping every edge's marginal.
 
-    With probability down/(up+down) the even positions of `walk` rise by
-    `up` and the odd ones fall by `up`; otherwise they move the other way
-    by `down`.  `up` and `down` are the largest moves that keep every value
-    in [0, 1], so the expected move is zero and each step settles at least
-    one edge.  Values within SNAP_TOL of 0 or 1 are snapped there.
+    Row i of `p` holds the values of one walk's edges in walk order and
+    r[i] is its uniform draw; all rows have the same length.  With
+    probability down/(up+down) the even positions of a walk rise by `up`
+    and the odd ones fall by `up`; otherwise they move the other way by
+    `down`.  `up` and `down` are the largest moves that keep every value in
+    [0, 1], so the expected move is zero and each step settles at least one
+    edge.  Values within SNAP_TOL of 0 or 1 are snapped there.  Returns the
+    shifted values.
     """
-    even, odd = walk[::2], walk[1::2]
-    up = min([1.0 - p[e] for e in even] + [p[e] for e in odd])
-    down = min([p[e] for e in even] + [1.0 - p[e] for e in odd])
-    step = up if rng.random() < down / (up + down) else -down
-    for k, e in enumerate(walk):
-        v = p[e] - step if k % 2 else p[e] + step
-        p[e] = 0.0 if v <= SNAP_TOL else 1.0 if v >= 1.0 - SNAP_TOL else v
+    even, odd = p[:, ::2], p[:, 1::2]
+    up = np.minimum((1.0 - even).min(axis=1), odd.min(axis=1, initial=1.0))
+    down = np.minimum(even.min(axis=1), (1.0 - odd).min(axis=1, initial=1.0))
+    step = np.where(r < down / (up + down), up, -down)[:, None]
+    q = p.copy()
+    q[:, ::2] += step
+    q[:, 1::2] -= step
+    return np.where(q <= SNAP_TOL, 0.0, np.where(q >= 1.0 - SNAP_TOL, 1.0, q))
 
 
 def dependent_round_stars(x, inst: Instance, seed) -> np.ndarray:
@@ -113,32 +137,63 @@ def dependent_round_stars(x, inst: Instance, seed) -> np.ndarray:
     One pass over each star's edges in index order: every fractional edge
     is paired with the fractional edge carried from the previous step (a
     walk of two edges), and an edge left over at the end of the star is
-    settled alone (a walk of one).
+    settled alone (a walk of one).  Each walk draws one ``random()``.
+
+    A list of generators rounds one trial per generator in one pass with a
+    trials axis and returns a (trials, edges) mask.  Row i and generator
+    i's state afterwards equal those of the call with generator i alone:
+    each trial's draws are taken up front (at most one per fractional
+    edge), and its generator is then rewound to just past the draws it used.
 
     Requires the fractional degree of every star to fit its capacity.  Every
     run lands each star's degree in {floor(sum), ceil(sum)}; per-edge
     inclusion probability equals x_e exactly.
     """
     x = np.asarray(x, dtype=float)
-    rng = _as_rng(seed)
+    rngs, batched = _as_rngs(seed)
     degree = np.bincount(inst.edge_u, weights=x, minlength=inst.n_offline)
     over = np.flatnonzero(degree > inst.capacity_array + 1e-9)
     if len(over):
         raise ValueError(
             f"fractional degree exceeds capacity at {inst.offline_ids[over[0]]!r}"
         )
-    p = x.tolist()
-    for star in inst.edges_at_u:
-        carried: list[int] = []
-        for e in star.tolist():
-            if _fractional(p[e]):
-                carried.append(e)
-                if len(carried) == 2:
-                    _shift(p, carried, rng)
-                    carried = [f for f in carried if _fractional(p[f])]
-        if carried:
-            _shift(p, carried, rng)
-    return np.array(p) > 0.5
+    stars = [[e for e in star.tolist() if _fractional(x[e])]
+             for star in inst.edges_at_u]
+    n, n_frac = len(rngs), sum(map(len, stars))
+    states = [rng.bit_generator.state for rng in rngs]
+    draws = np.array([rng.random(n_frac) for rng in rngs]).reshape(n, n_frac)
+    used = np.zeros(n, dtype=np.int64)  # draws taken by each trial
+    rows = np.arange(n)
+    chosen = np.tile(x > 0.5, (n, 1))
+
+    def walk(p):
+        # One walk per trial.  A trial whose carried edge has settled (to 0
+        # or 1) makes a no-op walk that takes no draw: its step is 0 for
+        # any draw, so the other edge keeps its value exactly.
+        real = (p[:, 0] > 0.0) & (p[:, 0] < 1.0)
+        q = _shift(p, draws[rows, used])
+        used[real] += 1
+        return q
+
+    for star in stars:
+        if not star:
+            continue
+        # each trial's carried edge and its current value; a settled edge's
+        # entry in `chosen` is final, an unsettled one is rewritten later
+        carried = np.full(n, star[0])
+        value = np.full(n, x[star[0]])
+        for e in star[1:]:
+            q = walk(np.column_stack((value, np.full(n, x[e]))))
+            chosen[rows, carried] = q[:, 0] > 0.5
+            chosen[:, e] = q[:, 1] > 0.5
+            keep = (q[:, 0] > 0.0) & (q[:, 0] < 1.0)
+            carried = np.where(keep, carried, e)
+            value = np.where(keep, q[:, 0], q[:, 1])
+        chosen[rows, carried] = walk(value[:, None])[:, 0] > 0.5
+    for rng, state, k in zip(rngs, states, used.tolist()):
+        rng.bit_generator.state = state
+        rng.random(k)
+    return chosen if batched else chosen[0]
 
 
 def _fractional_walk(adj: dict[int, list[int]], edge_ends) -> list[int]:
@@ -198,6 +253,6 @@ def pipage_round(x, inst: Instance, seed) -> np.ndarray:
         for lst in adj.values():
             lst.sort()
         walk = _fractional_walk(adj, edge_ends)
-        _shift(x, walk, rng)
+        x[walk] = _shift(x[None, walk], rng.random(1))[0]
         frac_edges.difference_update(e for e in walk if not _fractional(x[e]))
     return x > 0.5

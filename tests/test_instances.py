@@ -1,5 +1,7 @@
 """Instance model: validation, arrival sampling, generators, ingestion, I/O."""
 
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -322,4 +324,64 @@ class TestLoadProblemFuzz:
                 assert str(path) in str(exc)
 
         assert isinstance(load_problem(path), Problem)
+        check()
+
+
+class TestIngestRatingsFuzz:
+    def test_one_edit_ingests_or_raises_ingest_error(self, tmp_path):
+        # one edit to a valid ratings or genres file: ingest_ratings returns
+        # a problem that saves and reloads unchanged, or raises IngestError;
+        # `osbm ingest` on the same files exits 0 or 2, never a traceback
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        from osbm import cli
+        ratings, genres = write_ratings_fixture(
+            tmp_path, n_users=4, n_movies=3, leave_out={("user0", "m1")})
+        originals = {"ratings": ratings.read_text().splitlines(),
+                     "genres": genres.read_text().splitlines()}
+        out = tmp_path / "inst.txt"
+        tokens = st.sampled_from(["", " ", "nan", "inf", "-inf", "1e400", "-2",
+                                  "m0", "user0", "g0", "a b", "#", "\"", "x,y"])
+        tokens = tokens | st.text(alphabet="0123456789-.e, m", max_size=3)
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            which = data.draw(st.sampled_from(["ratings", "genres"]))
+            lines = list(originals[which])
+            k = data.draw(st.integers(0, len(lines) - 1))
+            fields = lines[k].split(",")
+            op = data.draw(st.sampled_from(
+                ["drop line", "drop field", "replace field", "duplicate line"]))
+            if op == "drop line":
+                del lines[k]
+            elif op == "duplicate line":
+                lines.insert(k, lines[k])
+            else:
+                j = data.draw(st.integers(0, len(fields) - 1))
+                fields[j:j + 1] = [] if op == "drop field" else [data.draw(tokens)]
+                lines[k] = ",".join(fields)
+            for name, path in (("ratings", ratings), ("genres", genres)):
+                body = lines if name == which else originals[name]
+                path.write_text("\n".join(body) + "\n")
+            try:
+                problem = ingest_ratings(ratings, genres, num_users=4,
+                                         num_movies=3, seed=0)
+            except IngestError:
+                problem = None
+            if problem is not None:
+                assert np.all(np.isfinite(problem.features.user_weights))
+                save_problem(problem, out)
+                back = load_problem(out)
+                assert back.instance == problem.instance
+            argv = ["ingest", "--ratings", str(ratings), "--genres", str(genres),
+                    "--users", "4", "--movies", "3", "--out", str(out)]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            assert code == (0 if problem is not None else 2)
+            if code == 2:
+                assert err.getvalue().startswith("error: ")
+
         check()

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import small_objective
+from osbm.instances import generate_synthetic
 from osbm.objectives import (
     BudgetAdditiveObjective,
     CoverageObjective,
     LinearObjective,
     PerUserCoverageObjective,
+    build_objective,
     multilinear_exact,
     multilinear_mc,
     partial_derivative,
@@ -180,6 +182,23 @@ class TestMultilinearMonteCarlo:
             if abs(est - exact) <= 3 * se:
                 hits += 1
         assert hits >= 99
+
+
+class TestGroundSetLength:
+    def test_short_or_long_x_is_rejected(self):
+        # the coverage recipe has 1066 edges; its first 100 entries used to
+        # estimate F over a prefix of the ground set without an error
+        obj = build_objective(generate_synthetic("coverage", 11))
+        x = np.full(obj.n_edges, 0.2)
+        est, _ = multilinear_mc(obj, x, samples=5, seed=1)
+        assert est > 0
+        for bad in (x[:100], np.append(x, 0.2)):
+            with pytest.raises(ValueError, match="ground set"):
+                multilinear_mc(obj, bad, samples=5, seed=1)
+            with pytest.raises(ValueError, match="ground set"):
+                partial_derivative(obj, bad, 0, samples=5, seed=1)
+            with pytest.raises(ValueError, match="ground set"):
+                multilinear_exact(obj, bad)
 
 
 class TestPartialDerivative:

@@ -401,12 +401,45 @@ class TestSimulator:
             name = "faulty"
             needs_guide = False
 
-            def on_arrival(self, trial, remaining, v):
-                return list(picks)
+            def replay(self, trial, seq):
+                # the same picks on every arrival
+                n = len(seq.arrivals)
+                return ([e for _ in range(n) for e in picks],
+                        [i for i in range(n) for _ in picks])
 
         with pytest.raises(RuntimeError, match=message):
             run_trial(Faulty(inst, obj), inst, obj,
                       ArrivalSequence(np.array(arrivals)), np.random.default_rng(0))
+
+    def test_load_recount_catches_overcommit_with_consistent_bookkeeping(self):
+        # u0 (capacity 1) serves v0 by e0 and v1 by e1.  The faulty policy
+        # books capacity per edge instead of per offline vertex, so its own
+        # counts never go negative while u0 takes two matches.
+        inst = build_instance(
+            [("u0", 1)], [("v0", 1.0), ("v1", 1.0)],
+            [("e0", "u0", "v0"), ("e1", "u0", "v1")], horizon=2)
+        obj = LinearObjective(np.ones(2))
+
+        class PerEdgeBooking(OnlinePolicy):
+            name = "per-edge-booking"
+            needs_guide = False
+
+            def replay(self, trial, seq):
+                self.remaining = [inst.capacities[u] for u in inst.edge_u]
+                matched, arrival_of = [], []
+                for i, (_, v) in enumerate(seq.arrivals):
+                    for e in inst.edges_at_v[v].tolist():
+                        if self.remaining[e] > 0:
+                            self.remaining[e] -= 1
+                            matched.append(e)
+                            arrival_of.append(i)
+                return matched, arrival_of
+
+        policy = PerEdgeBooking(inst, obj)
+        with pytest.raises(RuntimeError, match="saturated offline vertex"):
+            run_trial(policy, inst, obj, ArrivalSequence(np.array([0, 1])),
+                      np.random.default_rng(0))
+        assert min(policy.remaining) == 0  # its own bookkeeping looked fine
 
     def test_golden_values_and_matches(self):
         # budget recipe at b in {1, 5} and eta in {1, 2}

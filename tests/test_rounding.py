@@ -34,6 +34,12 @@ def binom_sigma(p, n):
     return math.sqrt(p * (1 - p) / n)
 
 
+def rngs(n, start=0):
+    """One generator per trial, seeded like a single call with seed=s; a
+    batched call returns the masks of the single calls, row by row."""
+    return [np.random.default_rng(s) for s in range(start, start + n)]
+
+
 class TestIndependentSample:
     def test_all_ones_certain(self):
         X = independent_sample(np.ones(5), seed=0)
@@ -173,16 +179,120 @@ class TestSampledSupport:
         assert set(present.tolist()) == {0, 2}
 
 
+def reference_round_stars(x, inst, rng):
+    """One trial of star-wise dependent rounding, one scalar draw per walk:
+    the loop form the batched pass must reproduce draw for draw."""
+    def fractional(v):
+        return 1e-12 < v < 1.0 - 1e-12
+
+    def shift(walk):
+        even, odd = walk[::2], walk[1::2]
+        up = min([1.0 - p[e] for e in even] + [p[e] for e in odd])
+        down = min([p[e] for e in even] + [1.0 - p[e] for e in odd])
+        step = up if rng.random() < down / (up + down) else -down
+        for k, e in enumerate(walk):
+            v = p[e] - step if k % 2 else p[e] + step
+            p[e] = 0.0 if v <= 1e-12 else 1.0 if v >= 1.0 - 1e-12 else v
+
+    p = list(map(float, x))
+    for star in inst.edges_at_u:
+        carried = []
+        for e in star.tolist():
+            if fractional(p[e]):
+                carried.append(e)
+                if len(carried) == 2:
+                    shift(carried)
+                    carried = [f for f in carried if fractional(p[f])]
+        if carried:
+            shift(carried)
+    return np.array(p) > 0.5
+
+
+class TestBatchedStart:
+    """A list of generators rounds or samples one trial per generator; each
+    row and each generator's state afterwards equal the single call's."""
+
+    @staticmethod
+    def recipe_guide(b):
+        inst = generate_synthetic("budget_additive", 11).instance
+        w = np.random.default_rng(11).random(inst.n_edges)
+        deg_u = np.bincount(inst.edge_u, minlength=inst.n_offline)[inst.edge_u]
+        # exact zeros and ones mixed in, so some edges start settled
+        x = np.where(w < 0.15, 0.0, np.where(w > 0.95, 1.0,
+                                              w * np.minimum(1.0, b / deg_u)))
+        x = np.minimum(x, 1.0)
+        cap = np.ceil(np.bincount(inst.edge_u, weights=x, minlength=inst.n_offline))
+        return inst.with_capacities(np.maximum(cap, b).astype(int)), x
+
+    @staticmethod
+    def assert_same_states(*generator_lists):
+        for gens in zip(*generator_lists):
+            assert all(g.bit_generator.state == gens[0].bit_generator.state
+                       for g in gens)
+            assert len({g.random() for g in gens}) == 1
+
+    @pytest.mark.parametrize("b", [1, 5])
+    def test_dependent_round_stars_rows_match_single_calls(self, b):
+        inst, x = self.recipe_guide(b)
+        batch, single, ref = rngs(30, 100), rngs(30, 100), rngs(30, 100)
+        chosen = dependent_round_stars(x, inst, batch)
+        assert chosen.shape == (30, inst.n_edges)
+        for row, rng, ref_rng in zip(chosen, single, ref):
+            assert np.array_equal(row, dependent_round_stars(x, inst, rng))
+            assert np.array_equal(row, reference_round_stars(x, inst, ref_rng))
+        self.assert_same_states(batch, single, ref)
+
+    def test_dependent_round_stars_matches_scalar_reference(self):
+        # quarter-grid values make both edges of a walk settle at once
+        g = np.random.default_rng(32)
+        for _ in range(100):
+            k, cap = int(g.integers(1, 8)), int(g.integers(1, 4))
+            inst = star_instance(k, capacity=cap)
+            x = np.where(g.random(k) < 0.6, g.integers(0, 5, k) / 4, g.random(k))
+            if x.sum() > cap:
+                x *= cap / x.sum()
+            start = int(g.integers(1 << 30))
+            batch, single = rngs(8, start), rngs(8, start)
+            chosen = dependent_round_stars(x, inst, batch)
+            for row, rng in zip(chosen, single):
+                assert np.array_equal(row, reference_round_stars(x, inst, rng))
+            self.assert_same_states(batch, single)
+
+    @pytest.mark.parametrize("capacities", ["unit", "b5", "mixed"])
+    def test_sample_support_matches_single_calls(self, capacities):
+        # unit: one integers(0, ks) call; b5: one permutation per contested
+        # star; mixed: capacity-1 and capacity-2 stars interleaved
+        inst = generate_synthetic("budget_additive", 11).instance
+        caps = {"unit": 1, "b5": 5,
+                "mixed": [1 + u % 2 for u in range(inst.n_offline)]}[capacities]
+        inst = inst.with_capacities(caps)
+        x = np.random.default_rng(5).random(inst.n_edges) * 0.6
+        batch, single = rngs(30, 200), rngs(30, 200)
+        supports = sample_support(x, inst, batch)
+        assert len(supports) == 30
+        for got, rng in zip(supports, single):
+            want = sample_support(x, inst, rng)
+            assert np.array_equal(got.X, want.X)
+            assert np.array_equal(got.Y, want.Y)
+            assert not np.any(got.Y & ~got.X)
+            load = np.bincount(inst.edge_u[got.Y], minlength=inst.n_offline)
+            assert np.all(load <= inst.capacity_array)
+        self.assert_same_states(batch, single)
+
+    def test_empty_batch(self):
+        inst = star_instance(2)
+        assert dependent_round_stars(np.array([0.5, 0.5]), inst, []).shape == (0, 2)
+        assert sample_support(np.array([0.5, 0.5]), inst, []) == []
+
+
 class TestDependentRounding:
     def test_forced_degree_one(self):
         inst = star_instance(2)
         x = np.array([0.5, 0.5])
-        counts = np.zeros(2)
         n = 20_000
-        for s in range(n):
-            chosen = dependent_round_stars(x, inst, seed=s)
-            assert chosen.sum() == 1
-            counts += chosen
+        chosen = dependent_round_stars(x, inst, rngs(n))
+        assert np.all(chosen.sum(axis=1) == 1)
+        counts = chosen.sum(axis=0)
         sd = binom_sigma(0.5, n)
         for c in counts:
             assert abs(c / n - 0.5) <= 3 * sd
@@ -191,9 +301,7 @@ class TestDependentRounding:
         inst = star_instance(5, capacity=2)
         x = np.array([0.15, 0.7, 0.35, 0.55, 0.2])
         n = 20_000
-        counts = np.zeros(5)
-        for s in range(n):
-            counts += dependent_round_stars(x, inst, seed=s)
+        counts = dependent_round_stars(x, inst, rngs(n)).sum(axis=0)
         for e in range(5):
             sd = binom_sigma(x[e], n)
             assert abs(counts[e] / n - x[e]) <= 3 * sd
@@ -201,28 +309,22 @@ class TestDependentRounding:
     def test_degree_always_floor_or_ceil(self, rng):
         inst = star_instance(4, capacity=2)
         x = np.array([0.4, 0.3, 0.5, 0.3])  # sum 1.5
-        for s in range(400):
-            chosen = dependent_round_stars(x, inst, seed=s)
-            assert chosen.sum() in (1, 2)
+        degrees = dependent_round_stars(x, inst, rngs(400)).sum(axis=1)
+        assert set(degrees.tolist()) <= {1, 2}
 
     def test_unit_capacity_never_selects_two(self):
         inst = star_instance(2)
         x = np.array([0.3, 0.3])
-        both = 0
         n = 100_000
-        for s in range(n):
-            chosen = dependent_round_stars(x, inst, seed=s)
-            both += int(chosen.sum() == 2)
+        both = int(np.sum(dependent_round_stars(x, inst, rngs(n)).sum(axis=1) == 2))
         assert both / n <= 0.09  # never exceeds the independent product bound
 
     def test_negative_correlation_within_star(self):
         inst = star_instance(3, capacity=2)
         x = np.array([0.5, 0.5, 0.5])  # sum 1.5, degree in {1, 2}
         n = 30_000
-        joint = np.zeros((3, 3))
-        for s in range(n):
-            chosen = dependent_round_stars(x, inst, seed=s)
-            joint += np.outer(chosen, chosen)
+        chosen = dependent_round_stars(x, inst, rngs(n)).astype(float)
+        joint = chosen.T @ chosen
         for i in range(3):
             for j in range(i + 1, 3):
                 product = x[i] * x[j]
@@ -285,8 +387,8 @@ class TestPairingStep:
         for b in (1, 5):
             x = np.where(w < 0.15, 0.0, w * np.minimum(1.0, b / deg_u))
             inst_b = inst.with_capacities(b)
-            for s in range(50):
-                chosen = dependent_round_stars(x, inst_b, np.random.default_rng((s, 1)))
+            trials = [np.random.default_rng((s, 1)) for s in range(50)]
+            for chosen in dependent_round_stars(x, inst_b, trials):
                 digest.update(np.packbits(chosen).tobytes())
         cycle = build_instance(
             offline=[("u0", 1), ("u1", 1)],
