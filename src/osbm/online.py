@@ -238,21 +238,19 @@ class DependentRoundingPolicy(OnlinePolicy):
         self._edge_u = inst.edge_u.tolist()
 
     def start_trials(self, rngs):
-        inst = self.inst
-        chosen = dependent_round_stars(self.x_star, inst, list(rngs))
-        trials = []
-        for row, rng in zip(chosen, rngs):
-            # the rounded edges of each type, in index order
-            kept = inst.edges_by_v[row[inst.edges_by_v]]
-            ends = np.cumsum(np.bincount(inst.edge_v[kept],
-                                         minlength=inst.n_online)).tolist()
-            kept = kept.tolist()
-            menu = [kept[a:b] for a, b in zip([0] + ends[:-1], ends)]
-            trials.append((menu, rng))
-        return trials
+        chosen = dependent_round_stars(self.x_star, self.inst, list(rngs))
+        return list(zip(chosen, rngs))
 
     def replay(self, trial, seq):
-        menu, rng = trial
+        chosen, rng = trial
+        inst = self.inst
+        # the rounded edges of each type, in index order; built here, not
+        # at the start, so a block holds one trial's lists at a time
+        kept = inst.edges_by_v[chosen[inst.edges_by_v]]
+        ends = np.cumsum(np.bincount(inst.edge_v[kept],
+                                     minlength=inst.n_online)).tolist()
+        kept = kept.tolist()
+        menu = [kept[a:b] for a, b in zip([0] + ends[:-1], ends)]
         edge_u = self._edge_u
         remaining = list(self.inst.capacities)
         matched: list[int] = []

@@ -161,7 +161,9 @@ def dependent_round_stars(x, inst: Instance, seed) -> np.ndarray:
              for star in inst.edges_at_u]
     n, n_frac = len(rngs), sum(map(len, stars))
     states = [rng.bit_generator.state for rng in rngs]
-    draws = np.array([rng.random(n_frac) for rng in rngs]).reshape(n, n_frac)
+    draws = np.empty((n, n_frac))
+    for rng, row in zip(rngs, draws):
+        rng.random(out=row)
     used = np.zeros(n, dtype=np.int64)  # draws taken by each trial
     rows = np.arange(n)
     chosen = np.tile(x > 0.5, (n, 1))
