@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from osbm import cli
 from osbm import instances as instances_mod
 from osbm.instances import (
     EdgeFeatures,
@@ -334,7 +335,6 @@ class TestIngestRatingsFuzz:
         # `osbm ingest` on the same files exits 0 or 2, never a traceback
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
-        from osbm import cli
         ratings, genres = write_ratings_fixture(
             tmp_path, n_users=4, n_movies=3, leave_out={("user0", "m1")})
         originals = {"ratings": ratings.read_text().splitlines(),
