@@ -167,6 +167,18 @@ CSV_COLUMNS = ("algorithm", "objective", "b", "eta", "trials", "mean",
                "std_error", "benchmark_kind", "benchmark_value", "ratio", "error")
 
 
+def _report_row(algorithm: str, objective: str, b: int, eta: int, trials: int,
+                benchmark_value: str = "", metrics=None, error: str = "") -> dict:
+    """One experiment report row; without metrics, mean, std_error and ratio
+    are empty."""
+    stats = [""] * 3 if metrics is None else [
+        _num(metrics.mean), _num(metrics.std_error), _num(metrics.ratio)]
+    return dict(algorithm=algorithm, objective=objective, b=b, eta=eta,
+                trials=trials, mean=stats[0], std_error=stats[1],
+                benchmark_kind="lp", benchmark_value=benchmark_value,
+                ratio=stats[2], error=error)
+
+
 def cmd_experiment(args) -> int:
     problem = _load(args.instance)
     objective = build_objective(problem)
@@ -187,11 +199,8 @@ def cmd_experiment(args) -> int:
             try:
                 x_star, benchmark_value, _ = lpmod.solve_offline_lp(inst, objective)
             except Exception as exc:  # record the cell, keep sweeping
-                for name in algorithms:
-                    rows.append(dict(algorithm=name, objective=problem.kind, b=b,
-                                     eta=eta, trials=0, mean="", std_error="",
-                                     benchmark_kind="lp", benchmark_value="",
-                                     ratio="", error=str(exc)))
+                rows += [_report_row(name, problem.kind, b, eta, 0, error=str(exc))
+                         for name in algorithms]
                 continue
             for name in algorithms:
                 try:
@@ -201,23 +210,15 @@ def cmd_experiment(args) -> int:
                         workers=args.workers, allow_fractional_cr=True,
                         keep_matches=args.coverage_hist is not None,
                     )
-                    rows.append(dict(
-                        algorithm=name, objective=problem.kind, b=b, eta=eta,
-                        trials=args.trials, mean=_num(metrics.mean),
-                        std_error=_num(metrics.std_error), benchmark_kind="lp",
-                        benchmark_value=_num(benchmark_value),
-                        ratio=_num(metrics.ratio), error="",
-                    ))
+                    rows.append(_report_row(name, problem.kind, b, eta, args.trials,
+                                            _num(benchmark_value), metrics))
                     if args.coverage_hist is not None and hasattr(
                             objective, "user_cover_fractions"):
                         hist_rows.extend(_coverage_histogram_rows(
                             objective, metrics, name, b, eta))
                 except Exception as exc:
-                    rows.append(dict(algorithm=name, objective=problem.kind, b=b,
-                                     eta=eta, trials=args.trials, mean="",
-                                     std_error="", benchmark_kind="lp",
-                                     benchmark_value=_num(benchmark_value),
-                                     ratio="", error=str(exc)))
+                    rows.append(_report_row(name, problem.kind, b, eta, args.trials,
+                                            _num(benchmark_value), error=str(exc)))
 
     header_lines = [
         f"# reference marginal-sampling {_num(MARGINAL_SAMPLING_REFERENCE)}",

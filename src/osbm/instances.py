@@ -52,6 +52,10 @@ class Instance:
     ``rates[j]`` is the expected number of arrivals of ``online_ids[j]`` over
     the horizon; the per-round arrival probability is ``rates[j] / horizon``.
     ``eta`` bounds how many edges a policy may match on a single arrival.
+
+    It owns the b-matching polytope that guides and policies work over: the
+    edges grouped by offline vertex (`edges_by_u`, cut into `edges_at_u`)
+    and by type (`edges_by_v`, `edges_at_v`), and the degree sums `loads`.
     """
 
     offline_ids: tuple[str, ...]
@@ -87,10 +91,6 @@ class Instance:
         return {vid: i for i, vid in enumerate(self.online_ids)}
 
     @cached_property
-    def edge_index(self) -> dict[str, int]:
-        return {eid: i for i, eid in enumerate(self.edge_ids)}
-
-    @cached_property
     def _endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         """Dense (offline, online) endpoint index per edge, built after the
         structural check, so the check runs once per instance."""
@@ -114,30 +114,33 @@ class Instance:
         return self._endpoints[1]
 
     @cached_property
-    def edges_at_u(self) -> tuple[np.ndarray, ...]:
-        out: list[list[int]] = [[] for _ in range(self.n_offline)]
-        for e, u in enumerate(self.edge_u):
-            out[u].append(e)
-        return tuple(np.array(lst, dtype=np.int64) for lst in out)
-
-    @cached_property
     def edges_by_u(self) -> np.ndarray:
-        """All edges grouped by offline vertex: the stars of `edges_at_u`
-        concatenated in vertex order."""
+        """All edges grouped by offline vertex, each star in index order."""
         return np.argsort(self.edge_u, kind="stable")
 
     @cached_property
-    def edges_at_v(self) -> tuple[np.ndarray, ...]:
-        out: list[list[int]] = [[] for _ in range(self.n_online)]
-        for e, v in enumerate(self.edge_v):
-            out[v].append(e)
-        return tuple(np.array(lst, dtype=np.int64) for lst in out)
+    def edges_by_v(self) -> np.ndarray:
+        """All edges grouped by online type, each type's edges in index order."""
+        return np.argsort(self.edge_v, kind="stable")
 
     @cached_property
-    def edges_by_v(self) -> np.ndarray:
-        """All edges grouped by online type: the lists of `edges_at_v`
-        concatenated in type order."""
-        return np.argsort(self.edge_v, kind="stable")
+    def edges_at_u(self) -> tuple[np.ndarray, ...]:
+        """The star of each offline vertex: its slice of `edges_by_u`."""
+        return split_groups(self.edges_by_u, self.edge_u, self.n_offline)
+
+    @cached_property
+    def edges_at_v(self) -> tuple[np.ndarray, ...]:
+        """The edges of each online type: its slice of `edges_by_v`."""
+        return split_groups(self.edges_by_v, self.edge_v, self.n_online)
+
+    def loads(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Sums of the edge vector x over each offline star and each type:
+        the polytope's degree rows, <= b_u and <= eta * rate_v.  Each is
+        ``x[edges].sum()`` (numpy's pairwise sum): one ``bincount`` sums in
+        another order, which moves last bits and so the LP guides."""
+        x = np.asarray(x, dtype=float)
+        return (np.array([x[edges].sum() for edges in self.edges_at_u]),
+                np.array([x[edges].sum() for edges in self.edges_at_v]))
 
     @cached_property
     def rate_array(self) -> np.ndarray:
@@ -192,6 +195,12 @@ def build_instance(
     )
 
 
+def split_groups(order, keys: np.ndarray, n: int) -> tuple:
+    """Cut `order`, edges sorted by `keys` in [0, n), into one slice per key."""
+    ends = np.cumsum(np.bincount(keys, minlength=n)).tolist()
+    return tuple(order[a:b] for a, b in zip([0] + ends[:-1], ends))
+
+
 def _structural_violations(inst: Instance) -> list[str]:
     problems: list[str] = []
     if len(set(inst.offline_ids)) != len(inst.offline_ids):
@@ -218,7 +227,24 @@ def validate(inst: Instance) -> list[str]:
 
     Violations are data, not failures: callers decide whether to proceed.
     """
-    problems = _structural_violations(inst)
+    problems = _structural_violations(inst) + _value_violations(inst)
+    for vid, r in zip(inst.online_ids, inst.rates):
+        if r > 1.0 + RATE_TOL:
+            problems.append(f"rate of {vid!r} out of range (0, 1]: got {fmt(r)}")
+    for id_group, label in (
+        (inst.offline_ids, "offline vertex"),
+        (inst.online_ids, "online type"),
+        (inst.edge_ids, "edge"),
+    ):
+        for the_id in id_group:
+            if not the_id or any(ch.isspace() for ch in the_id):
+                problems.append(f"{label} id {the_id!r} is empty or has whitespace")
+    return problems
+
+
+def _value_violations(inst: Instance) -> list[str]:
+    """The checks of `validate` that an instance file must pass to load."""
+    problems = []
     if len(inst.capacities) != len(inst.offline_ids):
         problems.append("capacity list length mismatch")
     if len(inst.rates) != len(inst.online_ids):
@@ -230,25 +256,14 @@ def validate(inst: Instance) -> list[str]:
     for uid, cap in zip(inst.offline_ids, inst.capacities):
         if cap < 1:
             problems.append(f"capacity of {uid!r} must be >= 1 (got {cap})")
-    total_rate = 0.0
     for vid, r in zip(inst.online_ids, inst.rates):
-        if not np.isfinite(r) or r <= 0.0:
+        if not 0.0 < r < math.inf:
             problems.append(f"rate of {vid!r} out of range (0, 1]: got {fmt(r)}")
-        elif r > 1.0 + RATE_TOL:
-            problems.append(f"rate of {vid!r} out of range (0, 1]: got {fmt(r)}")
-        total_rate += r
+    total_rate = sum(inst.rates)
     if total_rate > inst.horizon * (1.0 + RATE_TOL) + RATE_TOL:
         problems.append(
             f"rates exceed horizon: sum of rates {fmt(total_rate)} > T = {inst.horizon}"
         )
-    for id_group, label in (
-        (inst.offline_ids, "offline vertex"),
-        (inst.online_ids, "online type"),
-        (inst.edge_ids, "edge"),
-    ):
-        for the_id in id_group:
-            if not the_id or any(ch.isspace() for ch in the_id):
-                problems.append(f"{label} id {the_id!r} is empty or has whitespace")
     return problems
 
 
@@ -342,12 +357,15 @@ class Problem:
     budget: float | None = None
 
     def validate(self) -> list[str]:
-        problems = validate(self.instance)
-        problems += self.features.validate(self.instance.n_edges)
+        return validate(self.instance) + self._payload_violations()
+
+    def _payload_violations(self) -> list[str]:
+        problems = self.features.validate(self.instance.n_edges)
         if self.kind not in OBJECTIVE_KINDS:
             problems.append(f"unknown objective kind {self.kind!r}")
-        if self.kind == "budget_additive" and (self.budget is None or self.budget < 0):
-            problems.append("budget_additive requires a nonnegative budget")
+        if self.kind == "budget_additive" and not (
+                self.budget is not None and 0 <= self.budget < math.inf):
+            problems.append("budget_additive requires a finite, nonnegative budget")
         return problems
 
 
@@ -483,7 +501,7 @@ def ingest_ratings(
 ) -> Problem:
     """Build a per-user coverage problem from completed ratings and genres.
 
-    ``ratings_path`` holds ``user,movie,rating`` rows (ratings already
+    ``ratings_path`` holds ``user,movie,rating`` rows (finite ratings >= 0,
     completed by whatever predictor the caller used); ``genres_path`` holds
     ``movie,genre`` rows.  The ``num_users`` most prolific raters become the
     online side and ``num_movies`` movies sampled at random become the
@@ -509,7 +527,7 @@ def ingest_ratings(
             r = float(value)
         except ValueError:
             r = math.nan
-        if not math.isfinite(r):
+        if not 0.0 <= r < math.inf:  # a genre weight is a mean rating, >= 0
             raise IngestError(f"ratings file {ratings_path}: malformed row "
                               f"{lineno}: bad rating {value!r}")
         ratings[(user, movie)] = r
@@ -643,7 +661,9 @@ def load_problem(path) -> Problem:
     Raises InstanceError, naming the file, on a missing header, a short or
     unparsable record, a missing ``T`` or ``eta`` record, a feature index
     outside ``[0, features)``, a ``uw`` record for an unknown online type,
-    or a structural violation such as a dangling edge endpoint.
+    a structural violation such as a dangling edge endpoint, or a value that
+    `Problem.validate` rejects (a non-finite or negative rate, weight or
+    budget, a feature set index out of range), except a rate above 1.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -691,7 +711,7 @@ def load_problem(path) -> Problem:
                 if len(tok) > 4:
                     edge_weights[tok[1]] = float(tok[4])
             elif tag == "q":
-                q_sets[tok[1]] = frozenset(int(z) for z in tok[2:])
+                q_sets[tok[1]] = frozenset(map(int, tok[2:]))
             elif tag == "fw":
                 feature_weights[int(tok[1])] = float(tok[2])
             elif tag == "uw":
@@ -739,4 +759,10 @@ def load_problem(path) -> Problem:
         names = tuple(feature_names.get(z, str(z)) for z in range(n_features))
     feats = EdgeFeatures(n_features=n_features, edge_weights=ew, feature_sets=fs,
                          feature_weights=fw, user_weights=uw, feature_names=names)
-    return Problem(instance=inst, features=feats, kind=kind, budget=budget)
+    problem = Problem(instance=inst, features=feats, kind=kind, budget=budget)
+    # Problem.validate's checks but the structural one (run above), the ids
+    # (split on whitespace) and a rate above 1 (`ingest` warns and writes it)
+    problems = _value_violations(inst) + problem._payload_violations()
+    if problems:
+        raise InstanceError(f"{path}: " + "; ".join(problems))
+    return problem

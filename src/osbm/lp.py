@@ -284,20 +284,13 @@ def matching_rows(inst: Instance) -> tuple[np.ndarray, np.ndarray, tuple[str, ..
     per offline vertex sum <= capacity, per online type sum <= eta * rate.
     """
     m = inst.n_edges
-    n_rows = inst.n_offline + inst.n_online
-    A = np.zeros((n_rows, m))
-    b = np.empty(n_rows)
-    names = []
-    for ui in range(inst.n_offline):
-        A[ui, inst.edges_at_u[ui]] = 1.0
-        b[ui] = float(inst.capacities[ui])
-        names.append(f"cap_{inst.offline_ids[ui]}")
-    for vi in range(inst.n_online):
-        row = inst.n_offline + vi
-        A[row, inst.edges_at_v[vi]] = 1.0
-        b[row] = inst.eta * inst.rates[vi]
-        names.append(f"rate_{inst.online_ids[vi]}")
-    return A, b, tuple(names)
+    A = np.zeros((inst.n_offline + inst.n_online, m))
+    A[inst.edge_u, np.arange(m)] = 1.0
+    A[inst.n_offline + inst.edge_v, np.arange(m)] = 1.0
+    b = np.concatenate([inst.capacity_array, inst.eta * inst.rate_array])
+    names = tuple(f"cap_{uid}" for uid in inst.offline_ids) + tuple(
+        f"rate_{vid}" for vid in inst.online_ids)
+    return A, b, names
 
 
 def build_matching_lmo(inst: Instance, weights) -> LinearProgram:
@@ -381,10 +374,9 @@ def saturate_marginals(inst: Instance, x, priority) -> np.ndarray:
     the b-matching polytope.
     """
     x = np.asarray(x, dtype=float).copy()
-    slack_u = inst.capacity_array.astype(float) - np.array(
-        [x[inst.edges_at_u[u]].sum() for u in range(inst.n_offline)])
-    slack_v = inst.eta * inst.rate_array - np.array(
-        [x[inst.edges_at_v[v]].sum() for v in range(inst.n_online)])
+    load_u, load_v = inst.loads(x)
+    slack_u = inst.capacity_array - load_u
+    slack_v = inst.eta * inst.rate_array - load_v
     order = np.lexsort((np.arange(inst.n_edges), -np.asarray(priority, dtype=float)))
     for e in order:
         u, v = inst.edge_u[e], inst.edge_v[e]
@@ -432,15 +424,11 @@ def solve_offline_lp(inst: Instance, objective) -> tuple[np.ndarray, float, LpSo
 def feasible_for_matching(inst: Instance, x, tol: float = FEAS_TOL) -> bool:
     """Check x against the b-matching polytope (degree rows and box)."""
     x = np.asarray(x, dtype=float)
-    if np.any(x < -tol) or np.any(x > 1.0 + tol):
-        return False
-    for ui in range(inst.n_offline):
-        if x[inst.edges_at_u[ui]].sum() > inst.capacities[ui] + tol:
-            return False
-    for vi in range(inst.n_online):
-        if x[inst.edges_at_v[vi]].sum() > inst.eta * inst.rates[vi] + tol:
-            return False
-    return True
+    load_u, load_v = inst.loads(x)
+    # written as "all within", so a NaN anywhere fails
+    return bool(np.all((x >= -tol) & (x <= 1.0 + tol))
+                and np.all(load_u <= inst.capacity_array + tol)
+                and np.all(load_v <= inst.eta * inst.rate_array + tol))
 
 
 # -- text dump ---------------------------------------------------------------

@@ -47,17 +47,11 @@ def _project_into_polytope(x: np.ndarray, inst: Instance) -> np.ndarray:
     rescale any still-violated degree row proportionally (shrinking a row
     never pushes another row up)."""
     x = np.clip(x * (1.0 - 1e-9), 0.0, 1.0)
-    for ui in range(inst.n_offline):
-        edges = inst.edges_at_u[ui]
-        s = x[edges].sum()
-        if s > inst.capacities[ui]:
-            x[edges] *= inst.capacities[ui] / s
-    for vi in range(inst.n_online):
-        edges = inst.edges_at_v[vi]
-        rhs = inst.eta * inst.rates[vi]
-        s = x[edges].sum()
-        if s > rhs:
-            x[edges] *= rhs / s
+    for side, groups, rhs in ((0, inst.edges_at_u, inst.capacity_array),
+                              (1, inst.edges_at_v, inst.eta * inst.rate_array)):
+        load = inst.loads(x)[side]
+        for k in np.flatnonzero(load > rhs):
+            x[groups[k]] *= rhs[k] / load[k]
     return x
 
 

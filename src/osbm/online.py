@@ -49,7 +49,7 @@ from itertools import islice
 import numpy as np
 
 from . import lp as lpmod
-from .instances import ArrivalSequence, Instance, sample_arrivals
+from .instances import ArrivalSequence, Instance, sample_arrivals, split_groups
 from .objectives import (
     SubmodularObjective,
     multilinear_exact,
@@ -107,16 +107,15 @@ class MarginalSamplingPolicy(OnlinePolicy):
         self._cum: list[list[float]] = []
         self._pairs: list[list[tuple[int, int]]] = []
         eta = inst.eta
-        for vi in range(inst.n_online):
-            edges = inst.edges_at_v[vi]
-            probs = self.x_star[edges] / (eta * inst.rates[vi])
-            total = probs.sum()
-            if total > 1.0 + 1e-9:
-                raise ValueError(
-                    f"infeasible marginals at type {inst.online_ids[vi]!r}: "
-                    f"sampling mass {total:.6g} > 1"
-                )
-            self._cum.append(np.cumsum(probs).tolist())
+        mass = inst.loads(self.x_star)[1] / (eta * inst.rate_array)
+        over = np.flatnonzero(mass > 1.0 + 1e-9)
+        if len(over):
+            raise ValueError(
+                f"infeasible marginals at type {inst.online_ids[over[0]]!r}: "
+                f"sampling mass {mass[over[0]]:.6g} > 1"
+            )
+        for edges, rate in zip(inst.edges_at_v, inst.rates):
+            self._cum.append(np.cumsum(self.x_star[edges] / (eta * rate)).tolist())
             self._pairs.append(list(zip(edges.tolist(), inst.edge_u[edges].tolist())))
 
     def replay(self, rng, seq):
@@ -247,10 +246,7 @@ class DependentRoundingPolicy(OnlinePolicy):
         # the rounded edges of each type, in index order; built here, not
         # at the start, so a block holds one trial's lists at a time
         kept = inst.edges_by_v[chosen[inst.edges_by_v]]
-        ends = np.cumsum(np.bincount(inst.edge_v[kept],
-                                     minlength=inst.n_online)).tolist()
-        kept = kept.tolist()
-        menu = [kept[a:b] for a, b in zip([0] + ends[:-1], ends)]
+        menu = split_groups(kept.tolist(), inst.edge_v[kept], inst.n_online)
         edge_u = self._edge_u
         remaining = list(self.inst.capacities)
         matched: list[int] = []
@@ -361,9 +357,10 @@ def compute_benchmark(kind: str, inst: Instance,
     raise ValueError(f"unknown benchmark kind {kind!r}")
 
 
-# Trials started together.  A block's dependent-rounding draws take
-# 8 bytes per trial and fractional edge, so blocks shrink on big instances.
-TRIAL_BLOCK = 1024
+# Trials started together.  A block stays within BLOCK_CELLS 8-byte cells
+# (16 MiB): each trial takes one per edge for its dependent-rounding draws,
+# and about 256 (2 KiB, measured) for its generator and start state, which
+# bounds the block on small instances too.
 BLOCK_CELLS = 1 << 21
 
 
@@ -408,7 +405,7 @@ def simulate(
     else:
         benchmark_kind, benchmark_value = benchmark
 
-    block = max(1, min(TRIAL_BLOCK, BLOCK_CELLS // max(1, inst.n_edges)))
+    block = max(1, BLOCK_CELLS // (inst.n_edges + 256))
     if workers > 1 and trials > 1:
         block = min(block, math.ceil(trials / (workers * 4)))
     seeds = range(seed, seed + trials)

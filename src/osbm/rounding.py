@@ -68,10 +68,8 @@ def select_per_star(X, inst: Instance, seed) -> np.ndarray:
     resolution.  For b_u > 1 it is its direct b-matching analogue (the
     source documents state only the capacity-1 form), so each present edge
     survives with probability min(b_u, k)/k.  Randomness is drawn only in
-    stars with k > b_u, in star order: at b_u = 1 one ``integers(k)`` per
-    such star (drawn as one ``integers(0, ks)`` call when every contested
-    star has capacity 1, which makes the same draws), otherwise one
-    ``permutation(k)``.
+    stars with k > b_u, in star order: one ``integers(k)`` per such star at
+    b_u = 1, otherwise one ``permutation(k)``.
     """
     X = np.asarray(X, dtype=bool)
     rng = _as_rng(seed)
@@ -81,14 +79,10 @@ def select_per_star(X, inst: Instance, seed) -> np.ndarray:
     first = np.cumsum(k) - k  # position of each star's first present edge
     cap = inst.capacity_array
     Y = X & (k <= cap)[inst.edge_u]
-    over = np.flatnonzero(k > cap)
-    if np.all(cap[over] == 1):
-        Y[present[first[over] + rng.integers(0, k[over])]] = True
-    else:
-        for u in over.tolist():
-            chosen = rng.permutation(k[u])[:cap[u]] if cap[u] > 1 \
-                else rng.integers(k[u])
-            Y[present[first[u] + chosen]] = True
+    for u in np.flatnonzero(k > cap).tolist():
+        chosen = rng.permutation(k[u])[:cap[u]] if cap[u] > 1 \
+            else rng.integers(k[u])
+        Y[present[first[u] + chosen]] = True
     return Y
 
 
@@ -151,8 +145,7 @@ def dependent_round_stars(x, inst: Instance, seed) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     rngs, batched = _as_rngs(seed)
-    degree = np.bincount(inst.edge_u, weights=x, minlength=inst.n_offline)
-    over = np.flatnonzero(degree > inst.capacity_array + 1e-9)
+    over = np.flatnonzero(inst.loads(x)[0] > inst.capacity_array + 1e-9)
     if len(over):
         raise ValueError(
             f"fractional degree exceeds capacity at {inst.offline_ids[over[0]]!r}"

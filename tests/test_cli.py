@@ -207,7 +207,8 @@ class TestSimulate:
     @pytest.mark.parametrize("corrupt", [
         "missing_header", "truncated_edge", "missing_eta", "negative_features",
         "fw_index", "uw_negative_index", "uw_unknown_type", "dangling_endpoint",
-        "not_utf8"])
+        "not_utf8", "budget_nan", "budget_negative", "q_negative_index",
+        "q_index_past_features", "rate_nan", "fw_nan"])
     def test_malformed_instance_exits_2_naming_file(self, tmp_path, corrupt):
         inst_file = small_problem_file(tmp_path)
         lines = inst_file.read_text().splitlines()
@@ -229,6 +230,18 @@ class TestSimulate:
         elif corrupt == "dangling_endpoint":
             tok = lines[first_e].split()
             lines[first_e] = " ".join(tok[:2] + ["ghost"] + tok[3:])
+        elif corrupt.startswith("budget_"):
+            value = "nan" if corrupt == "budget_nan" else "-1"
+            lines = [f"budget {value}" if ln.startswith("budget ") else ln
+                     for ln in lines]
+        elif corrupt.startswith("q_"):
+            z = "-1" if corrupt == "q_negative_index" else "5000"
+            lines += [f"q {lines[first_e].split()[1]} {z} 3"]
+        elif corrupt == "rate_nan":
+            first_v = next(k for k, ln in enumerate(lines) if ln.startswith("v "))
+            lines[first_v] = " ".join(lines[first_v].split()[:2] + ["nan"])
+        elif corrupt == "fw_nan":
+            lines += ["features 2", "fw 0 nan"]
         inst_file.write_text("\n".join(lines) + "\n")
         if corrupt == "not_utf8":
             inst_file.write_bytes(inst_file.read_bytes() + b"\xff\xfe\n")

@@ -22,6 +22,8 @@ from osbm.instances import (
     save_problem,
     validate,
 )
+from osbm.lp import solve_offline_lp
+from osbm.objectives import build_objective
 
 
 def tiny_instance(**kw):
@@ -95,6 +97,41 @@ class TestValidate:
         loaded = load_problem(path).instance
         loaded.edge_u, loaded.edge_v
         assert len(calls) == 1
+
+
+def reference_groups(inst):
+    """Edges of each offline vertex and of each type, by a per-edge loop."""
+    at_u = [[] for _ in range(inst.n_offline)]
+    at_v = [[] for _ in range(inst.n_online)]
+    for e, (u, v) in enumerate(zip(inst.edge_u.tolist(), inst.edge_v.tolist())):
+        at_u[u].append(e)
+        at_v[v].append(e)
+    return at_u, at_v
+
+
+class TestGrouping:
+    def test_groups_match_per_edge_loop(self):
+        inst = tiny_instance(offline=[("u1", 1), ("u2", 2), ("lonely", 1)],
+                             online=[("v1", 0.5), ("v2", 1.0), ("v0", 0.5)])
+        recipe = generate_synthetic("coverage", 11).instance
+        for one in (inst, recipe):
+            at_u, at_v = reference_groups(one)
+            assert [g.tolist() for g in one.edges_at_u] == at_u
+            assert [g.tolist() for g in one.edges_at_v] == at_v
+        assert inst.edges_at_u[2].size == 0 and inst.edges_at_v[2].size == 0
+
+    @pytest.mark.parametrize("kind", ["coverage", "budget_additive"])
+    def test_loads_equal_per_star_sums_bit_for_bit(self, kind):
+        problem = generate_synthetic(kind, 11)
+        objective = build_objective(problem)
+        for b in (1, 5):
+            for eta in (1, 2):
+                inst = problem.instance.with_capacities(b).with_eta(eta)
+                x, _, _ = solve_offline_lp(inst, objective)
+                at_u, at_v = reference_groups(inst)
+                load_u, load_v = inst.loads(x)
+                assert load_u.tolist() == [x[star].sum() for star in at_u]
+                assert load_v.tolist() == [x[edges].sum() for edges in at_v]
 
 
 class TestSampleArrivals:
@@ -256,6 +293,13 @@ class TestIngest:
         genres.write_text("m1,gz\n")
         with pytest.raises(IngestError, match="malformed row"):
             ingest_ratings(ratings, genres, num_users=1, num_movies=1)
+
+    def test_negative_rating_raises(self, tmp_path):
+        # it would make a negative genre weight, which load_problem refuses
+        ratings, genres = write_ratings_fixture(tmp_path, n_users=2, n_movies=2)
+        ratings.write_text(ratings.read_text().replace("user1,m1,3", "user1,m1,-2"))
+        with pytest.raises(IngestError, match="bad rating '-2'"):
+            ingest_ratings(ratings, genres, num_users=2, num_movies=2)
 
     def test_too_few_users_raises(self, tmp_path):
         ratings, genres = write_ratings_fixture(tmp_path, n_users=3)

@@ -275,6 +275,14 @@ class TestMatchingOracle:
             assert s.status == "optimal"
             assert feasible_for_matching(inst, s.x)
 
+    def test_nan_is_not_feasible(self):
+        inst = build_instance([("u1", 1)], [("v1", 1.0), ("v2", 1.0)],
+                              [("e1", "u1", "v1"), ("e2", "u1", "v2")],
+                              horizon=2)
+        assert feasible_for_matching(inst, [0.5, 0.5])
+        assert not feasible_for_matching(inst, [np.nan, 0.5])
+        assert not feasible_for_matching(inst, [0.5, np.nan])
+
 
 class TestSpecialPrograms:
     def test_budget_additive_clamps_at_budget(self):

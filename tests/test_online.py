@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import small_instance, small_objective
+from osbm import online as online_mod
 from osbm.instances import (
     ArrivalSequence,
     build_instance,
@@ -478,6 +479,26 @@ class TestSimulator:
         parallel = simulate(inst, obj, "marginal-sampling", x_star=x,
                             trials=120, seed=14, workers=3)
         assert np.array_equal(serial.values, parallel.values)
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_blocking_does_not_change_results(self, rng, monkeypatch, policy):
+        inst = small_instance(rng, integral=True).with_capacities(2).with_eta(2)
+        obj = small_objective("coverage", inst.n_edges, rng)
+        x, _, _ = solve_offline_lp(inst, obj)
+        run = dict(x_star=x, trials=40, seed=17, keep_matches=True,
+                   allow_fractional_cr=True)
+        one_block = simulate(inst, obj, policy, **run)
+        blocks = []
+        trial_block = online_mod._trial_block
+        monkeypatch.setattr(online_mod, "_trial_block",
+                            lambda *a: blocks.append(a) or trial_block(*a))
+        for cells in (1, 3000):  # one trial per block, then a few
+            monkeypatch.setattr(online_mod, "BLOCK_CELLS", cells)
+            del blocks[:]
+            blocked = simulate(inst, obj, policy, **run)
+            assert len(blocks) > 2
+            assert np.array_equal(blocked.values, one_block.values)
+            assert blocked.matches == one_block.matches
 
     def test_benchmark_kinds(self, rng):
         inst = small_instance(rng, n_offline=3, n_online=2, horizon=3)
