@@ -26,7 +26,8 @@ from .instances import (
     load_problem,
     save_problem,
 )
-from .objectives import build_objective, multilinear_exact, multilinear_mc
+from .objectives import (EXACT_ENUMERATION_LIMIT, build_objective,
+                         multilinear_exact, multilinear_mc)
 from .offline import (
     OfflineSolution,
     SolutionError,
@@ -51,6 +52,19 @@ def _positive_int(text: str) -> int:
     if value <= 0:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
+
+
+def _positive_int_list(text: str) -> list[int]:
+    return [_positive_int(t) for t in text.split(",")]
+
+
+def _algorithm_list(text: str) -> list[str]:
+    names = [a.strip() for a in text.split(",")]
+    for a in names:
+        if a not in POLICY_NAMES:
+            raise argparse.ArgumentTypeError(
+                f"unknown algorithm {a!r}; choose from {POLICY_NAMES}")
+    return names
 
 
 def _existing_file(path: str) -> Path:
@@ -111,7 +125,7 @@ def _solve_offline(problem: Problem, solver: str, steps: int, grad_samples: int,
         x, value, _ = lpmod.solve_offline_lp(inst, objective)
         if problem.kind == "linear":
             est, se = float(objective.weights @ x), 0.0
-        elif inst.n_edges <= 20:
+        elif inst.n_edges <= EXACT_ENUMERATION_LIMIT:
             est, se = multilinear_exact(objective, x), 0.0
         else:
             est, se = multilinear_mc(
@@ -182,27 +196,18 @@ def _report_row(algorithm: str, objective: str, b: int, eta: int, trials: int,
 def cmd_experiment(args) -> int:
     problem = _load(args.instance)
     objective = build_objective(problem)
-    algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-    for a in algorithms:
-        if a not in POLICY_NAMES:
-            raise UsageError(f"unknown algorithm {a!r}; choose from {POLICY_NAMES}")
-    b_values = [int(b) for b in args.b.split(",")]
-    eta_values = [int(h) for h in args.eta.split(",")]
-    if any(b <= 0 for b in b_values) or any(h <= 0 for h in eta_values):
-        raise UsageError("b and eta values must be positive")
-
     rows: list[dict] = []
     hist_rows: list[dict] = []
-    for eta in eta_values:
-        for b in b_values:
+    for eta in args.eta:
+        for b in args.b:
             inst = problem.instance.with_capacities(b).with_eta(eta)
             try:
                 x_star, benchmark_value, _ = lpmod.solve_offline_lp(inst, objective)
             except Exception as exc:  # record the cell, keep sweeping
                 rows += [_report_row(name, problem.kind, b, eta, 0, error=str(exc))
-                         for name in algorithms]
+                         for name in args.algorithms]
                 continue
-            for name in algorithms:
+            for name in args.algorithms:
                 try:
                     metrics = simulate(
                         inst, objective, name, x_star=x_star, trials=args.trials,
@@ -243,9 +248,9 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def _coverage_histogram_rows(objective, metrics, name: str, b: int, eta: int,
-                             buckets: int = 10) -> list[dict]:
+def _coverage_histogram_rows(objective, metrics, name: str, b: int, eta: int) -> list[dict]:
     """Mean per-bucket user counts of covered-weight fractions over trials."""
+    buckets = 10
     counts = np.zeros(buckets)
     for matched in metrics.matches:
         fractions = objective.user_cover_fractions(matched)
@@ -312,9 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="sweep (algorithm, b, eta) cells into CSV")
     p.add_argument("--instance", required=True)
-    p.add_argument("--algorithms", default=",".join(POLICY_NAMES))
-    p.add_argument("--b", default="1,2,3,5,10,15")
-    p.add_argument("--eta", default="1")
+    p.add_argument("--algorithms", type=_algorithm_list,
+                   default=",".join(POLICY_NAMES))
+    p.add_argument("--b", type=_positive_int_list, default="1,2,3,5,10,15")
+    p.add_argument("--eta", type=_positive_int_list, default="1")
     p.add_argument("--trials", type=_positive_int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=_positive_int, default=1)

@@ -563,7 +563,7 @@ def ingest_ratings(
     for vi, user in enumerate(users):
         sums = np.zeros(g)
         counts = np.zeros(g)
-        for movie in movie_set:
+        for movie in movie_pool:  # a set's order varies with the hash seed
             r = ratings.get((user, movie))
             if r is None:
                 continue
@@ -612,6 +612,20 @@ def ingest_ratings(
 
 
 # -- serialization ---------------------------------------------------------
+
+def read_records(path, header: str, error: type, what: str) -> list[tuple[int, str]]:
+    """(line number, line) for each non-blank line of a UTF-8 record file
+    after its `header`; raises `error` on non-UTF-8 text or no header."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise error(f"{path}: not {what} (not UTF-8 text)") from None
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1)
+             if ln.strip()]
+    if not lines or lines[0][1] != header:
+        raise error(f"{path}: not {what} (missing {header!r})")
+    return lines[1:]
+
 
 def save_problem(problem: Problem, path) -> None:
     """Write a problem to its line-record text format (lossless round-trip)."""
@@ -665,13 +679,7 @@ def load_problem(path) -> Problem:
     `Problem.validate` rejects (a non-finite or negative rate, weight or
     budget, a feature set index out of range), except a rate above 1.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise InstanceError(f"{path}: not an instance file (not UTF-8 text)") from None
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != SCHEMA_HEADER:
-        raise InstanceError(f"{path}: not an instance file (missing {SCHEMA_HEADER!r})")
+    records = read_records(path, SCHEMA_HEADER, InstanceError, "an instance file")
     horizon = eta = None
     kind = "linear"
     budget = None
@@ -684,7 +692,7 @@ def load_problem(path) -> Problem:
     q_sets: dict[str, frozenset[int]] = {}
     feature_weights: dict[int, float] = {}
     user_weight_rows: list[tuple[str, int, float]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in records:
         tok = line.split()
         tag = tok[0]
         try:

@@ -316,7 +316,7 @@ def build_special_lp(inst: Instance, objective) -> LinearProgram:
     linear: the matching LMO itself.
     coverage / per_user_coverage: max sum_z w_z gamma_z with
     gamma_z <= sum of the x_e covering z and gamma_z <= 1, after an exact
-    presolve (Andersen & Andersen 1995):
+    presolve (Andersen & Andersen 1995) over `objective.covering_edges()`:
       - features with identical covering-edge sets share one epigraph
         column and one link row, weighted by the sum of their weights and
         named after the lowest feature id (cover_z, link_z);
@@ -335,15 +335,11 @@ def build_special_lp(inst: Instance, objective) -> LinearProgram:
 
     if kind in ("coverage", "per_user_coverage"):
         w = objective.feature_weights
-        covering: dict[int, set[int]] = {}
-        for e, feats in enumerate(objective.edge_features):
-            for z in feats:
-                covering.setdefault(int(z), set()).add(e)
         # cover set -> its positive-weight features, in feature-id order
         merged: dict[tuple[int, ...], list[int]] = {}
-        for z in sorted(covering):
-            if w[z] > 0:
-                merged.setdefault(tuple(sorted(covering[z])), []).append(z)
+        for z, cover in enumerate(objective.covering_edges()):
+            if len(cover) and w[z] > 0:
+                merged.setdefault(tuple(cover.tolist()), []).append(z)
         links = [(cover, feats) for cover, feats in merged.items() if len(cover) > 1]
         A_match, b_match, row_names = matching_rows(inst)
         k0, n = A_match.shape[0], m + len(links)
@@ -414,8 +410,7 @@ def solve_offline_lp(inst: Instance, objective) -> tuple[np.ndarray, float, LpSo
         sol = solve(lp)
         if sol.status != "optimal":
             raise RuntimeError(f"offline program not optimal: {sol.status}")
-        n_x = lp.n_edge_vars if lp.n_edge_vars is not None else inst.n_edges
-        x, value = sol.x[:n_x].copy(), sol.value
+        x, value = sol.x[:lp.n_edge_vars].copy(), sol.value
     singleton = objective.coordinate_gains(np.zeros(inst.n_edges, dtype=bool))
     x = saturate_marginals(inst, x, singleton)
     return x, value, sol

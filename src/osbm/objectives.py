@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .instances import Problem
+from .instances import Problem, split_groups
 
 EXACT_ENUMERATION_LIMIT = 20
 
@@ -176,7 +176,12 @@ class _BudgetEvaluator(Evaluator):
 
 
 class CoverageObjective(SubmodularObjective):
-    """Weighted coverage: f(S) = total weight of features covered by S."""
+    """Weighted coverage: f(S) = total weight of features covered by S.
+
+    The one owner of the coverage incidence: ``edge_features`` per edge, the
+    flat (edge, feature) pairs in edge order, and their inverse
+    `covering_edges` (read by the LP presolve).
+    """
 
     kind = "coverage"
 
@@ -186,36 +191,29 @@ class CoverageObjective(SubmodularObjective):
         super().__init__(n_edges)
         self.feature_weights = np.asarray(feature_weights, dtype=float)
         self.n_features = len(self.feature_weights)
-        self.edge_features = tuple(
-            np.array(sorted(q), dtype=np.int64) for q in feature_sets
-        )
-        # flat incidence arrays drive the vectorized gradient path
-        if self.edge_features:
-            self._flat_feat = np.concatenate(
-                [q for q in self.edge_features if len(q)] or [np.empty(0, np.int64)]
-            ).astype(np.int64)
-            self._flat_edge = np.concatenate(
-                [np.full(len(q), e, dtype=np.int64)
-                 for e, q in enumerate(self.edge_features) if len(q)]
-                or [np.empty(0, np.int64)]
-            )
-        else:
-            self._flat_feat = np.empty(0, np.int64)
-            self._flat_edge = np.empty(0, np.int64)
+        self.edge_features = tuple(np.array(sorted(q), dtype=np.int64)
+                                   for q in feature_sets)
+        self._flat_feat = np.concatenate((np.empty(0, np.int64),) + self.edge_features)
+        self._flat_edge = np.repeat(np.arange(len(self.edge_features)),
+                                    [len(q) for q in self.edge_features])
+
+    def covering_edges(self) -> tuple[np.ndarray, ...]:
+        """The edges covering each feature, in increasing index order."""
+        order = np.argsort(self._flat_feat, kind="stable")
+        return split_groups(self._flat_edge[order], self._flat_feat, self.n_features)
+
+    def _covered(self, edges) -> np.ndarray:
+        """Mask of the features that the edge set covers."""
+        covered = np.zeros(self.n_features, dtype=bool)
+        for e in self._check_edges(edges):
+            covered[self.edge_features[e]] = True
+        return covered
 
     def value(self, edges) -> float:
-        idx = self._check_edges(edges)
-        if not idx:
-            return 0.0
-        covered = np.zeros(self.n_features, dtype=bool)
-        for e in idx:
-            covered[self.edge_features[e]] = True
-        return float(self.feature_weights[covered].sum())
+        return float(self.feature_weights[self._covered(edges)].sum())
 
     def coordinate_gains(self, member) -> np.ndarray:
         member = np.asarray(member, dtype=bool)
-        if len(self._flat_feat) == 0:
-            return np.zeros(self.n_edges)
         active = member[self._flat_edge]
         counts = np.bincount(self._flat_feat[active], minlength=self.n_features)
         # weight newly covered by e: features with no cover outside e
@@ -272,12 +270,8 @@ class PerUserCoverageObjective(CoverageObjective):
 
     def user_cover_fractions(self, edges) -> np.ndarray:
         """Per-user covered weight as a fraction of that user's total weight."""
-        idx = self._check_edges(edges)
-        covered = np.zeros(self.n_features, dtype=bool)
-        for e in idx:
-            covered[self.edge_features[e]] = True
-        covered_w = (self.feature_weights * covered).reshape(self.n_users,
-                                                             self.n_genres).sum(axis=1)
+        covered_w = (self.feature_weights * self._covered(edges)).reshape(
+            self.n_users, self.n_genres).sum(axis=1)
         totals = self.user_weights.sum(axis=1)
         out = np.zeros(self.n_users)
         nz = totals > 0

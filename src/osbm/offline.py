@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import lp as lpmod
-from .instances import ArrivalSequence, Instance, sample_arrivals
+from .instances import ArrivalSequence, Instance, read_records, sample_arrivals
 from .objectives import SubmodularObjective, batch_gradient, multilinear_mc
 
 SOLUTION_HEADER = "osbm-solution/1"
@@ -61,7 +61,6 @@ def continuous_greedy(
     steps: int = 100,
     grad_samples: int = 100,
     seed: int = 0,
-    estimate_samples: int = 2000,
 ) -> OfflineSolution:
     """Fractional ascent on the multilinear extension over the matching
     polytope: x accumulates `steps` equal-weight LMO vertices, each chosen
@@ -80,7 +79,7 @@ def continuous_greedy(
             raise RuntimeError(f"linear oracle returned {sol.status}")
         x = x + sol.x / steps
     x = _project_into_polytope(x, inst)
-    est, se = multilinear_mc(objective, x, estimate_samples, rng)
+    est, se = multilinear_mc(objective, x, 2000, rng)
     return OfflineSolution(
         x=x, objective_estimate=est, estimate_std_error=se,
         solver="continuous-greedy", seed=seed, steps=steps,
@@ -91,13 +90,9 @@ def continuous_greedy(
 # -- hindsight optimum -------------------------------------------------------
 
 
-def _choice_space(counts: np.ndarray, inst: Instance) -> float:
-    size = 1.0
-    for vi, k in enumerate(counts):
-        if k:
-            deg = len(inst.edges_at_v[vi])
-            size *= float(deg + 1) ** int(k)
-    return size
+def _choice_space(counts: np.ndarray, inst: Instance) -> int:
+    # Python ints: exact, with no float overflow past the budget
+    return math.prod((len(g) + 1) ** int(k) for g, k in zip(inst.edges_at_v, counts))
 
 
 def hindsight_optimal(
@@ -169,7 +164,7 @@ def expected_opt(
         if p_none <= 1e-12:
             p_none = 0.0
         branches = int(np.count_nonzero(probs > 0)) + (1 if p_none > 0 else 0)
-        if float(branches) ** inst.horizon > EXACT_SEQUENCE_BUDGET:
+        if branches ** inst.horizon > EXACT_SEQUENCE_BUDGET:  # exact int
             raise ValueError("exact mode exceeds the sequence enumeration budget")
         n = inst.n_online
         T = inst.horizon
@@ -259,19 +254,12 @@ def load_solution(path, inst: Instance) -> OfflineSolution:
     unparsable record, a non-finite number, edge ids that differ from the
     instance's, or an x outside the instance's b-matching polytope.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise SolutionError(f"{path}: not a solution file (not UTF-8 text)") from None
-    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1)
-             if ln.strip()]
-    if not lines or lines[0][1] != SOLUTION_HEADER:
-        raise SolutionError(f"{path}: not a solution file (missing {SOLUTION_HEADER!r})")
+    records = read_records(path, SOLUTION_HEADER, SolutionError, "a solution file")
     meta: dict[str, str] = {}
     values: dict[str, float] = {}
     benchmark_kind = None
     benchmark_value = None
-    for lineno, line in lines[1:]:
+    for lineno, line in records:
         tok = line.split()
         try:
             if tok[0] == "x":

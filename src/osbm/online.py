@@ -50,11 +50,8 @@ import numpy as np
 
 from . import lp as lpmod
 from .instances import ArrivalSequence, Instance, sample_arrivals, split_groups
-from .objectives import (
-    SubmodularObjective,
-    multilinear_exact,
-    multilinear_mc,
-)
+from .objectives import (EXACT_ENUMERATION_LIMIT, SubmodularObjective,
+                         multilinear_exact, multilinear_mc)
 from .offline import expected_opt
 from .rounding import dependent_round_stars, sample_support
 
@@ -349,7 +346,7 @@ def compute_benchmark(kind: str, inst: Instance,
     if kind == "guide-scaled":
         if x_star is None or len(x_star) != inst.n_edges:
             raise ValueError("guide-scaled benchmark needs edge marginals")
-        if inst.n_edges <= 20:
+        if inst.n_edges <= EXACT_ENUMERATION_LIMIT:
             est = multilinear_exact(objective, x_star)
         else:
             est, _ = multilinear_mc(objective, x_star, samples=4000, seed=seed)

@@ -308,6 +308,19 @@ class TestExperiment:
         total_users = sum(float(r["mean_user_count"]) for r in hist_rows)
         assert total_users == pytest.approx(8.0)
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--b", "1,x"), ("--b", "1,,2"), ("--b", "2.5"), ("--eta", "0"),
+        ("--algorithms", ","), ("--algorithms", "greedy,")])
+    def test_malformed_list_flag_exits_2(self, tmp_path, flag, value):
+        inst_file = small_problem_file(tmp_path)
+        report = tmp_path / "r.csv"
+        code, _, err = run_cli("experiment", "--instance", str(inst_file),
+                               "--trials", "5", flag, value, "--out", str(report))
+        assert code == 2
+        assert flag in err
+        assert "Traceback" not in err
+        assert not report.exists()
+
     def test_unknown_algorithm_exits_2(self, tmp_path):
         inst_file = small_problem_file(tmp_path)
         code, _, err = run_cli("experiment", "--instance", str(inst_file),

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,6 +305,28 @@ class TestIngest:
         with pytest.raises(IngestError, match="bad rating '-2'"):
             ingest_ratings(ratings, genres, num_users=2, num_movies=2)
 
+    def test_ingest_is_independent_of_the_hash_seed(self, tmp_path):
+        # non-dyadic ratings summed in a different order change the last
+        # bits of a genre weight, so the file bytes pin the summation order
+        ratings = tmp_path / "ratings.csv"
+        genres = tmp_path / "genres.csv"
+        ratings.write_text("".join(
+            f"user{u},movie{m},{(7 * u + 3 * m) % 10 / 10 + 0.1:.1f}\n"
+            for u in range(3) for m in range(40) if (u + m) % 4))
+        genres.write_text("".join(f"movie{m},g{m % 2}\n" for m in range(40)))
+        src = str(Path(instances_mod.__file__).parents[1])
+        outputs = []
+        for hash_seed in ("1", "2", "3"):
+            out = tmp_path / f"inst{hash_seed}.txt"
+            subprocess.run(
+                [sys.executable, "-m", "osbm.cli", "ingest", "--ratings", str(ratings),
+                 "--genres", str(genres), "--users", "3", "--movies", "20",
+                 "--out", str(out)],
+                env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src},
+                check=True, capture_output=True)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_too_few_users_raises(self, tmp_path):
         ratings, genres = write_ratings_fixture(tmp_path, n_users=3)
         with pytest.raises(IngestError, match="users"):
@@ -329,6 +355,20 @@ class TestRoundTrip:
         assert f1.read_bytes() == f2.read_bytes()
         assert back.kind == "per_user_coverage"
         assert back.instance == prob.instance
+
+
+class TestRecordLines:
+    def test_bad_record_names_its_line_after_blank_lines(self, tmp_path):
+        path = tmp_path / "p.txt"
+        save_problem(generate_synthetic("budget_additive", 11), path)
+        lines = path.read_text().splitlines()
+        lines[1:1] = ["", "   "]
+        k = next(k for k, ln in enumerate(lines) if ln.startswith("u "))
+        lines[k] = "u notanumber"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InstanceError, match=f"bad record at line {k + 1}: "):
+            load_problem(path)
+        assert k + 1 == 8
 
 
 class TestLoadProblemFuzz:

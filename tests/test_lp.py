@@ -34,14 +34,26 @@ from osbm.offline import expected_opt
 SOLVE_GOLDEN = "137f8dfb84d54c1f9fed5e832c5df2f946bc2d6db7a13fbb61db609fc16563d1"
 
 
-def raw_epigraph_lp(inst, objective):
-    """The coverage epigraph program without presolve: one epigraph column
-    and one link row per positive-weight covered feature."""
-    A_match, b_match, _ = matching_rows(inst)
+# sha256 of c, A, b, upper and the column and row names of the presolved
+# coverage-recipe programs at b = 1 and 5, recorded before the presolve read
+# the objective's covering_edges
+PRESOLVE_GOLDEN = "1341f2d8c700337c829d20a5ac54eaa43fc19413da9f7e818cd246ddb21ae2a1"
+
+
+def reference_covering(objective) -> dict[int, set[int]]:
+    """Per-edge inversion of the coverage incidence: feature -> its edges."""
     covering: dict[int, set[int]] = {}
     for e, feats in enumerate(objective.edge_features):
         for z in feats:
             covering.setdefault(int(z), set()).add(e)
+    return covering
+
+
+def raw_epigraph_lp(inst, objective):
+    """The coverage epigraph program without presolve: one epigraph column
+    and one link row per positive-weight covered feature."""
+    A_match, b_match, _ = matching_rows(inst)
+    covering = reference_covering(objective)
     active = [z for z in sorted(covering) if objective.feature_weights[z] > 0]
     m, k0 = inst.n_edges, A_match.shape[0]
     A = np.zeros((k0 + len(active), m + len(active)))
@@ -322,6 +334,17 @@ class TestSpecialPrograms:
         assert lp.A.shape == (784, 1610)
         assert lp.n_edge_vars == inst.n_edges == 1066
 
+    def test_presolve_golden_digest(self):
+        problem = generate_synthetic("coverage", 11)
+        obj = build_objective(problem)
+        digest = hashlib.sha256()
+        for b in (1, 5):
+            lp = build_special_lp(problem.instance.with_capacities(b), obj)
+            for arr in (lp.c, lp.A, lp.b, lp.upper):
+                digest.update(arr.tobytes())
+            digest.update("\n".join(lp.col_names + lp.row_names).encode())
+        assert digest.hexdigest() == PRESOLVE_GOLDEN
+
     @pytest.mark.parametrize("kind", ["coverage", "per_user_coverage"])
     def test_presolve_keeps_the_rational_optimum(self, kind, rng):
         # feature pairs (2k, 2k+1) share every cover set, and each edge has
@@ -373,6 +396,27 @@ class TestSpecialPrograms:
                 _, lp_value, _ = solve_offline_lp(inst, obj)
                 e_opt, _ = expected_opt(inst, obj, mode="exact")
                 assert lp_value >= e_opt - 1e-9
+
+
+class TestCoverageIncidence:
+    @pytest.mark.parametrize("kind", ["coverage", "per_user_coverage", "recipe"])
+    def test_covering_edges_invert_the_incidence(self, kind, rng):
+        # edge 2 covers nothing; feature 5 (coverage) and online type 3's
+        # features (per-user coverage) are covered by no edge
+        sets = [frozenset({0, 1}), frozenset({1, 2, 4}), frozenset(),
+                frozenset({0, 3, 4})]
+        if kind == "coverage":
+            obj = CoverageObjective(sets, rng.random(6))
+        elif kind == "per_user_coverage":
+            obj = PerUserCoverageObjective([0, 0, 1, 2], sets, rng.random((4, 5)))
+        else:
+            obj = build_objective(generate_synthetic("coverage", 11))
+        covering = obj.covering_edges()
+        reference = reference_covering(obj)
+        assert len(covering) == obj.n_features
+        assert any(len(edges) == 0 for edges in covering)
+        for z, edges in enumerate(covering):
+            assert edges.tolist() == sorted(reference.get(z, ()))
 
 
 class TestGuideMarginals:

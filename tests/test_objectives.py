@@ -252,6 +252,23 @@ class TestEvaluators:
             assert ev.value == before and ev.gain(3) == gain_of_3
 
 
+class TestEmptyIncidence:
+    @pytest.mark.parametrize("sets, weights", [
+        ([frozenset()] * 3, []),            # no features
+        ([frozenset()] * 3, [1.0, 2.0]),    # features, but no edge covers one
+        ([], [1.0]),                        # no edges
+    ])
+    def test_gains_and_value_are_zero(self, sets, weights):
+        obj = CoverageObjective(sets, weights)
+        for member in (np.zeros(len(sets), bool), np.ones(len(sets), bool)):
+            gains = obj.coordinate_gains(member)
+            assert gains.dtype == float
+            assert np.array_equal(gains, np.zeros(len(sets)))
+        assert obj.value(range(len(sets))) == 0.0
+        assert obj.value([]) == 0.0
+        assert [len(edges) for edges in obj.covering_edges()] == [0] * len(weights)
+
+
 class TestPerUserCoverage:
     def test_sums_independent_user_coverages(self):
         # two users; user 0 weighs genre 0 at 2, user 1 weighs both at 1, 3

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from conftest import small_instance, small_objective
-from osbm.instances import ArrivalSequence, build_instance
+from osbm.instances import ArrivalSequence, build_instance, generate_synthetic
 from osbm.lp import build_matching_lmo, feasible_for_matching, solve
 from osbm.objectives import (
     LinearObjective,
+    build_objective,
     multilinear_exact,
 )
 from osbm.offline import (
@@ -270,6 +271,12 @@ class TestExpectedOpt:
         obj = LinearObjective(np.ones(8))
         with pytest.raises(ValueError, match="budget"):
             expected_opt(inst, obj, mode="exact")
+
+    def test_exact_budget_gate_on_the_budget_recipe(self):
+        # 201 branches over T=200: 201.0 ** 200 overflows a float, an int does not
+        problem = generate_synthetic("budget_additive", 11)
+        with pytest.raises(ValueError, match="exceeds the sequence enumeration budget"):
+            expected_opt(problem.instance, build_objective(problem), mode="exact")
 
 
 class TestSolutionArtifact:
