@@ -24,6 +24,7 @@ from .instances import (
     generate_synthetic,
     ingest_ratings,
     load_problem,
+    num,
     save_problem,
 )
 from .objectives import (EXACT_ENUMERATION_LIMIT, build_objective,
@@ -74,10 +75,6 @@ def _existing_file(path: str) -> Path:
     return p
 
 
-def _num(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _load(path: str) -> Problem:
     return load_problem(_existing_file(path))
 
@@ -86,13 +83,16 @@ def _kind_token(kind: str) -> str:
     return kind.replace("-", "_")
 
 
-def cmd_generate(args) -> int:
-    problem = generate_synthetic(_kind_token(args.kind), args.seed)
-    save_problem(problem, args.out)
+def _save(problem: Problem, out: str) -> int:
+    save_problem(problem, out)
     inst = problem.instance
-    print(f"wrote {args.out}: |U|={inst.n_offline} |V|={inst.n_online} "
+    print(f"wrote {out}: |U|={inst.n_offline} |V|={inst.n_online} "
           f"m={inst.n_edges} T={inst.horizon} objective={problem.kind}")
     return 0
+
+
+def cmd_generate(args) -> int:
+    return _save(generate_synthetic(_kind_token(args.kind), args.seed), args.out)
 
 
 def cmd_ingest(args) -> int:
@@ -108,20 +108,14 @@ def cmd_ingest(args) -> int:
     violations = problem.validate()
     for v in violations:
         print(f"warning: {v}", file=sys.stderr)
-    save_problem(problem, args.out)
-    inst = problem.instance
-    print(f"wrote {args.out}: |U|={inst.n_offline} |V|={inst.n_online} "
-          f"m={inst.n_edges} T={inst.horizon} objective={problem.kind}")
-    return 0
+    return _save(problem, args.out)
 
 
 def _solve_offline(problem: Problem, solver: str, steps: int, grad_samples: int,
                    seed: int) -> OfflineSolution:
     inst = problem.instance
     objective = build_objective(problem)
-    if solver == "auto":
-        solver = "lp"
-    if solver == "lp":
+    if solver in ("auto", "lp"):
         x, value, _ = lpmod.solve_offline_lp(inst, objective)
         if problem.kind == "linear":
             est, se = float(objective.weights @ x), 0.0
@@ -134,13 +128,12 @@ def _solve_offline(problem: Problem, solver: str, steps: int, grad_samples: int,
             x=x, objective_estimate=est, estimate_std_error=se, solver="lp",
             seed=seed, benchmark_kind="lp", benchmark_value=value,
         )
-    if solver == "continuous-greedy":
-        sol = continuous_greedy(objective, inst, steps=steps,
-                                grad_samples=grad_samples, seed=seed)
-        sol.benchmark_kind = "guide-scaled"
-        sol.benchmark_value = sol.objective_estimate * math.e / (math.e - 1.0)
-        return sol
-    raise UsageError(f"unknown solver {solver!r}")
+    # argparse's choices leave continuous-greedy
+    sol = continuous_greedy(objective, inst, steps=steps,
+                            grad_samples=grad_samples, seed=seed)
+    sol.benchmark_kind = "guide-scaled"
+    sol.benchmark_value = sol.objective_estimate * math.e / (math.e - 1.0)
+    return sol
 
 
 def cmd_offline(args) -> int:
@@ -149,8 +142,8 @@ def cmd_offline(args) -> int:
                          args.seed)
     save_solution(args.out, problem.instance, sol)
     print(f"wrote {args.out}: solver={sol.solver} "
-          f"objective-estimate={_num(sol.objective_estimate)} "
-          f"benchmark={sol.benchmark_kind}:{_num(sol.benchmark_value)}")
+          f"objective-estimate={num(sol.objective_estimate)} "
+          f"benchmark={sol.benchmark_kind}:{num(sol.benchmark_value)}")
     return 0
 
 
@@ -170,10 +163,10 @@ def cmd_simulate(args) -> int:
         seed=args.seed, benchmark=benchmark, workers=args.workers,
         allow_fractional_cr=args.allow_fractional_cr,
     )
-    print(f"{metrics.policy}: mean={_num(metrics.mean)} "
-          f"std_error={_num(metrics.std_error)} "
-          f"benchmark={metrics.benchmark_kind}:{_num(metrics.benchmark_value)} "
-          f"ratio={_num(metrics.ratio)}")
+    print(f"{metrics.policy}: mean={num(metrics.mean)} "
+          f"std_error={num(metrics.std_error)} "
+          f"benchmark={metrics.benchmark_kind}:{num(metrics.benchmark_value)} "
+          f"ratio={num(metrics.ratio)}")
     return 0
 
 
@@ -186,7 +179,7 @@ def _report_row(algorithm: str, objective: str, b: int, eta: int, trials: int,
     """One experiment report row; without metrics, mean, std_error and ratio
     are empty."""
     stats = [""] * 3 if metrics is None else [
-        _num(metrics.mean), _num(metrics.std_error), _num(metrics.ratio)]
+        num(metrics.mean), num(metrics.std_error), num(metrics.ratio)]
     return dict(algorithm=algorithm, objective=objective, b=b, eta=eta,
                 trials=trials, mean=stats[0], std_error=stats[1],
                 benchmark_kind="lp", benchmark_value=benchmark_value,
@@ -216,18 +209,18 @@ def cmd_experiment(args) -> int:
                         keep_matches=args.coverage_hist is not None,
                     )
                     rows.append(_report_row(name, problem.kind, b, eta, args.trials,
-                                            _num(benchmark_value), metrics))
+                                            num(benchmark_value), metrics))
                     if args.coverage_hist is not None and hasattr(
                             objective, "user_cover_fractions"):
                         hist_rows.extend(_coverage_histogram_rows(
                             objective, metrics, name, b, eta))
                 except Exception as exc:
                     rows.append(_report_row(name, problem.kind, b, eta, args.trials,
-                                            _num(benchmark_value), error=str(exc)))
+                                            num(benchmark_value), error=str(exc)))
 
     header_lines = [
-        f"# reference marginal-sampling {_num(MARGINAL_SAMPLING_REFERENCE)}",
-        f"# reference contention-resolution {_num(CONTENTION_RESOLUTION_REFERENCE)}",
+        f"# reference marginal-sampling {num(MARGINAL_SAMPLING_REFERENCE)}",
+        f"# reference contention-resolution {num(CONTENTION_RESOLUTION_REFERENCE)}",
     ]
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         for line in header_lines:
@@ -258,8 +251,8 @@ def _coverage_histogram_rows(objective, metrics, name: str, b: int, eta: int) ->
         counts += np.bincount(idx, minlength=buckets)
     counts /= len(metrics.matches)
     return [
-        dict(algorithm=name, b=b, eta=eta, bucket_lo=_num(k / buckets),
-             bucket_hi=_num((k + 1) / buckets), mean_user_count=_num(counts[k]))
+        dict(algorithm=name, b=b, eta=eta, bucket_lo=num(k / buckets),
+             bucket_hi=num((k + 1) / buckets), mean_user_count=num(counts[k]))
         for k in range(buckets)
     ]
 

@@ -26,7 +26,13 @@ import numpy as np
 
 SCHEMA_HEADER = "osbm-instance/1"
 
-OBJECTIVE_KINDS = ("linear", "coverage", "budget_additive", "per_user_coverage")
+# what each objective kind reads: EdgeFeatures payloads, and the Problem's budget
+OBJECTIVE_PAYLOADS = {
+    "linear": ("edge_weights",),
+    "coverage": ("feature_sets", "feature_weights"),
+    "budget_additive": ("edge_weights", "budget"),
+    "per_user_coverage": ("feature_sets", "user_weights"),
+}
 
 RATE_TOL = 1e-9
 
@@ -34,6 +40,11 @@ RATE_TOL = 1e-9
 def fmt(x: float) -> str:
     """Decimal echo that round-trips float64 exactly."""
     return repr(float(x))
+
+
+def num(x: float) -> str:
+    """17-significant-digit echo, for artifacts, MPS dumps and CLI reports."""
+    return format(float(x), ".17g")
 
 
 class IngestError(ValueError):
@@ -359,12 +370,21 @@ class Problem:
     def validate(self) -> list[str]:
         return validate(self.instance) + self._payload_violations()
 
+    def missing_payloads(self) -> str | None:
+        """What this problem's kind reads (`OBJECTIVE_PAYLOADS`: features
+        fields, or the budget) and lacks, as a message; None if nothing."""
+        missing = [name for name in OBJECTIVE_PAYLOADS.get(self.kind, ())
+                   if getattr(self.features, name, self.budget) is None]
+        return f"{self.kind} objective needs {' and '.join(missing)}" if missing else None
+
     def _payload_violations(self) -> list[str]:
         problems = self.features.validate(self.instance.n_edges)
-        if self.kind not in OBJECTIVE_KINDS:
+        if self.kind not in OBJECTIVE_PAYLOADS:
             problems.append(f"unknown objective kind {self.kind!r}")
-        if self.kind == "budget_additive" and not (
-                self.budget is not None and 0 <= self.budget < math.inf):
+        if missing := self.missing_payloads():
+            problems.append(missing)
+        if self.kind == "budget_additive" and self.budget is not None and not (
+                0 <= self.budget < math.inf):
             problems.append("budget_additive requires a finite, nonnegative budget")
         return problems
 
@@ -377,84 +397,63 @@ BUDGET_RECIPE = dict(n_offline=100, n_online=200, horizon=200,
                      budget=50.0, max_degree=10)
 
 
-def _random_rates(rng: np.random.Generator, n: int) -> tuple[float, ...]:
-    # uniform on (0, 1]; arrival rates, not normalized
-    return tuple((1.0 - rng.random(n)).tolist())
+def _capacity_one_instance(offline_ids: Sequence[str], online: Sequence[tuple[str, float]],
+                           pairs, horizon: int) -> Instance:
+    """Capacity-1 offline vertices, (type id, rate) pairs, and edge ``e<k>``
+    joining ``offline_ids[ui]`` to ``online[vi]`` for the k-th pair (ui, vi)."""
+    edges = [(f"e{k}", offline_ids[ui], online[vi][0]) for k, (ui, vi) in enumerate(pairs)]
+    return build_instance([(uid, 1) for uid in offline_ids], online, edges, horizon)
 
 
-def _random_neighbors(rng: np.random.Generator, n_online: int, n_offline: int,
-                      max_degree: int) -> list[np.ndarray]:
-    nbrs = []
-    for _ in range(n_online):
-        deg = int(rng.integers(1, max_degree + 1))
-        chosen = rng.choice(n_offline, size=min(deg, n_offline), replace=False)
-        nbrs.append(np.sort(chosen))
-    return nbrs
+def _recipe_graph(rng: np.random.Generator, p: dict) -> tuple[Instance, list]:
+    """A recipe's graph and its (offline, type) index pairs, type-major.
+    Draws the rates, uniform on (0, 1] and not normalized, then each type's
+    1..max_degree distinct neighbours."""
+    rates = (1.0 - rng.random(p["n_online"])).tolist()
+    pairs = []
+    for vi in range(p["n_online"]):
+        deg = int(rng.integers(1, p["max_degree"] + 1))
+        chosen = rng.choice(p["n_offline"], size=min(deg, p["n_offline"]),
+                            replace=False)
+        pairs.extend((ui, vi) for ui in np.sort(chosen).tolist())
+    return _capacity_one_instance([f"u{i}" for i in range(p["n_offline"])],
+                                  [(f"v{j}", r) for j, r in enumerate(rates)],
+                                  pairs, p["horizon"]), pairs
 
 
 def generate_synthetic(kind: str, seed: int) -> Problem:
     """Build a synthetic problem of the given objective kind.
 
-    ``coverage``: 40 offline vertices, 200 online types, T=1000; each type
-    links to at most 10 random offline vertices; every vertex carries a
-    random feature subset (size <= 10) of a 1000-feature universe and an
-    edge covers the union of its endpoints' features; feature weights are
-    uniform on [0, 1].
+    Both recipes first draw `_recipe_graph`'s capacity-1 graph: arrival
+    rates uniform on (0, 1] (fractional rates), each type linked to 1..10
+    random offline vertices.
+
+    ``coverage``: 40 offline vertices, 200 online types, T=1000; every
+    vertex carries a random feature subset (size <= 10) of a 1000-feature
+    universe and an edge covers the union of its endpoints' features;
+    feature weights are uniform on [0, 1].
 
     ``budget_additive``: 100 offline vertices, 200 online types, T=200;
     edge weights uniform on [0, 1]; budget 50.
-
-    Arrival rates are uniform on (0, 1] in both recipes (fractional rates).
     """
     rng = np.random.default_rng(seed)
     if kind == "coverage":
         p = COVERAGE_RECIPE
-        rates = _random_rates(rng, p["n_online"])
-        nbrs = _random_neighbors(rng, p["n_online"], p["n_offline"], p["max_degree"])
-        vert_feats = []
+        inst, pairs = _recipe_graph(rng, p)
+        vert_feats = []  # the offline vertices' sets, then the types'
         for _ in range(p["n_offline"] + p["n_online"]):
             size = int(rng.integers(1, p["max_features"] + 1))
             vert_feats.append(frozenset(rng.choice(p["n_features"], size=size,
                                                    replace=False).tolist()))
-        u_feats = vert_feats[: p["n_offline"]]
-        v_feats = vert_feats[p["n_offline"]:]
-        feature_weights = rng.random(p["n_features"])
-        edges, q_sets = [], []
-        k = 0
-        for vi in range(p["n_online"]):
-            for ui in nbrs[vi]:
-                edges.append((f"e{k}", f"u{ui}", f"v{vi}"))
-                q_sets.append(u_feats[ui] | v_feats[vi])
-                k += 1
-        inst = build_instance(
-            offline=[(f"u{i}", 1) for i in range(p["n_offline"])],
-            online=list(zip((f"v{j}" for j in range(p["n_online"])), rates)),
-            edges=edges,
-            horizon=p["horizon"],
-        )
-        feats = EdgeFeatures(n_features=p["n_features"],
-                             feature_sets=tuple(q_sets),
-                             feature_weights=feature_weights)
+        q_sets = tuple(vert_feats[ui] | vert_feats[p["n_offline"] + vi] for ui, vi in pairs)
+        feats = EdgeFeatures(n_features=p["n_features"], feature_sets=q_sets,
+                             feature_weights=rng.random(p["n_features"]))
         return Problem(instance=inst, features=feats, kind="coverage")
 
     if kind == "budget_additive":
         p = BUDGET_RECIPE
-        rates = _random_rates(rng, p["n_online"])
-        nbrs = _random_neighbors(rng, p["n_online"], p["n_offline"], p["max_degree"])
-        edges = []
-        k = 0
-        for vi in range(p["n_online"]):
-            for ui in nbrs[vi]:
-                edges.append((f"e{k}", f"u{ui}", f"v{vi}"))
-                k += 1
-        weights = rng.random(len(edges))
-        inst = build_instance(
-            offline=[(f"u{i}", 1) for i in range(p["n_offline"])],
-            online=list(zip((f"v{j}" for j in range(p["n_online"])), rates)),
-            edges=edges,
-            horizon=p["horizon"],
-        )
-        feats = EdgeFeatures(edge_weights=weights)
+        inst, _ = _recipe_graph(rng, p)
+        feats = EdgeFeatures(edge_weights=rng.random(inst.n_edges))
         return Problem(instance=inst, features=feats, kind="budget_additive",
                        budget=p["budget"])
 
@@ -573,15 +572,9 @@ def ingest_ratings(
         nz = counts > 0
         user_weights[vi, nz] = sums[nz] / counts[nz]
 
-    edges, q_sets = [], []
-    k = 0
-    for vi, user in enumerate(users):
-        for ui, movie in enumerate(movies):
-            if (user, movie) in ratings:
-                continue
-            edges.append((f"e{k}", movie, user))
-            q_sets.append(frozenset(movie_genres.get(movie, ())))
-            k += 1
+    # one edge per unrated (movie, user) pair, user-major
+    pairs = [(ui, vi) for vi, user in enumerate(users)
+             for ui, movie in enumerate(movies) if (user, movie) not in ratings]
 
     n_users = len(users)
     if rates_mode == "integral":
@@ -596,15 +589,11 @@ def ingest_ratings(
     else:
         raise IngestError(f"unknown rates mode {rates_mode!r}")
 
-    inst = build_instance(
-        offline=[(m, 1) for m in movies],
-        online=list(zip(users, rates)),
-        edges=edges,
-        horizon=horizon,
-    )
+    inst = _capacity_one_instance(movies, list(zip(users, rates)), pairs, horizon)
     feats = EdgeFeatures(
         n_features=g,
-        feature_sets=tuple(q_sets),
+        feature_sets=tuple(frozenset(movie_genres.get(movies[ui], ()))
+                           for ui, _ in pairs),
         user_weights=user_weights,
         feature_names=tuple(genre_names),
     )
@@ -677,7 +666,9 @@ def load_problem(path) -> Problem:
     outside ``[0, features)``, a ``uw`` record for an unknown online type,
     a structural violation such as a dangling edge endpoint, or a value that
     `Problem.validate` rejects (a non-finite or negative rate, weight or
-    budget, a feature set index out of range), except a rate above 1.
+    budget, a feature set index out of range, a payload its objective kind
+    reads), except a rate above 1.  Omitted ``q`` and ``uw`` records load
+    as empty sets and zero weights.
     """
     records = read_records(path, SCHEMA_HEADER, InstanceError, "an instance file")
     horizon = eta = None
@@ -752,7 +743,7 @@ def load_problem(path) -> Problem:
         for z, w in feature_weights.items():
             fw[z] = w
     uw = None
-    if user_weight_rows:
+    if user_weight_rows or kind == "per_user_coverage":  # save omits zero weights
         uw = np.zeros((inst.n_online, n_features))
         vidx = inst.online_index
         for vid, z, w in user_weight_rows:

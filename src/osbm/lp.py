@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .instances import Instance
+from .instances import Instance, num
 
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
@@ -112,8 +112,8 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
     if np.any(lp.b < 0):
         raise ValueError("negative right-hand side; generated programs keep b >= 0")
     N = n + m
-    M = np.hstack([lp.A.copy(), np.eye(m)])
-    beta = lp.b.astype(float).copy()
+    M = np.hstack([lp.A, np.eye(m)])  # hstack and astype copy: lp is not written
+    beta = lp.b.astype(float)
     d = np.concatenate([lp.c, np.zeros(m)])
     upper = np.concatenate([lp.upper, np.full(m, np.inf)])
     vstat = np.full(N, LOWER, dtype=np.int8)
@@ -434,9 +434,6 @@ def write_mps(lp: LinearProgram, path) -> None:
     Field offsets follow the classic section layout but are widened so the
     exact numeric echo fits; modern free-format MPS readers accept it.
     """
-    def num(x: float) -> str:
-        return format(float(x), ".17g")
-
     cols = lp.col_names or tuple(f"X{j:07d}" for j in range(len(lp.c)))
     rows = lp.row_names or tuple(f"R{i:07d}" for i in range(len(lp.b)))
     out = ["NAME          OSBM_LP", "ROWS", " N  OBJ"]

@@ -281,23 +281,17 @@ class PerUserCoverageObjective(CoverageObjective):
 
 def build_objective(problem: Problem) -> SubmodularObjective:
     """Instantiate the value oracle described by a problem record."""
+    if missing := problem.missing_payloads():
+        raise ValueError(missing)
     feats = problem.features
     if problem.kind == "linear":
-        if feats.edge_weights is None:
-            raise ValueError("linear objective needs edge weights")
         return LinearObjective(feats.edge_weights)
     if problem.kind == "budget_additive":
-        if feats.edge_weights is None or problem.budget is None:
-            raise ValueError("budget_additive objective needs edge weights and a budget")
         return BudgetAdditiveObjective(feats.edge_weights, problem.budget)
     if problem.kind == "coverage":
-        if feats.feature_sets is None or feats.feature_weights is None:
-            raise ValueError("coverage objective needs feature sets and weights")
         return CoverageObjective(feats.feature_sets, feats.feature_weights,
                                  n_edges=problem.instance.n_edges)
     if problem.kind == "per_user_coverage":
-        if feats.feature_sets is None or feats.user_weights is None:
-            raise ValueError("per_user_coverage needs feature sets and user weights")
         return PerUserCoverageObjective(problem.instance.edge_v,
                                         feats.feature_sets, feats.user_weights)
     raise ValueError(f"unknown objective kind {problem.kind!r}")

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import lp as lpmod
-from .instances import ArrivalSequence, Instance, read_records, sample_arrivals
+from .instances import (ArrivalSequence, Instance, num, read_records,
+                        sample_arrivals)
 from .objectives import SubmodularObjective, batch_gradient, multilinear_mc
 
 SOLUTION_HEADER = "osbm-solution/1"
@@ -216,9 +217,6 @@ def expected_opt(
 
 def save_solution(path, inst: Instance, solution: OfflineSolution) -> None:
     """Write edge marginals (17 significant digits) plus solver metadata."""
-    def num(v: float) -> str:
-        return format(float(v), ".17g")
-
     lines = [SOLUTION_HEADER,
              f"solver {solution.solver}",
              f"objective-estimate {num(solution.objective_estimate)}",

@@ -87,6 +87,21 @@ class TestIngest:
         assert str(files[which]) in err
         assert "Traceback" not in err
 
+    def test_all_zero_ratings_ingest_then_offline(self, tmp_path):
+        ratings = tmp_path / "ratings.csv"
+        genres = tmp_path / "genres.csv"
+        ratings.write_text("u1,m1,0\nu1,m2,0\nu2,m1,0\nu1,m3,0\n")
+        genres.write_text("m1,g1\nm2,g2\nm3,g1\n")
+        inst_file = tmp_path / "inst.txt"
+        code, _, err = run_cli(
+            "ingest", "--ratings", str(ratings), "--genres", str(genres),
+            "--users", "2", "--movies", "3", "--out", str(inst_file))
+        assert code == 0, err
+        code, out, err = run_cli("offline", "--instance", str(inst_file),
+                                 "--out", str(tmp_path / "x.txt"))
+        assert code == 0, err
+        assert "benchmark=lp:0" in out
+
     def test_missing_ratings_file_exits_2_naming_path(self, tmp_path):
         genres = tmp_path / "genres.csv"
         genres.write_text("m0,g0\n")
@@ -208,7 +223,8 @@ class TestSimulate:
         "missing_header", "truncated_edge", "missing_eta", "negative_features",
         "fw_index", "uw_negative_index", "uw_unknown_type", "dangling_endpoint",
         "not_utf8", "budget_nan", "budget_negative", "q_negative_index",
-        "q_index_past_features", "rate_nan", "fw_nan"])
+        "q_index_past_features", "rate_nan", "fw_nan", "coverage_without_fw",
+        "linear_without_weights"])
     def test_malformed_instance_exits_2_naming_file(self, tmp_path, corrupt):
         inst_file = small_problem_file(tmp_path)
         lines = inst_file.read_text().splitlines()
@@ -242,6 +258,12 @@ class TestSimulate:
             lines[first_v] = " ".join(lines[first_v].split()[:2] + ["nan"])
         elif corrupt == "fw_nan":
             lines += ["features 2", "fw 0 nan"]
+        elif corrupt == "coverage_without_fw":  # feature sets, no feature weights
+            lines = [ln.replace("budget_additive", "coverage") for ln in lines]
+            lines += ["features 2", f"q {lines[first_e].split()[1]} 0 1"]
+        elif corrupt == "linear_without_weights":
+            lines = [" ".join(ln.split()[:4]) if ln.startswith("e ")
+                     else ln.replace("budget_additive", "linear") for ln in lines]
         inst_file.write_text("\n".join(lines) + "\n")
         if corrupt == "not_utf8":
             inst_file.write_bytes(inst_file.read_bytes() + b"\xff\xfe\n")

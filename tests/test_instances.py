@@ -356,6 +356,20 @@ class TestRoundTrip:
         assert back.kind == "per_user_coverage"
         assert back.instance == prob.instance
 
+    def test_all_zero_user_weights_round_trip(self, tmp_path):
+        # save_problem omits zero uw records, so this file holds none at all
+        prob = Problem(instance=tiny_instance(),
+                       features=EdgeFeatures(n_features=2,
+                                             feature_sets=(frozenset({0}),) * 3,
+                                             user_weights=np.zeros((2, 2))),
+                       kind="per_user_coverage")
+        f1 = tmp_path / "p1.txt"
+        save_problem(prob, f1)
+        assert "\nuw " not in f1.read_text()
+        back = load_problem(f1)
+        assert np.array_equal(back.features.user_weights, np.zeros((2, 2)))
+        assert build_objective(back).value([0, 1, 2]) == 0.0
+
 
 class TestRecordLines:
     def test_bad_record_names_its_line_after_blank_lines(self, tmp_path):

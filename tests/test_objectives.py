@@ -5,18 +5,21 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import small_objective
-from osbm.instances import generate_synthetic
+from conftest import small_instance, small_objective
+from osbm.instances import EdgeFeatures, Problem, generate_synthetic
 from osbm.objectives import (
     BudgetAdditiveObjective,
     CoverageObjective,
     LinearObjective,
     PerUserCoverageObjective,
+    SubmodularObjective,
     build_objective,
     multilinear_exact,
     multilinear_mc,
     partial_derivative,
 )
+from osbm.offline import continuous_greedy
+from osbm.online import simulate
 
 
 def brute_multilinear(objective, x):
@@ -250,6 +253,76 @@ class TestEvaluators:
             before, gain_of_3 = ev.value, ev.gain(3)
             assert ev.add(2) == 0.0
             assert ev.value == before and ev.gain(3) == gain_of_3
+
+
+class _ValueOnlyLinear(SubmodularObjective):
+    """A user objective that defines only `value`, so its coordinate gains
+    and evaluator gains take the base classes' value-oracle fallbacks."""
+
+    def __init__(self, weights):
+        super().__init__(len(weights))
+        self.weights = np.asarray(weights, dtype=float)
+
+    def value(self, edges) -> float:
+        return float(sum(self.weights[e] for e in set(self._check_edges(edges))))
+
+
+class TestGenericValueOracle:
+    """The fallbacks against LinearObjective on dyadic weights, where every
+    sum is exact, so the two must agree bit for bit."""
+
+    @pytest.fixture
+    def pair(self, rng):
+        inst = small_instance(rng, n_offline=5, n_online=4, integral=True)
+        w = rng.integers(1, 33, size=inst.n_edges) / 8.0
+        return inst, _ValueOnlyLinear(w), LinearObjective(w)
+
+    def test_coordinate_gains(self, pair, rng):
+        _, generic, linear = pair
+        for _ in range(10):
+            mask = rng.random(generic.n_edges) < 0.5
+            assert np.array_equal(generic.coordinate_gains(mask),
+                                  linear.coordinate_gains(mask))
+
+    def test_evaluator_gains_and_values(self, pair, rng):
+        _, generic, linear = pair
+        evs = generic.evaluator(), linear.evaluator()
+        for e in rng.permutation(generic.n_edges).tolist():
+            for f in range(generic.n_edges):
+                assert evs[0].gain(f) == evs[1].gain(f)
+            assert evs[0].add(e) == evs[1].add(e)
+            assert evs[0].value == evs[1].value
+
+    def test_greedy_and_continuous_greedy(self, pair):
+        inst, generic, linear = pair
+        runs = [simulate(inst, obj, "greedy", trials=8, seed=3, keep_matches=True)
+                for obj in (generic, linear)]
+        assert np.array_equal(runs[0].values, runs[1].values)
+        assert runs[0].matches == runs[1].matches
+        sols = [continuous_greedy(obj, inst, steps=4, grad_samples=3, seed=5)
+                for obj in (generic, linear)]
+        assert np.array_equal(sols[0].x, sols[1].x)
+
+
+class TestBuildObjective:
+    @pytest.mark.parametrize("kind, needs", [
+        ("linear", "edge_weights"),
+        ("budget_additive", "edge_weights and budget"),
+        ("coverage", "feature_sets and feature_weights"),
+        ("per_user_coverage", "feature_sets and user_weights"),
+    ])
+    def test_missing_payload_raises_value_error(self, rng, kind, needs):
+        problem = Problem(instance=small_instance(rng), features=EdgeFeatures(),
+                          kind=kind)
+        with pytest.raises(ValueError, match=f"{kind} objective needs {needs}$"):
+            build_objective(problem)
+
+    def test_missing_budget_alone(self, rng):
+        inst = small_instance(rng)
+        problem = Problem(instance=inst, kind="budget_additive",
+                          features=EdgeFeatures(edge_weights=np.ones(inst.n_edges)))
+        with pytest.raises(ValueError, match="budget_additive objective needs budget$"):
+            build_objective(problem)
 
 
 class TestEmptyIncidence:
