@@ -66,7 +66,8 @@ class Instance:
 
     It owns the b-matching polytope that guides and policies work over: the
     edges grouped by offline vertex (`edges_by_u`, cut into `edges_at_u`)
-    and by type (`edges_by_v`, `edges_at_v`), and the degree sums `loads`.
+    and by type (`edges_by_v`, `edges_at_v`, padded into `edge_table_v`),
+    and the degree sums `loads`.
     """
 
     offline_ids: tuple[str, ...]
@@ -143,6 +144,16 @@ class Instance:
     def edges_at_v(self) -> tuple[np.ndarray, ...]:
         """The edges of each online type: its slice of `edges_by_v`."""
         return split_groups(self.edges_by_v, self.edge_v, self.n_online)
+
+    @cached_property
+    def edge_table_v(self) -> np.ndarray:
+        """`edges_at_v` as one (n_online x max degree) table: row v holds
+        the edges of type v in index order, then -1 pads."""
+        deg = np.bincount(self.edge_v, minlength=self.n_online)
+        table = np.full((self.n_online, int(deg.max(initial=0))), -1, dtype=np.int64)
+        v = self.edge_v[self.edges_by_v]
+        table[v, np.arange(self.n_edges) - (np.cumsum(deg) - deg)[v]] = self.edges_by_v
+        return table
 
     def loads(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Sums of the edge vector x over each offline star and each type:
@@ -383,6 +394,9 @@ class Problem:
             problems.append(f"unknown objective kind {self.kind!r}")
         if missing := self.missing_payloads():
             problems.append(missing)
+        if self.kind == "coverage" and not self.features.n_features:
+            # the file format has no record for an empty weight vector
+            problems.append("coverage objective needs at least one feature")
         if self.kind == "budget_additive" and self.budget is not None and not (
                 0 <= self.budget < math.inf):
             problems.append("budget_additive requires a finite, nonnegative budget")

@@ -10,7 +10,6 @@ with probability ``x_e``.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -31,18 +30,24 @@ class SubmodularObjective:
     def value(self, edges) -> float:
         raise NotImplementedError
 
-    def _check_edges(self, edges) -> list[int]:
-        out = []
-        for e in edges:
-            e = int(e)
-            if not (0 <= e < self.n_edges):
-                raise ValueError(f"unknown edge id {e}")
-            out.append(e)
-        return out
+    def _check_edges(self, edges) -> np.ndarray:
+        """The edge ids as an int64 array; raises on the first unknown id."""
+        idx = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
+                         dtype=np.int64)
+        unknown = idx.view(np.uint64) >= self.n_edges  # a negative id wraps past it
+        if np.count_nonzero(unknown):
+            raise ValueError(f"unknown edge id {idx[unknown][0]}")
+        return idx
+
+    def _edge_set(self, edges) -> np.ndarray:
+        """The set of ``edges`` as a mask over the ground set."""
+        member = np.zeros(self.n_edges, dtype=bool)
+        member[self._check_edges(edges)] = True
+        return member
 
     def gain(self, edges, e: int) -> float:
         """Marginal value of adding ``e`` to the set ``edges`` (requires e not in set)."""
-        members = set(self._check_edges(edges))
+        members = set(self._check_edges(edges).tolist())
         e = int(e)
         if e in members:
             raise ValueError(f"edge {e} already in the set")
@@ -50,8 +55,8 @@ class SubmodularObjective:
             raise ValueError(f"unknown edge id {e}")
         return self.value(members | {e}) - self.value(members)
 
-    def evaluator(self) -> "Evaluator":
-        return Evaluator(self)
+    def evaluator(self, rows: int = 1) -> "Evaluator":
+        return Evaluator(self, rows)
 
     def coordinate_gains(self, member: np.ndarray) -> np.ndarray:
         """f(R + e) - f(R - e) for every edge, R given as a boolean mask."""
@@ -66,37 +71,54 @@ class SubmodularObjective:
 
 
 class Evaluator:
-    """Mutable accumulator for one greedy/search run: O(f) marginal queries.
+    """Marginal gains for ``rows`` independent greedy runs, one edge set each.
 
-    The base class owns membership and the running value: a member gains 0
-    and adding it again changes nothing.  Concrete objectives plug in their
-    own ``_gain`` for a non-member and ``_absorb`` for the state update when
-    it joins; the generic fallback recomputes through the value oracle.
+    The base class owns each row's membership mask and running value: a
+    member gains 0 and adding it again changes nothing.  Concrete
+    objectives plug in their own ``_gains`` for non-members and ``_absorb``
+    for the state update when they join, both over aligned (row, edge)
+    arrays; the generic fallback recomputes through the value oracle.
+    ``gain``, ``add`` and ``value`` are the view of row 0.
     """
 
-    def __init__(self, objective: SubmodularObjective):
+    def __init__(self, objective: SubmodularObjective, rows: int = 1):
         self._objective = objective
-        self._members: set[int] = set()
-        self.value = 0.0
+        self.members = np.zeros((rows, objective.n_edges), dtype=bool)
+        self.values = np.zeros(rows)
+
+    def row_gains(self, rows: np.ndarray, edges: np.ndarray) -> np.ndarray:
+        """The gain of adding ``edges[i]`` to row ``rows[i]``, for each i."""
+        out = np.zeros(len(edges))
+        new = ~self.members[rows, edges]
+        out[new] = self._gains(rows[new], edges[new])
+        return out
+
+    def row_add(self, rows: np.ndarray, edges: np.ndarray) -> np.ndarray:
+        """Add ``edges[i]`` to row ``rows[i]`` (rows distinct); returns the gains."""
+        new = ~self.members[rows, edges]
+        gains = self.row_gains(rows, edges)
+        self._absorb(rows[new], edges[new])
+        self.members[rows, edges] = True
+        self.values[rows] += gains
+        return gains
+
+    @property
+    def value(self) -> float:
+        return float(self.values[0])
 
     def gain(self, e: int) -> float:
-        if e in self._members:
-            return 0.0
-        return self._gain(e)
+        return float(self.row_gains(np.zeros(1, np.int64), np.array([e]))[0])
 
     def add(self, e: int) -> float:
-        if e in self._members:
-            return 0.0
-        g = self._gain(e)
-        self._absorb(e)
-        self._members.add(e)
-        self.value += g
-        return g
+        return float(self.row_add(np.zeros(1, np.int64), np.array([e]))[0])
 
-    def _gain(self, e: int) -> float:
-        return self._objective.value(self._members | {e}) - self.value
+    def _gains(self, rows: np.ndarray, edges: np.ndarray) -> np.ndarray:
+        value = self._objective.value
+        return np.array([
+            value(set(np.flatnonzero(self.members[r]).tolist()) | {e}) - self.values[r]
+            for r, e in zip(rows.tolist(), edges.tolist())], dtype=float)
 
-    def _absorb(self, e: int) -> None:
+    def _absorb(self, rows: np.ndarray, edges: np.ndarray) -> None:
         pass
 
 
@@ -111,21 +133,18 @@ class LinearObjective(SubmodularObjective):
         self.weights = w
 
     def value(self, edges) -> float:
-        idx = self._check_edges(edges)
-        if not idx:
-            return 0.0
-        return float(self.weights[np.unique(idx)].sum())
+        return float(self.weights[self._edge_set(edges)].sum())
 
     def coordinate_gains(self, member) -> np.ndarray:
         return self.weights.copy()
 
-    def evaluator(self):
-        return _LinearEvaluator(self)
+    def evaluator(self, rows: int = 1):
+        return _LinearEvaluator(self, rows)
 
 
 class _LinearEvaluator(Evaluator):
-    def _gain(self, e: int) -> float:
-        return float(self._objective.weights[e])
+    def _gains(self, rows, edges):
+        return self._objective.weights[edges]
 
 
 class BudgetAdditiveObjective(SubmodularObjective):
@@ -140,10 +159,10 @@ class BudgetAdditiveObjective(SubmodularObjective):
         self.budget = float(budget)
 
     def value(self, edges) -> float:
-        idx = self._check_edges(edges)
-        if not idx:
+        member = self._edge_set(edges)
+        if not np.count_nonzero(member):
             return 0.0
-        return float(min(self.budget, self.weights[np.unique(idx)].sum()))
+        return float(min(self.budget, self.weights[member].sum()))
 
     def coordinate_gains(self, member) -> np.ndarray:
         member = np.asarray(member, dtype=bool)
@@ -152,27 +171,21 @@ class BudgetAdditiveObjective(SubmodularObjective):
         base = np.where(member, total - self.weights, total)
         return np.minimum(self.budget, base + self.weights) - np.minimum(self.budget, base)
 
-    @cached_property
-    def weight_list(self) -> list[float]:
-        return self.weights.tolist()
-
-    def evaluator(self):
-        return _BudgetEvaluator(self)
+    def evaluator(self, rows: int = 1):
+        return _BudgetEvaluator(self, rows)
 
 
 class _BudgetEvaluator(Evaluator):
-    def __init__(self, objective):
-        super().__init__(objective)
-        self._raw = 0.0
-        # Python floats: the same float64 sums, without numpy scalar calls
-        self._weights = objective.weight_list
+    def __init__(self, objective, rows):
+        super().__init__(objective, rows)
+        self._raw = np.zeros(rows)  # each row's unclamped weight sum
 
-    def _gain(self, e: int) -> float:
-        b = self._objective.budget
-        return min(b, self._raw + self._weights[e]) - min(b, self._raw)
+    def _gains(self, rows, edges):
+        b, raw = self._objective.budget, self._raw[rows]
+        return np.minimum(b, raw + self._objective.weights[edges]) - np.minimum(b, raw)
 
-    def _absorb(self, e: int) -> None:
-        self._raw += self._weights[e]
+    def _absorb(self, rows, edges):
+        self._raw[rows] += self._objective.weights[edges]
 
 
 class CoverageObjective(SubmodularObjective):
@@ -194,19 +207,28 @@ class CoverageObjective(SubmodularObjective):
         self.edge_features = tuple(np.array(sorted(q), dtype=np.int64)
                                    for q in feature_sets)
         self._flat_feat = np.concatenate((np.empty(0, np.int64),) + self.edge_features)
-        self._flat_edge = np.repeat(np.arange(len(self.edge_features)),
-                                    [len(q) for q in self.edge_features])
+        counts = np.array([len(q) for q in self.edge_features], dtype=np.int64)
+        self._flat_edge = np.repeat(np.arange(len(counts)), counts)
+        self._feat_start = np.cumsum(counts) - counts  # each edge's run in _flat_feat
+        self._feat_count = counts
 
     def covering_edges(self) -> tuple[np.ndarray, ...]:
         """The edges covering each feature, in increasing index order."""
         order = np.argsort(self._flat_feat, kind="stable")
         return split_groups(self._flat_edge[order], self._flat_feat, self.n_features)
 
+    def _incidence(self, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(position in ``edges``, feature) for each feature of each of
+        ``edges``, in that order: one edge's features after another's."""
+        count = self._feat_count[edges]
+        owner = np.repeat(np.arange(len(edges)), count)
+        shift = self._feat_start[edges] - (np.cumsum(count) - count)
+        return owner, self._flat_feat[np.arange(len(owner)) + shift[owner]]
+
     def _covered(self, edges) -> np.ndarray:
         """Mask of the features that the edge set covers."""
         covered = np.zeros(self.n_features, dtype=bool)
-        for e in self._check_edges(edges):
-            covered[self.edge_features[e]] = True
+        covered[self._flat_feat[self._edge_set(edges)[self._flat_edge]]] = True
         return covered
 
     def value(self, edges) -> float:
@@ -225,22 +247,41 @@ class CoverageObjective(SubmodularObjective):
                                    minlength=self.n_edges)
         return gain_if_out + np.where(member, gain_if_sole, 0.0)
 
-    def evaluator(self):
-        return _CoverageEvaluator(self)
+    def evaluator(self, rows: int = 1):
+        return _CoverageEvaluator(self, rows)
+
+
+def _run_sums(w: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The sum of each consecutive run of ``counts`` entries of ``w``.
+
+    Each sum is numpy's own (pairwise) ``w[run].sum()``: runs of one length
+    are summed together as the rows of one matrix, which reduces each row as
+    that sum does.  Zero-padding the runs to one length would change the
+    pairwise blocking, and so the last bits.
+    """
+    out = np.zeros(len(counts))
+    starts = np.cumsum(counts) - counts
+    for c in np.unique(counts[counts > 0]).tolist():
+        runs = np.flatnonzero(counts == c)
+        out[runs] = w[starts[runs, None] + np.arange(c)].sum(axis=1)
+    return out
 
 
 class _CoverageEvaluator(Evaluator):
-    def __init__(self, objective):
-        super().__init__(objective)
-        self._covered = np.zeros(objective.n_features, dtype=bool)
+    def __init__(self, objective, rows):
+        super().__init__(objective, rows)
+        self._covered = np.zeros((rows, objective.n_features), dtype=bool)
 
-    def _gain(self, e: int) -> float:
-        q = self._objective.edge_features[e]
-        fresh = q[~self._covered[q]]
-        return float(self._objective.feature_weights[fresh].sum())
+    def _gains(self, rows, edges):
+        # the weight of each edge's features its row has not covered yet
+        owner, feat = self._objective._incidence(edges)
+        fresh = ~self._covered[rows[owner], feat]
+        return _run_sums(self._objective.feature_weights[feat[fresh]],
+                         np.bincount(owner[fresh], minlength=len(edges)))
 
-    def _absorb(self, e: int) -> None:
-        self._covered[self._objective.edge_features[e]] = True
+    def _absorb(self, rows, edges):
+        owner, feat = self._objective._incidence(edges)
+        self._covered[rows[owner], feat] = True
 
 
 class PerUserCoverageObjective(CoverageObjective):

@@ -18,13 +18,18 @@ are provided:
 * ``dependent-rounding`` - pre-round the guide star-by-star into a
   semi-matching and serve arrivals uniformly from it.
 
-A trial runs in two parts.  ``start_trials`` prepares the per-trial state
-of a whole batch at once (one ``sample_support`` or ``dependent_round_stars``
-call with one generator per trial); ``replay`` then runs one trial's
-arrivals over plain Python lists, drawing up front what has a known count
-(marginal sampling's ``eta`` uniforms per arrival, contention resolution's
-one index per arrival with candidates).  ``run_trial`` is the one place
-that accepts a trial's matches: it audits them once, recounting each
+Trials run in blocks, in three parts.  ``start_trials`` prepares the state
+of the whole block at once (one ``sample_support`` or ``dependent_round_stars``
+call with one generator per trial).  ``replay_block`` then advances every
+trial of the block together, arrival by arrival: step k serves each trial's
+k-th arrival with one numpy step over the trials for each of up to ``eta``
+picks, on state held as arrays (remaining capacities, trials x offline
+vertices; greedy's evaluator rows; the rounded edge sets).  What has a known
+count is drawn up front per trial (marginal sampling's ``eta`` uniforms per
+arrival, contention resolution's one index per arrival with candidates);
+dependent rounding draws each pick from the trial's own generator, and only
+when more than one edge is open.  ``run_trial`` is the one place that
+accepts a trial's matches: it audits them once per trial, recounting each
 offline vertex's load from the matches instead of trusting the policy's own
 capacity bookkeeping, and scores them.
 
@@ -40,16 +45,14 @@ on batching or on the worker count.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
 
 import numpy as np
 
 from . import lp as lpmod
-from .instances import ArrivalSequence, Instance, sample_arrivals, split_groups
+from .instances import ArrivalSequence, Instance, sample_arrivals
 from .objectives import (EXACT_ENUMERATION_LIMIT, SubmodularObjective,
                          multilinear_exact, multilinear_mc)
 from .offline import expected_opt
@@ -62,14 +65,22 @@ E_OVER_E_MINUS_1 = math.e / (math.e - 1.0)
 
 
 class OnlinePolicy:
-    """Shared immutable preparation.  ``start_trials`` prepares the state of
-    a batch of trials in one call, one generator per trial (by default the
-    state is the trial's generator); ``replay`` runs one trial's arrival
-    sequence from its state and returns the picks that ``run_trial``
-    audits and scores."""
+    """Shared immutable preparation and the trial engine.
+
+    ``start_trials`` prepares the state of a block of trials in one call,
+    one generator per trial (by default the state is the trial's generator).
+    ``replay_block`` then advances all trials of the block together, arrival
+    by arrival: step k serves each trial's k-th arrival, in up to ``eta``
+    rounds of one numpy step over the trials.  A policy sets its candidate
+    table ``_table`` (a row of edges per type, -1 pads) and, through
+    ``_begin``, ``_choose`` and ``_commit``, picks among the open candidates
+    of each round: those whose offline vertex has capacity left and has not
+    served this arrival.  ``run_trial`` audits and scores the picks.
+    """
 
     name = "abstract"
     needs_guide = True
+    _table: np.ndarray
 
     def __init__(self, inst: Instance, objective: SubmodularObjective,
                  x_star: np.ndarray | None = None):
@@ -88,11 +99,87 @@ class OnlinePolicy:
     def start_trial(self, rng: np.random.Generator):
         return self.start_trials([rng])[0]
 
-    def replay(self, trial, seq: ArrivalSequence) -> tuple[list[int], list[int]]:
-        """Match along the arrivals of ``seq``: returns the matched edges in
-        commit order and, for each, its position in ``seq.arrivals``.  The
-        policy keeps its own remaining capacities."""
+    def replay_block(self, states: list, seqs: list[ArrivalSequence]) -> list:
+        """Match along each trial's arrival sequence: for trial i, the edges
+        matched in commit order and, for each, its position in
+        ``seqs[i].arrivals`` (two int arrays).  The policy keeps its own
+        remaining capacities."""
+        block = _Block(self.inst, seqs)
+        run = self._begin(states, block)
+        # a table with no columns: no type has an edge, nothing to match
+        for k, rows in block.steps() if self._table.shape[1] else ():
+            v = block.types[rows, k]
+            cand = self._table[v]
+            us = block.edge_u[cand]
+            open_ = block.remaining[rows[:, None], us] > 0
+            for j in range(self.inst.eta):
+                hit, col = self._choose(run, k, j, rows, v, cand, open_)
+                edges = cand[hit, col]
+                self._commit(run, rows[hit], edges)
+                block.commit(k, rows[hit], edges, us[hit, col])
+                open_[hit, col] = False
+        return block.picks()
+
+    def replay(self, trial, seq: ArrivalSequence) -> tuple:
+        """One trial's picks: a block of one."""
+        return self.replay_block([trial], [seq])[0]
+
+    def _begin(self, states: list, block: "_Block"):
+        """The policy's own state for a block, passed to each round."""
         raise NotImplementedError
+
+    def _choose(self, run, k: int, j: int, rows: np.ndarray, v: np.ndarray,
+                cand: np.ndarray, open_: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Round j of step k, over the stepping trials ``rows`` with arrival
+        types ``v``: (index into rows of each trial that picks, the column of
+        ``cand`` it picks, an open one)."""
+        raise NotImplementedError
+
+    def _commit(self, run, rows: np.ndarray, edges: np.ndarray) -> None:
+        """Take note of the picks of one round."""
+
+
+class _Block:
+    """A block of trials stepped together: each trial's arrival types (a
+    row of ``types``, -1 past its last arrival), its remaining capacities,
+    and the edges it matched in commit order, with their arrival positions.
+    """
+
+    def __init__(self, inst: Instance, seqs: list[ArrivalSequence]):
+        n = len(seqs)
+        self.count = np.array([len(seq.arrival_times) for seq in seqs], dtype=np.int64)
+        self.types = np.full((n, int(self.count.max(initial=0))), -1, dtype=np.int64)
+        for row, seq in zip(self.types, seqs):
+            row[:len(seq.arrival_times)] = seq.slots[seq.arrival_times]
+        # column n_offline is the vertex of the -1 pad: it has no capacity
+        self.remaining = np.zeros((n, inst.n_offline + 1), dtype=np.int64)
+        self.remaining[:, :-1] = inst.capacity_array
+        self.edge_u = np.append(inst.edge_u, inst.n_offline)
+        self.matched = np.empty((n, inst.eta * self.types.shape[1]), dtype=np.int64)
+        self.position = np.empty_like(self.matched)
+        self.n_matched = np.zeros(n, dtype=np.int64)
+
+    def steps(self):
+        """(k, the trials with a k-th arrival) for each step k."""
+        for k in range(self.types.shape[1]):
+            yield k, np.flatnonzero(self.count > k)
+
+    def commit(self, k: int, rows: np.ndarray, edges: np.ndarray, us: np.ndarray):
+        self.remaining[rows, us] -= 1
+        slot = self.n_matched[rows]
+        self.matched[rows, slot] = edges
+        self.position[rows, slot] = k
+        self.n_matched[rows] += 1
+
+    def picks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        return [(m[:c], p[:c]) for m, p, c in zip(
+            self.matched, self.position, self.n_matched.tolist())]
+
+
+def _open_picks(col: np.ndarray, hit: np.ndarray, open_: np.ndarray):
+    """The trials of ``hit`` whose column ``col[hit]`` is open, and those columns."""
+    hit = hit[open_[hit, col[hit]]]
+    return hit, col[hit]
 
 
 class MarginalSamplingPolicy(OnlinePolicy):
@@ -100,9 +187,6 @@ class MarginalSamplingPolicy(OnlinePolicy):
 
     def __init__(self, inst, objective, x_star):
         super().__init__(inst, objective, x_star)
-        # per type: cumulative sampling mass and (edge, offline vertex) pairs
-        self._cum: list[list[float]] = []
-        self._pairs: list[list[tuple[int, int]]] = []
         eta = inst.eta
         mass = inst.loads(self.x_star)[1] / (eta * inst.rate_array)
         over = np.flatnonzero(mass > 1.0 + 1e-9)
@@ -111,32 +195,34 @@ class MarginalSamplingPolicy(OnlinePolicy):
                 f"infeasible marginals at type {inst.online_ids[over[0]]!r}: "
                 f"sampling mass {mass[over[0]]:.6g} > 1"
             )
-        for edges, rate in zip(inst.edges_at_v, inst.rates):
-            self._cum.append(np.cumsum(self.x_star[edges] / (eta * rate)).tolist())
-            self._pairs.append(list(zip(edges.tolist(), inst.edge_u[edges].tolist())))
+        # per type: cumulative sampling mass over its edges in index order
+        self._table = inst.edge_table_v
+        self._cum = np.cumsum(np.where(self._table >= 0, self.x_star[self._table], 0.0)
+                              / (eta * inst.rate_array[:, None]), axis=1)
+        self._degree = (self._table >= 0).sum(axis=1)
 
-    def replay(self, rng, seq):
-        eta, arrivals = self.inst.eta, seq.arrivals
-        # eta draws per arrival, whether or not they match
-        draws = iter(rng.random(eta * len(arrivals)).tolist())
-        remaining = list(self.inst.capacities)
-        matched: list[int] = []
-        arrival_of: list[int] = []
-        for i, (_, v) in enumerate(arrivals):
-            cum, pairs = self._cum[v], self._pairs[v]
-            used_u: list[int] = []
-            for r in islice(draws, eta):
-                k = bisect_right(cum, r)
-                if k >= len(pairs):
-                    continue  # leftover mass: skip this draw
-                e, u = pairs[k]
-                if u in used_u or remaining[u] <= 0:
-                    continue
-                used_u.append(u)
-                remaining[u] -= 1
-                matched.append(e)
-                arrival_of.append(i)
-        return matched, arrival_of
+    def _begin(self, rngs, block):
+        # eta uniforms per arrival, drawn up front, whether or not they match
+        m = self.inst.eta * block.count
+        draws = np.zeros((len(rngs), int(m.max(initial=0))))
+        for row, rng, mt in zip(draws, rngs, m.tolist()):
+            row[:mt] = rng.random(mt)
+        return draws
+
+    def _bisect_right(self, v: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """``bisect_right`` of each r in the cumulative row of its type v,
+        as one binary search over all of them (exact for any row)."""
+        lo, hi = np.zeros(len(r), dtype=np.int64), self._degree[v]
+        while (live := lo < hi).any():
+            mid = (lo + hi) // 2
+            right = live & ~(r < self._cum[v, np.where(live, mid, 0)])
+            lo, hi = np.where(right, mid + 1, lo), np.where(live & ~right, mid, hi)
+        return lo
+
+    def _choose(self, draws, k, j, rows, v, cand, open_):
+        col = self._bisect_right(v, draws[rows, self.inst.eta * k + j])
+        # a draw past the type's mass is skipped
+        return _open_picks(col, np.flatnonzero(col < self._degree[v]), open_)
 
 
 class ContentionResolutionPolicy(OnlinePolicy):
@@ -154,33 +240,38 @@ class ContentionResolutionPolicy(OnlinePolicy):
                 "one type per round); enable the fractional-rate override to "
                 "run it anyway"
             )
+        self._table = inst.edge_table_v
+        self._column = np.zeros(inst.n_edges, dtype=np.int64)  # in its type's row
+        self._column[self._table[self._table >= 0]] = np.nonzero(self._table >= 0)[1]
 
     def start_trials(self, rngs):
         supports = sample_support(self.x_star, self.inst, list(rngs))
         return list(zip(supports, rngs))
 
-    def replay(self, trial, seq):
-        support, rng = trial
+    def _begin(self, states, block):
+        """Each arrival's candidate column up front, -1 for none: the
+        arrival of v draws one of its k_v X-edges uniformly (an arrival
+        with none draws nothing), and keeps it if its Y bit is set."""
         inst = self.inst
-        # X-edges grouped by type; an arrival of v draws one of its k_v
-        # X-edges uniformly, and an arrival with none draws nothing
-        present = inst.edges_by_v[support.X[inst.edges_by_v]]
-        k = np.bincount(inst.edge_v[present], minlength=inst.n_online)
-        first = np.cumsum(k) - k
-        vs = seq.slots[seq.arrival_times]
-        drawn = np.flatnonzero(k[vs] > 0)
-        picks = present[first[vs[drawn]] + rng.integers(0, k[vs[drawn]])]
-        kept = support.Y[picks]
-        remaining = list(inst.capacities)
-        matched: list[int] = []
-        arrival_of: list[int] = []
-        for i, e, u in zip(drawn[kept].tolist(), picks[kept].tolist(),
-                           inst.edge_u[picks[kept]].tolist()):
-            if remaining[u] > 0:
-                remaining[u] -= 1
-                matched.append(e)
-                arrival_of.append(i)
-        return matched, arrival_of
+        cols = np.full(block.types.shape, -1, dtype=np.int64)
+        for row, types, n, (support, rng) in zip(cols, block.types,
+                                                block.count.tolist(), states):
+            # X-edges grouped by type, each type's in index order
+            present = inst.edges_by_v[support.X[inst.edges_by_v]]
+            k = np.bincount(inst.edge_v[present], minlength=inst.n_online)
+            first = np.cumsum(k) - k
+            vs = types[:n]
+            drawn = np.flatnonzero(k[vs] > 0)
+            picks = present[first[vs[drawn]] + rng.integers(0, k[vs[drawn]])]
+            kept = support.Y[picks]
+            row[drawn[kept]] = self._column[picks[kept]]
+        return cols
+
+    def _choose(self, cols, k, j, rows, v, cand, open_):
+        if j:  # one candidate per arrival
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        col = cols[rows, k]
+        return _open_picks(col, np.flatnonzero(col >= 0), open_)
 
 
 class GreedyPolicy(OnlinePolicy):
@@ -190,40 +281,26 @@ class GreedyPolicy(OnlinePolicy):
     def __init__(self, inst, objective, x_star=None):
         super().__init__(inst, objective, None)
         # candidate order fixes ties: lowest offline index wins
-        self._by_u: list[list[tuple[int, int]]] = []
-        for vi in range(inst.n_online):
-            pairs = sorted(
-                (int(inst.edge_u[e]), int(e)) for e in inst.edges_at_v[vi]
-            )
-            self._by_u.append(pairs)
+        table = inst.edge_table_v
+        u = np.where(table >= 0, inst.edge_u[table], inst.n_offline)
+        self._table = np.take_along_axis(table, np.argsort(u, axis=1, kind="stable"),
+                                         axis=1)
 
-    def start_trials(self, rngs):
-        return [self.objective.evaluator() for _ in rngs]
+    def _begin(self, states, block):
+        return self.objective.evaluator(len(states))
 
-    def replay(self, evaluator, seq):
-        remaining = list(self.inst.capacities)
-        matched: list[int] = []
-        arrival_of: list[int] = []
-        for i, (_, v) in enumerate(seq.arrivals):
-            used_u: list[int] = []
-            for _ in range(self.inst.eta):
-                best_e = -1
-                best_u = -1
-                best_gain = -1.0
-                for u, e in self._by_u[v]:
-                    if u in used_u or remaining[u] <= 0:
-                        continue
-                    g = evaluator.gain(e)
-                    if g > best_gain:
-                        best_gain, best_e, best_u = g, e, u
-                if best_e < 0:
-                    break
-                evaluator.add(best_e)
-                used_u.append(best_u)
-                remaining[best_u] -= 1
-                matched.append(best_e)
-                arrival_of.append(i)
-        return matched, arrival_of
+    def _choose(self, evaluator, k, j, rows, v, cand, open_):
+        r, c = np.nonzero(open_)
+        gain = np.full(cand.shape, -1.0)
+        gain[r, c] = evaluator.row_gains(rows[r], cand[r, c])
+        # closed candidates read -1.0; of equal gains the first column, the
+        # lowest offline index, wins
+        col = gain.argmax(axis=1)
+        hit = np.flatnonzero(gain[np.arange(len(rows)), col] > -1.0)
+        return hit, col[hit]
+
+    def _commit(self, evaluator, rows, edges):
+        evaluator.row_add(rows, edges)
 
 
 class DependentRoundingPolicy(OnlinePolicy):
@@ -231,37 +308,29 @@ class DependentRoundingPolicy(OnlinePolicy):
 
     def __init__(self, inst, objective, x_star):
         super().__init__(inst, objective, x_star)
-        self._edge_u = inst.edge_u.tolist()
+        self._table = inst.edge_table_v  # serve the rounded edges in index order
 
     def start_trials(self, rngs):
         chosen = dependent_round_stars(self.x_star, self.inst, list(rngs))
         return list(zip(chosen, rngs))
 
-    def replay(self, trial, seq):
-        chosen, rng = trial
-        inst = self.inst
-        # the rounded edges of each type, in index order; built here, not
-        # at the start, so a block holds one trial's lists at a time
-        kept = inst.edges_by_v[chosen[inst.edges_by_v]]
-        menu = split_groups(kept.tolist(), inst.edge_v[kept], inst.n_online)
-        edge_u = self._edge_u
-        remaining = list(self.inst.capacities)
-        matched: list[int] = []
-        arrival_of: list[int] = []
-        for i, (_, v) in enumerate(seq.arrivals):
-            used_u: list[int] = []
-            for _ in range(self.inst.eta):
-                avail = [e for e in menu[v]
-                         if edge_u[e] not in used_u and remaining[edge_u[e]] > 0]
-                if not avail:
-                    break
-                # the bound depends on capacity, so each draw is made here
-                e = avail[int(rng.integers(len(avail)))]
-                used_u.append(edge_u[e])
-                remaining[edge_u[e]] -= 1
-                matched.append(e)
-                arrival_of.append(i)
-        return matched, arrival_of
+    def _begin(self, states, block):
+        chosen = np.zeros((len(states), self.inst.n_edges + 1), dtype=bool)  # [-1]: pad
+        chosen[:, :-1] = [c for c, _ in states]
+        return chosen, [rng for _, rng in states]
+
+    def _choose(self, run, k, j, rows, v, cand, open_):
+        chosen, rngs = run
+        avail = open_ & chosen[rows[:, None], cand]
+        n = avail.sum(axis=1)
+        hit = np.flatnonzero(n)
+        # the bound depends on capacity, so each draw is made here; one
+        # open edge needs none (integers(1) draws nothing)
+        pick = np.zeros(len(hit), dtype=np.int64)
+        need = np.flatnonzero(n[hit] > 1)
+        for i, t, m in zip(need.tolist(), rows[hit[need]].tolist(), n[hit[need]].tolist()):
+            pick[i] = rngs[t].integers(m)
+        return hit, (avail[hit].cumsum(axis=1) > pick[:, None]).argmax(axis=1)
 
 
 def make_policy(name: str, inst: Instance, objective: SubmodularObjective,
@@ -281,26 +350,28 @@ def make_policy(name: str, inst: Instance, objective: SubmodularObjective,
 def run_trial(policy: OnlinePolicy, inst: Instance,
               objective: SubmodularObjective, seq: ArrivalSequence,
               rng: np.random.Generator | None = None,
-              trial=None) -> tuple[float, list[int]]:
-    """Replay one arrival sequence; returns (objective value, matched edges).
+              picks: tuple | None = None) -> tuple[float, list[int]]:
+    """Audit and score one trial; returns (objective value, matched edges).
 
-    The trial starts from ``policy.start_trial(rng)``, or from ``trial``, a
-    state made by ``policy.start_trials``.  This is the only code that
-    accepts a trial's matches: it audits the whole trial once against the
-    online rule, recounting each offline vertex's load from the matches
-    rather than trusting the policy's own bookkeeping.  ``matched`` keeps
-    repeats of a type-edge; the objective scores the set.
+    ``picks`` is the trial's (matched edges, arrival positions) from
+    ``policy.replay_block``; without it the trial is replayed alone from
+    ``policy.start_trial(rng)``.  This is the only code that accepts a
+    trial's matches: it audits the whole trial once against the online
+    rule, recounting each offline vertex's load from the matches rather
+    than trusting the policy's own bookkeeping.  ``matched`` keeps repeats
+    of a type-edge; the objective scores the set.
     """
-    if trial is None:
-        trial = policy.start_trial(rng)
-    matched, arrival_of = policy.replay(trial, seq)
+    if picks is None:
+        picks = policy.replay(policy.start_trial(rng), seq)
+    e, at = (np.asarray(p, dtype=np.int64) for p in picks)
+    matched = e.tolist()
     if matched:
-        e, at = np.asarray(matched), np.asarray(arrival_of)
         if np.bincount(at).max() > inst.eta:
             raise RuntimeError(f"{policy.name} returned more than eta edges")
         if np.any(inst.edge_v[e] != seq.slots[seq.arrival_times[at]]):
             raise RuntimeError(f"{policy.name} matched a non-incident edge")
-        if len(np.unique(at * inst.n_offline + inst.edge_u[e])) < len(e):
+        pairs = np.sort(at * inst.n_offline + inst.edge_u[e])
+        if np.any(pairs[1:] == pairs[:-1]):
             raise RuntimeError(f"{policy.name} repeated an offline vertex")
         load = np.bincount(inst.edge_u[e], minlength=inst.n_offline)
         if np.any(load > inst.capacity_array):
@@ -354,20 +425,24 @@ def compute_benchmark(kind: str, inst: Instance,
     raise ValueError(f"unknown benchmark kind {kind!r}")
 
 
-# Trials started together.  A block stays within BLOCK_CELLS 8-byte cells
-# (16 MiB): each trial takes one per edge for its dependent-rounding draws,
-# and about 256 (2 KiB, measured) for its generator and start state, which
-# bounds the block on small instances too.
+# Trials run together.  A block stays within BLOCK_CELLS 8-byte cells
+# (16 MiB).  Each trial takes one per edge (its dependent-rounding draws,
+# support or membership masks); at most 6 * eta per round of the horizon
+# for its arrival stream and the engine's rows (its arrival types, marginal
+# sampling's uniforms, its matched edges and their positions); and about
+# 256 (2 KiB, measured) for its generator and start state, which bounds the
+# block on small instances too.
 BLOCK_CELLS = 1 << 21
 
 
 def _trial_block(policy, inst, objective, keep, seeds):
-    """One batched start for the block's trials, then one replay each."""
+    """One batched start and one block replay for the block's trials, then
+    the audit and score of each."""
     states = policy.start_trials([np.random.default_rng((s, 1)) for s in seeds])
+    seqs = [sample_arrivals(inst, s) for s in seeds]
     results = []
-    for s, state in zip(seeds, states):
-        value, matched = run_trial(policy, inst, objective,
-                                   sample_arrivals(inst, s), trial=state)
+    for seq, picks in zip(seqs, policy.replay_block(states, seqs)):
+        value, matched = run_trial(policy, inst, objective, seq, picks=picks)
         results.append((value, matched if keep else None))
     return results
 
@@ -402,7 +477,7 @@ def simulate(
     else:
         benchmark_kind, benchmark_value = benchmark
 
-    block = max(1, BLOCK_CELLS // (inst.n_edges + 256))
+    block = max(1, BLOCK_CELLS // (inst.n_edges + 6 * inst.eta * inst.horizon + 256))
     if workers > 1 and trials > 1:
         block = min(block, math.ceil(trials / (workers * 4)))
     seeds = range(seed, seed + trials)

@@ -13,6 +13,16 @@ from osbm.objectives import (
 )
 
 
+GOLDEN_NUMPY = "2.4.6"  # the numpy release every golden digest was recorded on
+
+
+def golden_note(name: str) -> str:
+    """The failure message of a golden-digest check."""
+    return (f"{name} differs from the digest recorded on numpy {GOLDEN_NUMPY} "
+            f"(this run: numpy {np.__version__}); the digests cover sums made "
+            "by numpy's own reductions, whose order another release may change")
+
+
 def small_instance(rng: np.random.Generator, n_offline=None, n_online=None,
                    horizon=None, integral=False, max_degree=3):
     """Random bipartite instance small enough for exact oracles."""

@@ -370,6 +370,26 @@ class TestRoundTrip:
         assert np.array_equal(back.features.user_weights, np.zeros((2, 2)))
         assert build_objective(back).value([0, 1, 2]) == 0.0
 
+    def test_coverage_needs_a_feature_to_round_trip(self, tmp_path):
+        # with no feature there is no fw record to write, so the problem is
+        # invalid; one feature that no edge covers is valid and reloads
+        def coverage(weights):
+            return Problem(instance=tiny_instance(), kind="coverage",
+                           features=EdgeFeatures(n_features=len(weights),
+                                                 feature_sets=(frozenset(),) * 3,
+                                                 feature_weights=np.array(weights)))
+        empty, one = coverage([]), coverage([2.5])
+        assert empty.validate() == ["coverage objective needs at least one feature"]
+        save_problem(empty, tmp_path / "empty.txt")
+        with pytest.raises(InstanceError, match="needs at least one feature"):
+            load_problem(tmp_path / "empty.txt")
+        assert one.validate() == []
+        save_problem(one, tmp_path / "one.txt")
+        back = load_problem(tmp_path / "one.txt")
+        assert np.array_equal(back.features.feature_weights, [2.5])
+        assert back.features.feature_sets == (frozenset(),) * 3
+        assert build_objective(back).value([0, 1, 2]) == 0.0
+
 
 class TestRecordLines:
     def test_bad_record_names_its_line_after_blank_lines(self, tmp_path):

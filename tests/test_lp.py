@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import small_instance, small_objective
+from conftest import golden_note, small_instance, small_objective
 from osbm import lp as lpmod
 from osbm.instances import build_instance, generate_synthetic
 from osbm.lp import (
@@ -146,7 +146,7 @@ class TestSolve:
             for arr in (s.x, s.duals, s.reduced_costs):
                 digest.update(arr.tobytes())
             digest.update(f"{s.iterations} {s.degenerate_pivots};".encode())
-        assert digest.hexdigest() == SOLVE_GOLDEN
+        assert digest.hexdigest() == SOLVE_GOLDEN, golden_note("SOLVE_GOLDEN")
 
 
 def beale_lp():
@@ -343,7 +343,7 @@ class TestSpecialPrograms:
             for arr in (lp.c, lp.A, lp.b, lp.upper):
                 digest.update(arr.tobytes())
             digest.update("\n".join(lp.col_names + lp.row_names).encode())
-        assert digest.hexdigest() == PRESOLVE_GOLDEN
+        assert digest.hexdigest() == PRESOLVE_GOLDEN, golden_note("PRESOLVE_GOLDEN")
 
     @pytest.mark.parametrize("kind", ["coverage", "per_user_coverage"])
     def test_presolve_keeps_the_rational_optimum(self, kind, rng):

@@ -59,6 +59,32 @@ class TestValueOracles:
         with pytest.raises(ValueError, match="unknown edge"):
             obj.value([3])
 
+    @pytest.mark.parametrize("edges, bad", [
+        ([0, 5, -1, 7], 5), ((2, -1, 9), -1), (np.array([1, 3]), 3)])
+    def test_unknown_edge_names_the_first_bad_id(self, edges, bad):
+        with pytest.raises(ValueError, match=f"unknown edge id {bad}$"):
+            LinearObjective(np.ones(3)).value(edges)
+
+    def test_value_equals_the_per_edge_forms(self, rng):
+        # the forms value had before it checked and collected edges as arrays
+        for kind in ("linear", "budget_additive", "coverage"):
+            obj = small_objective(kind, 40, rng, n_features=30)
+            for _ in range(30):
+                edges = rng.integers(0, 40, size=int(rng.integers(0, 60))).tolist()
+                if kind == "coverage":
+                    covered = np.zeros(obj.n_features, dtype=bool)
+                    for e in edges:
+                        covered[obj.edge_features[e]] = True
+                    expected = float(obj.feature_weights[covered].sum())
+                elif not edges:
+                    expected = 0.0
+                else:
+                    expected = float(obj.weights[np.unique(edges)].sum())
+                    if kind == "budget_additive":
+                        expected = float(min(obj.budget, expected))
+                for form in (edges, set(edges), np.array(edges, dtype=np.int64)):
+                    assert obj.value(form) == expected
+
 
 class TestMarginalGain:
     def test_linear_gain_independent_of_set(self):
@@ -253,6 +279,22 @@ class TestEvaluators:
             before, gain_of_3 = ev.value, ev.gain(3)
             assert ev.add(2) == 0.0
             assert ev.value == before and ev.gain(3) == gain_of_3
+
+
+    def test_coverage_row_gains_sum_as_the_one_edge_form(self, rng):
+        # edges with 0 to 40 features: the sums of 8 and more terms take
+        # numpy's pairwise blocking, which the batched gains must keep
+        sets = [frozenset(rng.choice(60, size=k, replace=False).tolist())
+                for k in range(41)]
+        obj = CoverageObjective(sets, rng.random(60) * 10.0 ** rng.integers(-3, 4, 60))
+        ev = obj.evaluator(rows=3)
+        ev.row_add(np.array([1, 2]), np.array([5, 17]))
+        rows, edges = np.repeat(np.arange(3), 41), np.tile(np.arange(41), 3)
+        for r, e, gain in zip(rows, edges, ev.row_gains(rows, edges)):
+            q = obj.edge_features[e]
+            fresh = q[~ev._covered[r][q]]
+            expected = 0.0 if ev.members[r, e] else float(obj.feature_weights[fresh].sum())
+            assert gain == expected
 
 
 class _ValueOnlyLinear(SubmodularObjective):

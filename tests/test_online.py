@@ -2,11 +2,13 @@
 
 import hashlib
 import math
+from bisect import bisect_right
+from itertools import islice
 
 import numpy as np
 import pytest
 
-from conftest import small_instance, small_objective
+from conftest import golden_note, small_instance, small_objective
 from osbm import online as online_mod
 from osbm.instances import (
     ArrivalSequence,
@@ -15,7 +17,8 @@ from osbm.instances import (
     sample_arrivals,
 )
 from osbm.lp import solve_offline_lp
-from osbm.objectives import BudgetAdditiveObjective, LinearObjective, build_objective
+from osbm.objectives import (BudgetAdditiveObjective, CoverageObjective,
+                             LinearObjective, build_objective)
 from osbm.offline import expected_opt
 from osbm.online import (
     POLICY_NAMES,
@@ -44,21 +47,26 @@ def binom_sigma(p, n):
     return math.sqrt(max(p * (1 - p), 1e-12) / n)
 
 
+def recipe_guide(inst, b, eta):
+    """A feasible guide drawn, not solved, so a solver change cannot move it."""
+    w = np.random.default_rng(11).random(inst.n_edges)
+    deg_u = np.bincount(inst.edge_u, minlength=inst.n_offline)[inst.edge_u]
+    deg_v = np.bincount(inst.edge_v, minlength=inst.n_online)[inst.edge_v]
+    return w * np.minimum(1.0, np.minimum(
+        b / deg_u, eta * inst.rate_array[inst.edge_v] / deg_v))
+
+
 def recipe_digest(kind, bs, etas, trials=20):
     """sha256 over every policy's values and matches on recipe seed 11, one
     cell per (b, eta).  The guide is drawn, not solved, so a solver change
     cannot move it."""
     problem = generate_synthetic(kind, 11)
     inst, obj = problem.instance, build_objective(problem)
-    w = np.random.default_rng(11).random(inst.n_edges)
-    deg_u = np.bincount(inst.edge_u, minlength=inst.n_offline)[inst.edge_u]
-    deg_v = np.bincount(inst.edge_v, minlength=inst.n_online)[inst.edge_v]
     digest = hashlib.sha256()
     for b in bs:
         for eta in etas:
             cell = inst.with_capacities(b).with_eta(eta)
-            x = w * np.minimum(1.0, np.minimum(
-                b / deg_u, eta * inst.rate_array[inst.edge_v] / deg_v))
+            x = recipe_guide(inst, b, eta)
             for name in POLICY_NAMES:
                 m = simulate(cell, obj, name, x_star=x, trials=trials, seed=11,
                              allow_fractional_cr=True, keep_matches=True)
@@ -402,11 +410,11 @@ class TestSimulator:
             name = "faulty"
             needs_guide = False
 
-            def replay(self, trial, seq):
+            def replay_block(self, states, seqs):
                 # the same picks on every arrival
-                n = len(seq.arrivals)
-                return ([e for _ in range(n) for e in picks],
-                        [i for i in range(n) for _ in picks])
+                return [([e for _ in range(n) for e in picks],
+                         [i for i in range(n) for _ in picks])
+                        for n in (len(seq.arrivals) for seq in seqs)]
 
         with pytest.raises(RuntimeError, match=message):
             run_trial(Faulty(inst, obj), inst, obj,
@@ -425,7 +433,8 @@ class TestSimulator:
             name = "per-edge-booking"
             needs_guide = False
 
-            def replay(self, trial, seq):
+            def replay_block(self, states, seqs):
+                (seq,) = seqs
                 self.remaining = [inst.capacities[u] for u in inst.edge_u]
                 matched, arrival_of = [], []
                 for i, (_, v) in enumerate(seq.arrivals):
@@ -434,7 +443,7 @@ class TestSimulator:
                             self.remaining[e] -= 1
                             matched.append(e)
                             arrival_of.append(i)
-                return matched, arrival_of
+                return [(matched, arrival_of)]
 
         policy = PerEdgeBooking(inst, obj)
         with pytest.raises(RuntimeError, match="saturated offline vertex"):
@@ -444,12 +453,14 @@ class TestSimulator:
 
     def test_golden_values_and_matches(self):
         # budget recipe at b in {1, 5} and eta in {1, 2}
-        assert recipe_digest("budget_additive", (1, 5), (1, 2)) == SIMULATE_GOLDEN
+        assert (recipe_digest("budget_additive", (1, 5), (1, 2))
+                == SIMULATE_GOLDEN), golden_note("SIMULATE_GOLDEN")
 
     def test_coverage_golden_values_and_matches(self):
         # coverage reaches greedy's incremental coverage evaluator, which
         # the budget recipe does not
-        assert recipe_digest("coverage", (1, 5), (1,)) == COVERAGE_GOLDEN
+        assert (recipe_digest("coverage", (1, 5), (1,))
+                == COVERAGE_GOLDEN), golden_note("COVERAGE_GOLDEN")
 
     def test_greedy_single_edge_ratio_one(self):
         inst = build_instance([("u0", 1)], [("v0", 1.0)],
@@ -528,3 +539,192 @@ class TestSimulator:
             m = simulate(inst, obj, "greedy", trials=500, seed=16,
                          benchmark="brute")
             assert m.ratio <= 1.0 + 3 * m.ratio_std_error / max(m.ratio, 1e-9)
+
+
+# -- the scalar reference ----------------------------------------------------
+# The per-trial replay loops that the block engine replaced, one trial at a
+# time over Python lists and floats, kept as the reference it must equal.
+
+class ReferenceEvaluator:
+    """Greedy's incremental gains for one trial, in Python floats."""
+
+    def __init__(self, objective):
+        self.objective = objective
+        self.members = set()
+        self.raw = 0.0
+        if isinstance(objective, CoverageObjective):
+            self.covered = np.zeros(objective.n_features, dtype=bool)
+
+    def gain(self, e):
+        obj = self.objective
+        if e in self.members:
+            return 0.0
+        if isinstance(obj, BudgetAdditiveObjective):
+            w = obj.weights.tolist()[e]
+            return min(obj.budget, self.raw + w) - min(obj.budget, self.raw)
+        if isinstance(obj, CoverageObjective):
+            q = obj.edge_features[e]
+            return float(obj.feature_weights[q[~self.covered[q]]].sum())
+        return float(obj.weights[e])
+
+    def add(self, e):
+        if e not in self.members:
+            if isinstance(self.objective, CoverageObjective):
+                self.covered[self.objective.edge_features[e]] = True
+            elif isinstance(self.objective, BudgetAdditiveObjective):
+                self.raw += self.objective.weights.tolist()[e]
+            self.members.add(e)
+
+
+def reference_replay(policy, trial, seq):
+    """(matched edges, arrival positions) of one trial."""
+    inst, eta = policy.inst, policy.inst.eta
+    edge_u = inst.edge_u.tolist()
+    remaining = list(inst.capacities)
+    matched, arrival_of = [], []
+    if policy.name == "marginal-sampling":
+        cum = [np.cumsum(policy.x_star[edges] / (eta * rate)).tolist()
+               for edges, rate in zip(inst.edges_at_v, inst.rates)]
+        draws = iter(trial.random(eta * len(seq.arrivals)).tolist())
+        for i, (_, v) in enumerate(seq.arrivals):
+            used_u = []
+            for r in islice(draws, eta):
+                k = bisect_right(cum[v], r)
+                if k >= len(cum[v]):
+                    continue  # leftover mass: skip this draw
+                e = int(inst.edges_at_v[v][k])
+                u = edge_u[e]
+                if u in used_u or remaining[u] <= 0:
+                    continue
+                used_u.append(u)
+                remaining[u] -= 1
+                matched.append(e)
+                arrival_of.append(i)
+    elif policy.name == "contention-resolution":
+        support, rng = trial
+        present = inst.edges_by_v[support.X[inst.edges_by_v]]
+        k = np.bincount(inst.edge_v[present], minlength=inst.n_online)
+        first = np.cumsum(k) - k
+        vs = seq.slots[seq.arrival_times]
+        drawn = np.flatnonzero(k[vs] > 0)
+        picks = present[first[vs[drawn]] + rng.integers(0, k[vs[drawn]])]
+        kept = support.Y[picks]
+        for i, e in zip(drawn[kept].tolist(), picks[kept].tolist()):
+            if remaining[edge_u[e]] > 0:
+                remaining[edge_u[e]] -= 1
+                matched.append(e)
+                arrival_of.append(i)
+    elif policy.name == "greedy":
+        evaluator = ReferenceEvaluator(policy.objective)
+        by_u = [sorted((edge_u[e], e) for e in edges.tolist())
+                for edges in inst.edges_at_v]
+        for i, (_, v) in enumerate(seq.arrivals):
+            used_u = []
+            for _ in range(eta):
+                best_e, best_u, best_gain = -1, -1, -1.0
+                for u, e in by_u[v]:
+                    if u in used_u or remaining[u] <= 0:
+                        continue
+                    g = evaluator.gain(e)
+                    if g > best_gain:
+                        best_gain, best_e, best_u = g, e, u
+                if best_e < 0:
+                    break
+                evaluator.add(best_e)
+                used_u.append(best_u)
+                remaining[best_u] -= 1
+                matched.append(best_e)
+                arrival_of.append(i)
+    else:
+        chosen, rng = trial
+        menu = [[e for e in edges.tolist() if chosen[e]] for edges in inst.edges_at_v]
+        for i, (_, v) in enumerate(seq.arrivals):
+            used_u = []
+            for _ in range(eta):
+                avail = [e for e in menu[v]
+                         if edge_u[e] not in used_u and remaining[edge_u[e]] > 0]
+                if not avail:
+                    break
+                e = avail[int(rng.integers(len(avail)))]
+                used_u.append(edge_u[e])
+                remaining[edge_u[e]] -= 1
+                matched.append(e)
+                arrival_of.append(i)
+    return matched, arrival_of
+
+
+def generator_states(policy, states):
+    """The bit-generator state of each trial's generator."""
+    if policy.name in ("contention-resolution", "dependent-rounding"):
+        return [rng.bit_generator.state for _, rng in states]
+    return [rng.bit_generator.state for rng in states]
+
+
+def assert_engine_matches_reference(policy, seqs, seeds, sizes=(None,)):
+    """Replay ``seqs`` in blocks of each size (None: all in one block) and
+    compare every trial's picks, and its generator's state after, with the
+    reference loop's."""
+    start = lambda: policy.start_trials([np.random.default_rng((s, 1)) for s in seeds])
+    ref_states = start()
+    expected = [reference_replay(policy, t, seq) for t, seq in zip(ref_states, seqs)]
+    for size in sizes:
+        size = size or len(seqs)
+        states, got = start(), []
+        for i in range(0, len(seqs), size):
+            got += policy.replay_block(states[i:i + size], seqs[i:i + size])
+        for (e, at), (ref_e, ref_at) in zip(got, expected):
+            assert np.asarray(e).tolist() == ref_e
+            assert np.asarray(at).tolist() == ref_at
+        assert generator_states(policy, states) == generator_states(policy, ref_states)
+
+
+def tie_instance(b, eta):
+    """Three offline vertices, every type joined to every one.  Type j lists
+    its edges from u_j on, so edge order is not offline order."""
+    offline = [(f"u{i}", b) for i in range(3)]
+    online = [(f"v{j}", 1.0) for j in range(3)]
+    edges = [(f"e{3 * j + k}", f"u{(j + k) % 3}", f"v{j}")
+             for j in range(3) for k in range(3)]
+    return build_instance(offline, online, edges, horizon=3, eta=eta)
+
+
+class TestBlockEngine:
+    @pytest.mark.parametrize("kind", ["budget_additive", "coverage"])
+    @pytest.mark.parametrize("b, eta", [(1, 1), (1, 2), (5, 1), (5, 2)])
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_recipe_matches_reference(self, kind, b, eta, policy):
+        problem = generate_synthetic(kind, 11)
+        inst = problem.instance.with_capacities(b).with_eta(eta)
+        pol = make_policy(policy, inst, build_objective(problem),
+                          recipe_guide(inst, b, eta), allow_fractional_cr=True)
+        seeds = range(11, 19)
+        assert_engine_matches_reference(
+            pol, [sample_arrivals(inst, s) for s in seeds], seeds, sizes=(1, 3, None))
+
+    @pytest.mark.parametrize("kind", ["linear", "budget_additive", "coverage"])
+    @pytest.mark.parametrize("b, eta", [(1, 1), (1, 2), (2, 2)])
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_ties_match_reference(self, kind, b, eta, policy):
+        # every gain ties, and the budget saturates after two edges
+        inst = tie_instance(b, eta)
+        obj = {"linear": LinearObjective(np.ones(9)),
+               "budget_additive": BudgetAdditiveObjective(np.ones(9), budget=2.0),
+               "coverage": CoverageObjective([frozenset({0})] * 9, [1.0])}[kind]
+        x = np.full(9, min(b, eta) / 3.0)
+        pol = make_policy(policy, inst, obj, x)
+        seeds = range(40)
+        assert_engine_matches_reference(
+            pol, [sample_arrivals(inst, s) for s in seeds], seeds, sizes=(1, 3, None))
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_trial_without_arrivals(self, policy):
+        inst = tie_instance(1, 2)
+        obj = LinearObjective(np.ones(9))
+        pol = make_policy(policy, inst, obj, np.full(9, 1 / 3))
+        empty = ArrivalSequence(np.full(3, -1))
+        seqs = [sample_arrivals(inst, 0), empty, sample_arrivals(inst, 2)]
+        assert_engine_matches_reference(pol, seqs, range(3), sizes=(1, None))
+        (e, at), = pol.replay_block(pol.start_trials([np.random.default_rng(0)]), [empty])
+        assert len(e) == len(at) == 0
+        value, matched = run_trial(pol, inst, obj, empty, np.random.default_rng(0))
+        assert value == 0.0 and matched == []

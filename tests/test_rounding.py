@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import small_instance
+from conftest import golden_note, small_instance
 from osbm import pipage_round
 from osbm.instances import build_instance, generate_synthetic
 from osbm.rounding import (
@@ -399,4 +399,4 @@ class TestPairingStep:
         x2 = np.array([0.3, 0.45, 0.55, 0.2])
         for s in range(50):
             digest.update(np.packbits(pipage_round(x2, cycle, seed=s)).tobytes())
-        assert digest.hexdigest() == PAIRING_GOLDEN
+        assert digest.hexdigest() == PAIRING_GOLDEN, golden_note("PAIRING_GOLDEN")
