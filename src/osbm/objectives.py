@@ -30,14 +30,13 @@ class SubmodularObjective:
     def value(self, edges) -> float:
         raise NotImplementedError
 
-    def _check_edges(self, edges) -> np.ndarray:
-        """The edge ids as an int64 array; raises on the first unknown id."""
-        idx = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
-                         dtype=np.int64)
-        unknown = idx.view(np.uint64) >= self.n_edges  # a negative id wraps past it
-        if np.count_nonzero(unknown):
-            raise ValueError(f"unknown edge id {idx[unknown][0]}")
-        return idx
+    def _check_edges(self, edges) -> list[int]:
+        """The edge ids as a list; raises on the first unknown id."""
+        ids = edges.tolist() if isinstance(edges, np.ndarray) else list(edges)
+        if ids and (min(ids) < 0 or max(ids) >= self.n_edges):
+            bad = next(e for e in ids if not 0 <= e < self.n_edges)
+            raise ValueError(f"unknown edge id {bad}")
+        return ids
 
     def _edge_set(self, edges) -> np.ndarray:
         """The set of ``edges`` as a mask over the ground set."""
@@ -47,7 +46,7 @@ class SubmodularObjective:
 
     def gain(self, edges, e: int) -> float:
         """Marginal value of adding ``e`` to the set ``edges`` (requires e not in set)."""
-        members = set(self._check_edges(edges).tolist())
+        members = set(self._check_edges(edges))
         e = int(e)
         if e in members:
             raise ValueError(f"edge {e} already in the set")
@@ -228,7 +227,8 @@ class CoverageObjective(SubmodularObjective):
     def _covered(self, edges) -> np.ndarray:
         """Mask of the features that the edge set covers."""
         covered = np.zeros(self.n_features, dtype=bool)
-        covered[self._flat_feat[self._edge_set(edges)[self._flat_edge]]] = True
+        for e in self._check_edges(edges):
+            covered[self.edge_features[e]] = True
         return covered
 
     def value(self, edges) -> float:

@@ -73,9 +73,9 @@ class OnlinePolicy:
     by arrival: step k serves each trial's k-th arrival, in up to ``eta``
     rounds of one numpy step over the trials.  A policy sets its candidate
     table ``_table`` (a row of edges per type, -1 pads) and, through
-    ``_begin``, ``_choose`` and ``_commit``, picks among the open candidates
-    of each round: those whose offline vertex has capacity left and has not
-    served this arrival.  ``run_trial`` audits and scores the picks.
+    ``_begin`` and ``_choose``, picks among the open candidates of each
+    round: those whose offline vertex has capacity left and has not served
+    this arrival.  ``run_trial`` audits and scores the picks.
     """
 
     name = "abstract"
@@ -86,6 +86,9 @@ class OnlinePolicy:
                  x_star: np.ndarray | None = None):
         self.inst = inst
         self.objective = objective
+        # the offline vertex of each edge, and at [-1] that of the -1 pad:
+        # vertex n_offline, which never has capacity
+        self._edge_u = np.append(inst.edge_u, inst.n_offline)
         self.x_star = None if x_star is None else np.asarray(x_star, dtype=float)
         if self.needs_guide:
             if self.x_star is None:
@@ -110,13 +113,13 @@ class OnlinePolicy:
         for k, rows in block.steps() if self._table.shape[1] else ():
             v = block.types[rows, k]
             cand = self._table[v]
-            us = block.edge_u[cand]
+            us = self._edge_u[cand]
             open_ = block.remaining[rows[:, None], us] > 0
             for j in range(self.inst.eta):
                 hit, col = self._choose(run, k, j, rows, v, cand, open_)
-                edges = cand[hit, col]
-                self._commit(run, rows[hit], edges)
-                block.commit(k, rows[hit], edges, us[hit, col])
+                if not len(hit):
+                    continue
+                block.commit(k, rows[hit], cand[hit, col], us[hit, col])
                 open_[hit, col] = False
         return block.picks()
 
@@ -132,11 +135,8 @@ class OnlinePolicy:
                 cand: np.ndarray, open_: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Round j of step k, over the stepping trials ``rows`` with arrival
         types ``v``: (index into rows of each trial that picks, the column of
-        ``cand`` it picks, an open one)."""
+        ``cand`` it picks, an open one).  Every pick returned is matched."""
         raise NotImplementedError
-
-    def _commit(self, run, rows: np.ndarray, edges: np.ndarray) -> None:
-        """Take note of the picks of one round."""
 
 
 class _Block:
@@ -154,7 +154,6 @@ class _Block:
         # column n_offline is the vertex of the -1 pad: it has no capacity
         self.remaining = np.zeros((n, inst.n_offline + 1), dtype=np.int64)
         self.remaining[:, :-1] = inst.capacity_array
-        self.edge_u = np.append(inst.edge_u, inst.n_offline)
         self.matched = np.empty((n, inst.eta * self.types.shape[1]), dtype=np.int64)
         self.position = np.empty_like(self.matched)
         self.n_matched = np.zeros(n, dtype=np.int64)
@@ -282,9 +281,8 @@ class GreedyPolicy(OnlinePolicy):
         super().__init__(inst, objective, None)
         # candidate order fixes ties: lowest offline index wins
         table = inst.edge_table_v
-        u = np.where(table >= 0, inst.edge_u[table], inst.n_offline)
-        self._table = np.take_along_axis(table, np.argsort(u, axis=1, kind="stable"),
-                                         axis=1)
+        order = np.argsort(self._edge_u[table], axis=1, kind="stable")
+        self._table = np.take_along_axis(table, order, axis=1)
 
     def _begin(self, states, block):
         return self.objective.evaluator(len(states))
@@ -297,10 +295,8 @@ class GreedyPolicy(OnlinePolicy):
         # lowest offline index, wins
         col = gain.argmax(axis=1)
         hit = np.flatnonzero(gain[np.arange(len(rows)), col] > -1.0)
+        evaluator.row_add(rows[hit], cand[hit, col[hit]])
         return hit, col[hit]
-
-    def _commit(self, evaluator, rows, edges):
-        evaluator.row_add(rows, edges)
 
 
 class DependentRoundingPolicy(OnlinePolicy):
@@ -430,8 +426,8 @@ def compute_benchmark(kind: str, inst: Instance,
 # support or membership masks); at most 6 * eta per round of the horizon
 # for its arrival stream and the engine's rows (its arrival types, marginal
 # sampling's uniforms, its matched edges and their positions); and about
-# 256 (2 KiB, measured) for its generator and start state, which bounds the
-# block on small instances too.
+# 384 (3 KiB, measured) for its generator, start state, sequence object and
+# picks, which bounds the block on small instances too.
 BLOCK_CELLS = 1 << 21
 
 
@@ -477,7 +473,7 @@ def simulate(
     else:
         benchmark_kind, benchmark_value = benchmark
 
-    block = max(1, BLOCK_CELLS // (inst.n_edges + 6 * inst.eta * inst.horizon + 256))
+    block = max(1, BLOCK_CELLS // (inst.n_edges + 6 * inst.eta * inst.horizon + 384))
     if workers > 1 and trials > 1:
         block = min(block, math.ceil(trials / (workers * 4)))
     seeds = range(seed, seed + trials)

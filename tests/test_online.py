@@ -511,6 +511,18 @@ class TestSimulator:
             assert np.array_equal(blocked.values, one_block.values)
             assert blocked.matches == one_block.matches
 
+    def test_benchmark_cells_run_in_one_block(self, monkeypatch):
+        # perfbench's budget-sweep (eta 2, 170 trials) and coverage sweep
+        # (eta 1, 50 trials) cells each fit one block
+        sizes = []
+        monkeypatch.setattr(online_mod, "_trial_block", lambda policy, inst, obj, keep, seeds:
+                            sizes.append(len(seeds)) or [(0.0, None)] * len(seeds))
+        for kind, eta, trials in (("budget_additive", 2, 170), ("coverage", 1, 50)):
+            problem = generate_synthetic(kind, 11)
+            simulate(problem.instance.with_capacities(15).with_eta(eta),
+                     build_objective(problem), "greedy", trials=trials)
+        assert sizes == [170, 50]
+
     def test_benchmark_kinds(self, rng):
         inst = small_instance(rng, n_offline=3, n_online=2, horizon=3)
         obj = small_objective("coverage", inst.n_edges, rng)
