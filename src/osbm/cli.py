@@ -36,7 +36,7 @@ from .offline import (
     load_solution,
     save_solution,
 )
-from .online import POLICY_NAMES, simulate
+from .online import POLICY_NAMES, ArrivalStreams, simulate
 
 # reference lines echoed in experiment reports: online-phase guarantee
 # factors of the guided policies relative to the offline guide value
@@ -191,6 +191,7 @@ def cmd_experiment(args) -> int:
     objective = build_objective(problem)
     rows: list[dict] = []
     hist_rows: list[dict] = []
+    streams = None  # the trials' arrival streams, drawn once for the sweep
     for eta in args.eta:
         for b in args.b:
             inst = problem.instance.with_capacities(b).with_eta(eta)
@@ -202,11 +203,14 @@ def cmd_experiment(args) -> int:
                 continue
             for name in args.algorithms:
                 try:
+                    if streams is None:
+                        streams = ArrivalStreams(inst, args.seed, args.trials)
                     metrics = simulate(
                         inst, objective, name, x_star=x_star, trials=args.trials,
                         seed=args.seed, benchmark=("lp", benchmark_value),
                         workers=args.workers, allow_fractional_cr=True,
                         keep_matches=args.coverage_hist is not None,
+                        streams=streams,
                     )
                     rows.append(_report_row(name, problem.kind, b, eta, args.trials,
                                             num(benchmark_value), metrics))

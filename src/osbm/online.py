@@ -20,18 +20,22 @@ are provided:
 
 Trials run in blocks, in three parts.  ``start_trials`` prepares the state
 of the whole block at once (one ``sample_support`` or ``dependent_round_stars``
-call with one generator per trial).  ``replay_block`` then advances every
-trial of the block together, arrival by arrival: step k serves each trial's
-k-th arrival with one numpy step over the trials for each of up to ``eta``
-picks, on state held as arrays (remaining capacities, trials x offline
-vertices; greedy's evaluator rows; the rounded edge sets).  What has a known
-count is drawn up front per trial (marginal sampling's ``eta`` uniforms per
-arrival, contention resolution's one index per arrival with candidates);
-dependent rounding draws each pick from the trial's own generator, and only
-when more than one edge is open.  ``run_trial`` is the one place that
-accepts a trial's matches: it audits them once per trial, recounting each
-offline vertex's load from the matches instead of trusting the policy's own
-capacity bookkeeping, and scores them.
+call with one generator per trial).  ``replay_block`` then matches every
+trial of the block together, in one of two ways.  Marginal sampling's and
+contention resolution's picks depend on no state, so each draws all of a
+trial's picks up front (``eta`` uniforms per arrival; one index per arrival
+with candidates) and the block resolves them by rank, with one stable sort
+over (trial, offline vertex): a pick commits iff it is among the first b_u
+picks of its offline vertex u, after dropping a pick whose u already served
+the same arrival.  Greedy's and dependent rounding's picks depend on what
+was matched, so they step: step k serves each trial's k-th arrival with one
+numpy step over the trials for each of up to ``eta`` picks, on state held as
+arrays (remaining capacities, trials x offline vertices; greedy's evaluator
+rows; the rounded edge sets); dependent rounding draws each pick from the
+trial's own generator, and only when more than one edge is open.
+``run_trial`` is the one place that accepts a trial's matches: it audits
+them once per trial, recounting each offline vertex's load from the matches
+instead of trusting the policy's own capacity bookkeeping, and scores them.
 
 ``simulate`` replays a policy over independent arrival sequences and reports
 per-trial objective values, their mean and standard error, and the
@@ -39,7 +43,9 @@ empirical ratio against a chosen benchmark upper bound.  Trial ``i`` of a
 run with seed ``s`` draws its arrivals from seed ``s + i`` and its policy
 randomness from ``default_rng((s + i, 1))``; every batched step makes
 exactly the draws of the one-trial-at-a-time loop, so values do not depend
-on batching or on the worker count.
+on batching or on the worker count.  The arrivals depend only on the rates,
+the horizon and the seed, so a sweep draws them once (``ArrivalStreams``)
+and every cell and policy replays the same streams.
 """
 
 from __future__ import annotations
@@ -75,7 +81,9 @@ class OnlinePolicy:
     table ``_table`` (a row of edges per type, -1 pads) and, through
     ``_begin`` and ``_choose``, picks among the open candidates of each
     round: those whose offline vertex has capacity left and has not served
-    this arrival.  ``run_trial`` audits and scores the picks.
+    this arrival.  A policy whose picks depend on no state derives from
+    ``PredrawnPolicy`` instead: it is not stepped, and the block resolves
+    its picks by rank.  ``run_trial`` audits and scores the picks.
     """
 
     name = "abstract"
@@ -109,19 +117,32 @@ class OnlinePolicy:
         remaining capacities."""
         block = _Block(self.inst, seqs)
         run = self._begin(states, block)
+        types = block.table()
+        n, m = types.shape[0], self.inst.eta * types.shape[1]
+        # column n_offline is the vertex of the -1 pad: it has no capacity
+        remaining = np.zeros((n, self.inst.n_offline + 1), dtype=np.int64)
+        remaining[:, :-1] = self.inst.capacity_array
+        matched, position = np.empty((2, n, m), dtype=np.int64)
+        n_matched = np.zeros(n, dtype=np.int64)
         # a table with no columns: no type has an edge, nothing to match
-        for k, rows in block.steps() if self._table.shape[1] else ():
-            v = block.types[rows, k]
+        for k in range(types.shape[1]) if self._table.shape[1] else ():
+            rows = np.flatnonzero(block.count > k)
+            v = types[rows, k]
             cand = self._table[v]
             us = self._edge_u[cand]
-            open_ = block.remaining[rows[:, None], us] > 0
-            for j in range(self.inst.eta):
-                hit, col = self._choose(run, k, j, rows, v, cand, open_)
+            open_ = remaining[rows[:, None], us] > 0
+            for _ in range(self.inst.eta):
+                hit, col = self._choose(run, rows, v, cand, open_)
                 if not len(hit):
                     continue
-                block.commit(k, rows[hit], cand[hit, col], us[hit, col])
+                t = rows[hit]
+                remaining[t, us[hit, col]] -= 1
                 open_[hit, col] = False
-        return block.picks()
+                slot = n_matched[t]
+                matched[t, slot] = cand[hit, col]
+                position[t, slot] = k
+                n_matched[t] += 1
+        return [(e[:c], at[:c]) for e, at, c in zip(matched, position, n_matched.tolist())]
 
     def replay(self, trial, seq: ArrivalSequence) -> tuple:
         """One trial's picks: a block of one."""
@@ -131,57 +152,80 @@ class OnlinePolicy:
         """The policy's own state for a block, passed to each round."""
         raise NotImplementedError
 
-    def _choose(self, run, k: int, j: int, rows: np.ndarray, v: np.ndarray,
-                cand: np.ndarray, open_: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Round j of step k, over the stepping trials ``rows`` with arrival
-        types ``v``: (index into rows of each trial that picks, the column of
-        ``cand`` it picks, an open one).  Every pick returned is matched."""
+    def _choose(self, run, rows: np.ndarray, v: np.ndarray, cand: np.ndarray,
+                open_: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One round of a step, over the stepping trials ``rows`` with
+        arrival types ``v``: (index into rows of each trial that picks, the
+        column of ``cand`` it picks, an open one).  Every pick returned is
+        matched."""
         raise NotImplementedError
 
 
+class PredrawnPolicy(OnlinePolicy):
+    """A policy whose picks depend on no state: every pick of a block is
+    drawn before the block runs, so the block resolves them by rank instead
+    of stepping.  ``_begin`` returns the picks as (arrival, edge) arrays,
+    arrivals indexing ``_Block.v``, in the order the policy makes them."""
+
+    def replay_block(self, states, seqs):
+        block = _Block(self.inst, seqs)
+        return block.resolve(*self._begin(states, block))
+
+
 class _Block:
-    """A block of trials stepped together: each trial's arrival types (a
-    row of ``types``, -1 past its last arrival), its remaining capacities,
-    and the edges it matched in commit order, with their arrival positions.
+    """A block of trials replayed together.  Its arrivals are laid out flat,
+    trial by trial and each trial's in time order: ``v`` holds each
+    arrival's type, ``count`` each trial's number of arrivals and ``first``
+    the flat index of its first.
     """
 
     def __init__(self, inst: Instance, seqs: list[ArrivalSequence]):
-        n = len(seqs)
+        self.inst = inst
         self.count = np.array([len(seq.arrival_times) for seq in seqs], dtype=np.int64)
-        self.types = np.full((n, int(self.count.max(initial=0))), -1, dtype=np.int64)
-        for row, seq in zip(self.types, seqs):
-            row[:len(seq.arrival_times)] = seq.slots[seq.arrival_times]
-        # column n_offline is the vertex of the -1 pad: it has no capacity
-        self.remaining = np.zeros((n, inst.n_offline + 1), dtype=np.int64)
-        self.remaining[:, :-1] = inst.capacity_array
-        self.matched = np.empty((n, inst.eta * self.types.shape[1]), dtype=np.int64)
-        self.position = np.empty_like(self.matched)
-        self.n_matched = np.zeros(n, dtype=np.int64)
+        self.v = np.concatenate([seq.slots[seq.arrival_times] for seq in seqs]
+                                + [np.empty(0, dtype=np.int64)])
+        self.first = np.cumsum(self.count) - self.count
 
-    def steps(self):
-        """(k, the trials with a k-th arrival) for each step k."""
-        for k in range(self.types.shape[1]):
-            yield k, np.flatnonzero(self.count > k)
+    def table(self) -> np.ndarray:
+        """The arrival types as (trials x most arrivals), -1 past a trial's
+        last arrival."""
+        types = np.full((len(self.count), int(self.count.max(initial=0))), -1,
+                        dtype=np.int64)
+        types[np.arange(types.shape[1]) < self.count[:, None]] = self.v
+        return types
 
-    def commit(self, k: int, rows: np.ndarray, edges: np.ndarray, us: np.ndarray):
-        self.remaining[rows, us] -= 1
-        slot = self.n_matched[rows]
-        self.matched[rows, slot] = edges
-        self.position[rows, slot] = k
-        self.n_matched[rows] += 1
+    def resolve(self, a: np.ndarray, e: np.ndarray) -> list:
+        """Each trial's (matched edges, their arrival positions) from picks
+        drawn before the block ran: pick i offers edge ``e[i]`` at flat
+        arrival ``a[i]``, in (arrival, round) order, at most ``eta`` per
+        arrival.  Within each trial a pick is dropped if its offline vertex
+        u took an earlier pick of the same arrival, and is committed iff it
+        is among the first b_u remaining picks of u.  This is what stepping
+        the picks would commit: a type's edges go to distinct offline
+        vertices, so within an arrival only an earlier pick of the same u
+        closes one."""
+        inst = self.inst
+        u = inst.edge_u[e]
+        if inst.eta > 1:
+            dup = np.zeros(len(a), dtype=bool)
+            for d in range(1, inst.eta):
+                dup[d:] |= (a[d:] == a[:-d]) & (u[d:] == u[:-d])
+            a, e, u = a[~dup], e[~dup], u[~dup]
+        t = np.repeat(np.arange(len(self.count)), self.count)[a]
+        # rank each pick among its (trial, u) group, one stable sort
+        key = t * inst.n_offline + u
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        start = np.flatnonzero(np.diff(key, prepend=-1))
+        rank = np.arange(len(key)) - np.repeat(start, np.diff(start, append=len(key)))
+        won = np.empty(len(a), dtype=bool)
+        won[order] = rank < inst.capacity_array[u[order]]
+        a, t = a[won], t[won]
+        cut = np.cumsum(np.bincount(t, minlength=len(self.count)))[:-1]
+        return list(zip(np.split(e[won], cut), np.split(a - self.first[t], cut)))
 
-    def picks(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [(m[:c], p[:c]) for m, p, c in zip(
-            self.matched, self.position, self.n_matched.tolist())]
 
-
-def _open_picks(col: np.ndarray, hit: np.ndarray, open_: np.ndarray):
-    """The trials of ``hit`` whose column ``col[hit]`` is open, and those columns."""
-    hit = hit[open_[hit, col[hit]]]
-    return hit, col[hit]
-
-
-class MarginalSamplingPolicy(OnlinePolicy):
+class MarginalSamplingPolicy(PredrawnPolicy):
     name = "marginal-sampling"
 
     def __init__(self, inst, objective, x_star):
@@ -201,12 +245,16 @@ class MarginalSamplingPolicy(OnlinePolicy):
         self._degree = (self._table >= 0).sum(axis=1)
 
     def _begin(self, rngs, block):
-        # eta uniforms per arrival, drawn up front, whether or not they match
-        m = self.inst.eta * block.count
-        draws = np.zeros((len(rngs), int(m.max(initial=0))))
-        for row, rng, mt in zip(draws, rngs, m.tolist()):
-            row[:mt] = rng.random(mt)
-        return draws
+        """``eta`` uniforms per arrival, drawn whether or not they match;
+        each picks the edge whose slice of its type's mass it falls in, and
+        one past the type's mass is skipped."""
+        eta = self.inst.eta
+        r = np.concatenate([rng.random(m) for rng, m in
+                            zip(rngs, (eta * block.count).tolist())])
+        v = np.repeat(block.v, eta)  # draw i is made at flat arrival i // eta
+        col = self._bisect_right(v, r)
+        hit = np.flatnonzero(col < self._degree[v])
+        return hit // eta, self._table[v[hit], col[hit]]
 
     def _bisect_right(self, v: np.ndarray, r: np.ndarray) -> np.ndarray:
         """``bisect_right`` of each r in the cumulative row of its type v,
@@ -218,13 +266,8 @@ class MarginalSamplingPolicy(OnlinePolicy):
             lo, hi = np.where(right, mid + 1, lo), np.where(live & ~right, mid, hi)
         return lo
 
-    def _choose(self, draws, k, j, rows, v, cand, open_):
-        col = self._bisect_right(v, draws[rows, self.inst.eta * k + j])
-        # a draw past the type's mass is skipped
-        return _open_picks(col, np.flatnonzero(col < self._degree[v]), open_)
 
-
-class ContentionResolutionPolicy(OnlinePolicy):
+class ContentionResolutionPolicy(PredrawnPolicy):
     name = "contention-resolution"
 
     def __init__(self, inst, objective, x_star, allow_fractional: bool = False):
@@ -239,38 +282,30 @@ class ContentionResolutionPolicy(OnlinePolicy):
                 "one type per round); enable the fractional-rate override to "
                 "run it anyway"
             )
-        self._table = inst.edge_table_v
-        self._column = np.zeros(inst.n_edges, dtype=np.int64)  # in its type's row
-        self._column[self._table[self._table >= 0]] = np.nonzero(self._table >= 0)[1]
 
     def start_trials(self, rngs):
         supports = sample_support(self.x_star, self.inst, list(rngs))
         return list(zip(supports, rngs))
 
     def _begin(self, states, block):
-        """Each arrival's candidate column up front, -1 for none: the
-        arrival of v draws one of its k_v X-edges uniformly (an arrival
-        with none draws nothing), and keeps it if its Y bit is set."""
+        """Each arrival's pick up front: the arrival of v draws one of its
+        k_v X-edges uniformly (an arrival with none draws nothing), and
+        offers it if its Y bit is set."""
         inst = self.inst
-        cols = np.full(block.types.shape, -1, dtype=np.int64)
-        for row, types, n, (support, rng) in zip(cols, block.types,
-                                                block.count.tolist(), states):
+        arrivals, edges = [], []
+        for start, n, (support, rng) in zip(block.first.tolist(),
+                                            block.count.tolist(), states):
             # X-edges grouped by type, each type's in index order
             present = inst.edges_by_v[support.X[inst.edges_by_v]]
             k = np.bincount(inst.edge_v[present], minlength=inst.n_online)
             first = np.cumsum(k) - k
-            vs = types[:n]
+            vs = block.v[start:start + n]
             drawn = np.flatnonzero(k[vs] > 0)
             picks = present[first[vs[drawn]] + rng.integers(0, k[vs[drawn]])]
             kept = support.Y[picks]
-            row[drawn[kept]] = self._column[picks[kept]]
-        return cols
-
-    def _choose(self, cols, k, j, rows, v, cand, open_):
-        if j:  # one candidate per arrival
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        col = cols[rows, k]
-        return _open_picks(col, np.flatnonzero(col >= 0), open_)
+            arrivals.append(start + drawn[kept])
+            edges.append(picks[kept])
+        return np.concatenate(arrivals), np.concatenate(edges)
 
 
 class GreedyPolicy(OnlinePolicy):
@@ -287,7 +322,7 @@ class GreedyPolicy(OnlinePolicy):
     def _begin(self, states, block):
         return self.objective.evaluator(len(states))
 
-    def _choose(self, evaluator, k, j, rows, v, cand, open_):
+    def _choose(self, evaluator, rows, v, cand, open_):
         r, c = np.nonzero(open_)
         gain = np.full(cand.shape, -1.0)
         gain[r, c] = evaluator.row_gains(rows[r], cand[r, c])
@@ -315,7 +350,7 @@ class DependentRoundingPolicy(OnlinePolicy):
         chosen[:, :-1] = [c for c, _ in states]
         return chosen, [rng for _, rng in states]
 
-    def _choose(self, run, k, j, rows, v, cand, open_):
+    def _choose(self, run, rows, v, cand, open_):
         chosen, rngs = run
         avail = open_ & chosen[rows[:, None], cand]
         n = avail.sum(axis=1)
@@ -423,19 +458,59 @@ def compute_benchmark(kind: str, inst: Instance,
 
 # Trials run together.  A block stays within BLOCK_CELLS 8-byte cells
 # (16 MiB).  Each trial takes one per edge (its dependent-rounding draws,
-# support or membership masks); at most 6 * eta per round of the horizon
-# for its arrival stream and the engine's rows (its arrival types, marginal
-# sampling's uniforms, its matched edges and their positions); and about
-# 384 (3 KiB, measured) for its generator, start state, sequence object and
-# picks, which bounds the block on small instances too.
+# support or membership masks); at most 7 + 6 * eta per round of the horizon
+# for its arrival stream and the engine's arrays (measured with an arrival in
+# every round: the step loop's arrival types, matched edges and positions,
+# at most 3.4 + 2 * eta; marginal sampling's uniforms and binary search, and
+# the rank resolve's picks, sort keys and ranks, at most 12.4 at eta 1 and
+# 23.2 at eta 3); and about 384 (3 KiB, measured) for its generator, start
+# state, sequence object and picks, which bounds the block on small
+# instances too.
 BLOCK_CELLS = 1 << 21
 
+# An ArrivalStreams set holds its streams within STREAM_CELLS cells (8 MiB):
+# a held stream takes one per round for its slots and at most one per round
+# for its arrival times, and 64 (512 bytes, measured) for its objects.
+STREAM_CELLS = 1 << 20
 
-def _trial_block(policy, inst, objective, keep, seeds):
+
+class ArrivalStreams:
+    """The arrival streams of a run's trials: trial i's is
+    ``sample_arrivals(inst, seed + i)``.  A stream depends only on the
+    rates, the horizon and the seed, so one set serves every cell (b, eta)
+    and every policy of a sweep.  The set draws and holds the streams of the
+    first trials, as many as ``cells`` (by default STREAM_CELLS) allows; the
+    stream of a later trial is drawn when its block runs, each time it runs.
+    """
+
+    def __init__(self, inst: Instance, seed: int, trials: int,
+                 cells: int | None = None):
+        self.seed, self.trials = seed, trials
+        self.horizon, self.rates = inst.horizon, inst.rates
+        cells = STREAM_CELLS if cells is None else cells
+        held = min(trials, cells // (2 * inst.horizon + 64))
+        self._held = [sample_arrivals(inst, seed + i) for i in range(held)]
+
+    def check(self, inst: Instance, seed: int, trials: int) -> None:
+        """Raise ValueError unless the set was built for this run."""
+        for what, mine, theirs in (
+                ("seed", self.seed, seed), ("trial count", self.trials, trials),
+                ("horizon", self.horizon, inst.horizon),
+                ("rates", self.rates, inst.rates)):
+            if mine != theirs:
+                raise ValueError(f"arrival streams built for another {what}")
+
+    def held(self, seeds: range) -> list[ArrivalSequence]:
+        """The held streams of a block of trials: those of its first trials."""
+        return self._held[seeds.start - self.seed:seeds.stop - self.seed]
+
+
+def _trial_block(policy, inst, objective, keep, seeds, held):
     """One batched start and one block replay for the block's trials, then
-    the audit and score of each."""
+    the audit and score of each.  ``held`` are the streams of the block's
+    first trials; the others are drawn here."""
     states = policy.start_trials([np.random.default_rng((s, 1)) for s in seeds])
-    seqs = [sample_arrivals(inst, s) for s in seeds]
+    seqs = list(held) + [sample_arrivals(inst, s) for s in seeds[len(held):]]
     results = []
     for seq, picks in zip(seqs, policy.replay_block(states, seqs)):
         value, matched = run_trial(policy, inst, objective, seq, picks=picks)
@@ -454,17 +529,25 @@ def simulate(
     workers: int = 1,
     allow_fractional_cr: bool = False,
     keep_matches: bool = False,
+    streams: ArrivalStreams | None = None,
 ) -> RunMetrics:
     """Run independent seeded trials of one policy and summarize.
 
     Trial ``i`` derives its seed as ``seed + i`` (arrival stream and policy
     randomness split off that), so results are identical for any worker
-    count and any scheduling order.
+    count and any scheduling order.  ``streams``, built for the same seed,
+    trial count, horizon and rates, shares the arrival streams of a sweep.
+    Without it the run builds its own set, which holds none: a run alone
+    draws each stream once either way, so holding them would only add
+    memory.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     policy = make_policy(policy, inst, objective, x_star,
                          allow_fractional_cr=allow_fractional_cr)
+    if streams is None:
+        streams = ArrivalStreams(inst, seed, trials, cells=0)
+    streams.check(inst, seed, trials)
     if isinstance(benchmark, str):
         benchmark_kind, benchmark_value = compute_benchmark(
             benchmark, inst, objective, x_star=x_star, seed=seed)
@@ -473,17 +556,20 @@ def simulate(
     else:
         benchmark_kind, benchmark_value = benchmark
 
-    block = max(1, BLOCK_CELLS // (inst.n_edges + 6 * inst.eta * inst.horizon + 384))
+    block = max(1, BLOCK_CELLS // (inst.n_edges + (7 + 6 * inst.eta) * inst.horizon
+                                   + 384))
     if workers > 1 and trials > 1:
         block = min(block, math.ceil(trials / (workers * 4)))
     seeds = range(seed, seed + trials)
     blocks = [seeds[i:i + block] for i in range(0, trials, block)]
+    # a pool task carries only its own block's streams
+    held = [streams.held(b) for b in blocks]
     one = partial(_trial_block, policy, inst, objective, keep_matches)
     if workers > 1 and trials > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = [r for rs in pool.map(one, blocks) for r in rs]
+            results = [r for rs in pool.map(one, blocks, held) for r in rs]
     else:
-        results = [r for b in blocks for r in one(b)]
+        results = [r for rs in map(one, blocks, held) for r in rs]
     values = np.array([value for value, _ in results], dtype=float)
     matches = [m for _, m in results] if keep_matches else None
 

@@ -309,6 +309,33 @@ class TestExperiment:
         assert run_cli(*args, "--out", str(r2))[0] == 0
         assert r1.read_bytes() == r2.read_bytes()
 
+    def test_sweep_draws_each_trials_arrivals_once(self, tmp_path, monkeypatch):
+        from osbm import online as online_mod
+
+        inst_file = small_problem_file(tmp_path)
+        horizon = load_problem(inst_file).instance.horizon
+        calls = []
+        draw = online_mod.sample_arrivals
+        monkeypatch.setattr(online_mod, "sample_arrivals",
+                            lambda inst, s: calls.append(s) or draw(inst, s))
+        args = ["experiment", "--instance", str(inst_file), "--b", "1,2",
+                "--eta", "1,2", "--trials", "30", "--seed", "5"]
+        held_all, held_some = tmp_path / "r1.csv", tmp_path / "r2.csv"
+        assert run_cli(*args, "--out", str(held_all))[0] == 0
+        assert calls == list(range(5, 35))  # not once per cell and policy
+        # a set with room for 10 streams draws the other 20 trials' streams
+        # in each of the 4 cells for each of the 4 policies
+        monkeypatch.setattr(online_mod, "STREAM_CELLS", 10 * (2 * horizon + 64))
+        del calls[:]
+        assert run_cli(*args, "--out", str(held_some))[0] == 0
+        assert len(calls) == 10 + 20 * 4 * 4
+        assert held_some.read_bytes() == held_all.read_bytes()
+        # and the same bytes with small blocks spread over a pool
+        monkeypatch.setattr(online_mod, "BLOCK_CELLS", 1)
+        pooled = tmp_path / "r3.csv"
+        assert run_cli(*args, "--workers", "2", "--out", str(pooled))[0] == 0
+        assert pooled.read_bytes() == held_all.read_bytes()
+
     def test_coverage_histogram_for_per_user_objective(self, tmp_path):
         ratings, genres = write_ratings_fixture(
             tmp_path, n_users=8, n_movies=6,

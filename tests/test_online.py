@@ -1,5 +1,6 @@
 """Online policies: behavior, distributional laws, simulator contracts."""
 
+import dataclasses
 import hashlib
 import math
 from bisect import bisect_right
@@ -22,6 +23,7 @@ from osbm.objectives import (BudgetAdditiveObjective, CoverageObjective,
 from osbm.offline import expected_opt
 from osbm.online import (
     POLICY_NAMES,
+    ArrivalStreams,
     OnlinePolicy,
     make_policy,
     run_trial,
@@ -490,6 +492,80 @@ class TestSimulator:
         parallel = simulate(inst, obj, "marginal-sampling", x_star=x,
                             trials=120, seed=14, workers=3)
         assert np.array_equal(serial.values, parallel.values)
+        shared = simulate(inst, obj, "marginal-sampling", x_star=x, trials=120,
+                          seed=14, workers=3, streams=ArrivalStreams(inst, 14, 120))
+        assert np.array_equal(serial.values, shared.values)
+
+    def test_pool_tasks_carry_only_their_blocks_streams(self, rng, monkeypatch):
+        inst = small_instance(rng, integral=True)
+        obj = small_objective("linear", inst.n_edges, rng)
+        tasks = []
+
+        class SerialPool:  # records each task's arguments, runs it here
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *args):
+                tasks.extend(zip(*args))
+                return map(fn, *args)
+
+        monkeypatch.setattr(online_mod, "ProcessPoolExecutor", SerialPool)
+        streams = ArrivalStreams(inst, 5, 40)
+        m = simulate(inst, obj, "greedy", trials=40, seed=5, workers=2,
+                     streams=streams)
+        assert np.array_equal(m.values, simulate(inst, obj, "greedy", trials=40,
+                                                 seed=5).values)
+        assert len(tasks) == 8  # blocks of ceil(40 / (2 workers * 4))
+        for seeds, held in tasks:
+            assert len(held) == len(seeds) == 5
+            assert all(np.array_equal(seq.slots, sample_arrivals(inst, s).slots)
+                       for seq, s in zip(held, seeds))
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_shared_streams_do_not_change_results(self, rng, policy):
+        inst = small_instance(rng, integral=True)
+        obj = small_objective("budget_additive", inst.n_edges, rng)
+        streams = ArrivalStreams(inst, 21, 60)
+        for b, eta in ((1, 1), (2, 2)):  # one set serves every cell
+            cell = inst.with_capacities(b).with_eta(eta)
+            x, _, _ = solve_offline_lp(cell, obj)
+            run = dict(x_star=x, trials=60, seed=21, keep_matches=True)
+            own = simulate(cell, obj, policy, **run)
+            shared = simulate(cell, obj, policy, streams=streams, **run)
+            assert np.array_equal(own.values, shared.values)
+            assert own.matches == shared.matches
+
+    def test_streams_for_another_run_are_rejected(self, rng):
+        inst = small_instance(rng, integral=True)
+        obj = small_objective("linear", inst.n_edges, rng)
+        streams = ArrivalStreams(inst, 3, 20)
+        other_rates = build_instance(
+            [(u, 1) for u in inst.offline_ids],
+            [(v, 0.5) for v in inst.online_ids],
+            list(zip(inst.edge_ids, inst.edge_offline, inst.edge_online)),
+            horizon=inst.horizon)
+        for cell, seed, trials, what in (
+                (inst, 4, 20, "seed"), (inst, 3, 21, "trial count"),
+                (dataclasses.replace(inst, horizon=inst.horizon + 1), 3, 20, "horizon"),
+                (other_rates, 3, 20, "rates")):
+            with pytest.raises(ValueError, match=f"another {what}"):
+                simulate(cell, obj, "greedy", trials=trials, seed=seed,
+                         streams=streams)
+
+    def test_stream_set_memory_is_bounded(self):
+        # a 100,000-trial run holds streams only within STREAM_CELLS; the
+        # rest are drawn when their block runs
+        inst = perfect_matching_instance(3)
+        streams = ArrivalStreams(inst, 0, 100_000)
+        held = len(streams.held(range(0, 100_000)))
+        assert held == online_mod.STREAM_CELLS // (2 * 3 + 64) < 100_000
+        assert len(streams.held(range(held - 2, held + 5))) == 2
 
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_blocking_does_not_change_results(self, rng, monkeypatch, policy):
@@ -515,8 +591,8 @@ class TestSimulator:
         # perfbench's budget-sweep (eta 2, 170 trials) and coverage sweep
         # (eta 1, 50 trials) cells each fit one block
         sizes = []
-        monkeypatch.setattr(online_mod, "_trial_block", lambda policy, inst, obj, keep, seeds:
-                            sizes.append(len(seeds)) or [(0.0, None)] * len(seeds))
+        monkeypatch.setattr(online_mod, "_trial_block", lambda policy, inst, obj, keep, seeds,
+                            held: sizes.append(len(seeds)) or [(0.0, None)] * len(seeds))
         for kind, eta, trials in (("budget_additive", 2, 170), ("coverage", 1, 50)):
             problem = generate_synthetic(kind, 11)
             simulate(problem.instance.with_capacities(15).with_eta(eta),
@@ -727,6 +803,30 @@ class TestBlockEngine:
         seeds = range(40)
         assert_engine_matches_reference(
             pol, [sample_arrivals(inst, s) for s in seeds], seeds, sizes=(1, 3, None))
+
+    @pytest.mark.parametrize("eta", [1, 2, 3])
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_per_vertex_capacities_match_reference(self, policy, eta):
+        # u0, u1 and u2 hold 1, 2 and 3: the rank rule's b_u differs by vertex
+        inst = tie_instance(1, eta).with_capacities([1, 2, 3])
+        obj = LinearObjective(np.ones(9))
+        pol = make_policy(policy, inst, obj, np.full(9, 1 / 3))
+        seeds = range(60)
+        assert_engine_matches_reference(
+            pol, [sample_arrivals(inst, s) for s in seeds], seeds, sizes=(1, 7, None))
+
+    @pytest.mark.parametrize("kind", ["budget_additive", "coverage"])
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_recipe_mixed_capacities_eta_3_match_reference(self, kind, policy):
+        problem = generate_synthetic(kind, 11)
+        inst = problem.instance
+        inst = inst.with_capacities(np.resize([1, 2, 3, 5], inst.n_offline)).with_eta(3)
+        x = recipe_guide(inst, inst.capacity_array[inst.edge_u], 3)
+        pol = make_policy(policy, inst, build_objective(problem), x,
+                          allow_fractional_cr=True)
+        seeds = range(11, 17)
+        assert_engine_matches_reference(
+            pol, [sample_arrivals(inst, s) for s in seeds], seeds, sizes=(1, None))
 
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_trial_without_arrivals(self, policy):
