@@ -819,8 +819,8 @@ class TestBlockEngine:
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_recipe_mixed_capacities_eta_3_match_reference(self, kind, policy):
         problem = generate_synthetic(kind, 11)
-        inst = problem.instance
-        inst = inst.with_capacities(np.resize([1, 2, 3, 5], inst.n_offline)).with_eta(3)
+        n = problem.instance.n_offline
+        inst = problem.instance.with_capacities(np.resize([1, 2, 3, 5], n)).with_eta(3)
         x = recipe_guide(inst, inst.capacity_array[inst.edge_u], 3)
         pol = make_policy(policy, inst, build_objective(problem), x,
                           allow_fractional_cr=True)
