@@ -361,6 +361,15 @@ class EdgeFeatures:
                 for z in q:
                     if not (0 <= z < self.n_features):
                         problems.append(f"feature index {z} outside [0, {self.n_features})")
+        if self.feature_weights is not None and len(self.feature_weights) != self.n_features:
+            problems.append("feature weight vector length mismatch")
+        if self.feature_names is not None:
+            # one `fn` record per feature, so no file holds an empty list
+            if not self.feature_names or len(self.feature_names) != self.n_features:
+                problems.append("feature names must name each of at least one feature")
+            for name in self.feature_names:
+                if not name or any(ch.isspace() for ch in name):
+                    problems.append(f"feature name {name!r} is empty or has whitespace")
         for name, arr in (("feature", self.feature_weights), ("user", self.user_weights)):
             if arr is not None:
                 a = np.asarray(arr)
@@ -390,6 +399,9 @@ class Problem:
 
     def _payload_violations(self) -> list[str]:
         problems = self.features.validate(self.instance.n_edges)
+        uw = self.features.user_weights
+        if uw is not None and np.shape(uw) != (self.instance.n_online, self.features.n_features):
+            problems.append("user weight matrix shape mismatch")
         if self.kind not in OBJECTIVE_PAYLOADS:
             problems.append(f"unknown objective kind {self.kind!r}")
         if missing := self.missing_payloads():
@@ -742,7 +754,9 @@ def load_problem(path) -> Problem:
         raise InstanceError(f"{path}: {exc}") from None
 
     ew = None
-    if edge_weights:
+    # with no edges there is no record to carry a weight: a kind that reads
+    # weights gets the empty vector
+    if edge_weights or not edges and "edge_weights" in OBJECTIVE_PAYLOADS.get(kind, ()):
         ew = np.array([edge_weights.get(eid, 0.0) for eid in inst.edge_ids])
     fs = None
     if q_sets or kind in ("coverage", "per_user_coverage"):

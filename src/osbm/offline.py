@@ -91,11 +91,6 @@ def continuous_greedy(
 # -- hindsight optimum -------------------------------------------------------
 
 
-def _choice_space(counts: np.ndarray, inst: Instance) -> int:
-    # Python ints: exact, with no float overflow past the budget
-    return math.prod((len(g) + 1) ** int(k) for g, k in zip(inst.edges_at_v, counts))
-
-
 def hindsight_optimal(
     inst: Instance, seq: ArrivalSequence, objective: SubmodularObjective
 ) -> tuple[float, tuple[int, ...]]:
@@ -107,8 +102,15 @@ def hindsight_optimal(
     arrivals, every edge subset of size at most k * eta; capacities couple
     the types and are tracked along the depth-first search.
     """
-    counts = seq.counts(inst.n_online)
-    if _choice_space(counts, inst) > HINDSIGHT_NODE_BUDGET:
+    return _best_for_counts(inst, seq.counts(inst.n_online), objective)
+
+
+def _best_for_counts(inst: Instance, counts, objective: SubmodularObjective
+                     ) -> tuple[float, tuple[int, ...]]:
+    """``hindsight_optimal`` for the per-type arrival counts ``counts``."""
+    # Python ints: exact, with no float overflow past the budget
+    choices = math.prod((len(g) + 1) ** int(k) for g, k in zip(inst.edges_at_v, counts))
+    if choices > HINDSIGHT_NODE_BUDGET:
         raise ValueError("hindsight search space exceeds the enumeration budget")
     groups = [
         (vi, int(k)) for vi, k in enumerate(counts) if k > 0
@@ -184,13 +186,8 @@ def expected_opt(
                     # kk == 0 contributes nothing
                 if log_p == -math.inf:
                     return
-                prob = math.exp(log_p)
-                slots = np.concatenate([
-                    np.repeat(np.arange(n), counts),
-                    np.full(left, -1, dtype=np.int64),
-                ]).astype(np.int64)
-                value, _ = hindsight_optimal(inst, ArrivalSequence(slots), objective)
-                total += prob * value
+                value, _ = _best_for_counts(inst, counts, objective)
+                total += math.exp(log_p) * value
                 return
             upper = left if probs[vi] > 0 else 0
             for k in range(upper + 1):
@@ -216,7 +213,14 @@ def expected_opt(
 
 
 def save_solution(path, inst: Instance, solution: OfflineSolution) -> None:
-    """Write edge marginals (17 significant digits) plus solver metadata."""
+    """Write edge marginals (17 significant digits) plus solver metadata.
+
+    Raises SolutionError where `load_solution` would misread or reject the
+    file: a solver or benchmark kind that is not one token, or a non-finite
+    benchmark value (a benchmark divides every ratio)."""
+    for what, text in (("solver", solution.solver), ("benchmark kind", solution.benchmark_kind)):
+        if text is not None and (not text or any(ch.isspace() for ch in text)):
+            raise SolutionError(f"{path}: {what} {text!r} is empty or has whitespace")
     lines = [SOLUTION_HEADER,
              f"solver {solution.solver}",
              f"objective-estimate {num(solution.objective_estimate)}",
@@ -228,6 +232,9 @@ def save_solution(path, inst: Instance, solution: OfflineSolution) -> None:
     if solution.grad_samples is not None:
         lines.append(f"grad-samples {solution.grad_samples}")
     if solution.benchmark_kind is not None:
+        if not math.isfinite(solution.benchmark_value):
+            raise SolutionError(f"{path}: benchmark value "
+                                f"{num(solution.benchmark_value)} is not finite")
         lines.append(f"benchmark {solution.benchmark_kind} {num(solution.benchmark_value)}")
     for eid, val in zip(inst.edge_ids, solution.x):
         lines.append(f"x {eid} {num(val)}")

@@ -18,24 +18,26 @@ are provided:
 * ``dependent-rounding`` - pre-round the guide star-by-star into a
   semi-matching and serve arrivals uniformly from it.
 
-Trials run in blocks, in three parts.  ``start_trials`` prepares the state
-of the whole block at once (one ``sample_support`` or ``dependent_round_stars``
-call with one generator per trial).  ``replay_block`` then matches every
-trial of the block together, in one of two ways.  Marginal sampling's and
-contention resolution's picks depend on no state, so each draws all of a
-trial's picks up front (``eta`` uniforms per arrival; one index per arrival
-with candidates) and the block resolves them by rank, with one stable sort
-over (trial, offline vertex): a pick commits iff it is among the first b_u
-picks of its offline vertex u, after dropping a pick whose u already served
-the same arrival.  Greedy's and dependent rounding's picks depend on what
-was matched, so they step: step k serves each trial's k-th arrival with one
-numpy step over the trials for each of up to ``eta`` picks, on state held as
-arrays (remaining capacities, trials x offline vertices; greedy's evaluator
-rows; the rounded edge sets); dependent rounding draws each pick from the
-trial's own generator, and only when more than one edge is open.
-``run_trial`` is the one place that accepts a trial's matches: it audits
-them once per trial, recounting each offline vertex's load from the matches
-instead of trusting the policy's own capacity bookkeeping, and scores them.
+Trials run in blocks through one entry, ``replay_block(rngs, seqs)``, with
+one generator and one arrival sequence per trial.  A policy's ``_begin``
+prepares the whole block at once (greedy's evaluator rows; one
+``sample_support`` or ``dependent_round_stars`` call over the block's
+generators), and the block is then matched in one of two ways.  Marginal
+sampling's and contention resolution's picks depend on no state, so each
+draws all of a trial's picks up front (``eta`` uniforms per arrival; one
+index per arrival with candidates) and the block resolves them by rank,
+with one stable sort over (trial, offline vertex): a pick commits iff it is
+among the first b_u picks of its offline vertex u, after dropping a pick
+whose u already served the same arrival.  Greedy's and dependent rounding's
+picks depend on what was matched, so they step through ``_choose``: step k
+serves each trial's k-th arrival with one numpy step over the trials for
+each of up to ``eta`` picks, on state held as arrays (remaining capacities,
+trials x offline vertices; greedy's evaluator rows; the rounded edge sets);
+dependent rounding draws each pick from the trial's own generator, and only
+when more than one edge is open.  ``run_trial`` is the one place that
+accepts a trial's matches: it audits them once per trial, recounting each
+offline vertex's load from the matches instead of trusting the policy's own
+capacity bookkeeping, and scores them.  A lone trial is a block of one.
 
 ``simulate`` replays a policy over independent arrival sequences and reports
 per-trial objective values, their mean and standard error, and the
@@ -73,15 +75,16 @@ E_OVER_E_MINUS_1 = math.e / (math.e - 1.0)
 class OnlinePolicy:
     """Shared immutable preparation and the trial engine.
 
-    ``start_trials`` prepares the state of a block of trials in one call,
-    one generator per trial (by default the state is the trial's generator).
-    ``replay_block`` then advances all trials of the block together, arrival
-    by arrival: step k serves each trial's k-th arrival, in up to ``eta``
-    rounds of one numpy step over the trials.  A policy sets its candidate
-    table ``_table`` (a row of edges per type, -1 pads) and, through
-    ``_begin`` and ``_choose``, picks among the open candidates of each
-    round: those whose offline vertex has capacity left and has not served
-    this arrival.  A policy whose picks depend on no state derives from
+    ``replay_block(rngs, seqs)`` is the engine's one entry: it plays a block
+    of trials, one generator and one arrival sequence each.  A policy adds
+    ``_begin``, which prepares the block's state from the generators, and,
+    if it steps, ``_choose``.  Stepping advances all trials of the block
+    together, arrival by arrival: step k serves each trial's k-th arrival,
+    in up to ``eta`` rounds of one numpy step over the trials.  A stepping
+    policy sets its candidate table ``_table`` (a row of edges per type, -1
+    pads) and ``_choose`` picks among the open candidates of each round:
+    those whose offline vertex has capacity left and has not served this
+    arrival.  A policy whose picks depend on no state derives from
     ``PredrawnPolicy`` instead: it is not stepped, and the block resolves
     its picks by rank.  ``run_trial`` audits and scores the picks.
     """
@@ -104,30 +107,24 @@ class OnlinePolicy:
             if len(self.x_star) != inst.n_edges:
                 raise ValueError("edge marginal vector length mismatch")
 
-    def start_trials(self, rngs: list[np.random.Generator]) -> list:
-        return list(rngs)
-
-    def start_trial(self, rng: np.random.Generator):
-        return self.start_trials([rng])[0]
-
-    def replay_block(self, states: list, seqs: list[ArrivalSequence]) -> list:
-        """Match along each trial's arrival sequence: for trial i, the edges
-        matched in commit order and, for each, its position in
-        ``seqs[i].arrivals`` (two int arrays).  The policy keeps its own
-        remaining capacities."""
+    def replay_block(self, rngs: list[np.random.Generator],
+                     seqs: list[ArrivalSequence]) -> list:
+        """Match along each trial's arrival sequence, trial i drawing from
+        ``rngs[i]``: for trial i, the edges matched in commit order and, for
+        each, its position in ``seqs[i].arrivals`` (two int arrays).  The
+        policy keeps its own remaining capacities."""
         block = _Block(self.inst, seqs)
-        run = self._begin(states, block)
-        types = block.table()
-        n, m = types.shape[0], self.inst.eta * types.shape[1]
+        run = self._begin(rngs, block)
+        n, steps = len(seqs), int(block.count.max(initial=0))
         # column n_offline is the vertex of the -1 pad: it has no capacity
         remaining = np.zeros((n, self.inst.n_offline + 1), dtype=np.int64)
         remaining[:, :-1] = self.inst.capacity_array
-        matched, position = np.empty((2, n, m), dtype=np.int64)
+        matched, position = np.empty((2, n, self.inst.eta * steps), dtype=np.int64)
         n_matched = np.zeros(n, dtype=np.int64)
         # a table with no columns: no type has an edge, nothing to match
-        for k in range(types.shape[1]) if self._table.shape[1] else ():
+        for k in range(steps) if self._table.shape[1] else ():
             rows = np.flatnonzero(block.count > k)
-            v = types[rows, k]
+            v = block.v[block.first[rows] + k]
             cand = self._table[v]
             us = self._edge_u[cand]
             open_ = remaining[rows[:, None], us] > 0
@@ -144,12 +141,9 @@ class OnlinePolicy:
                 n_matched[t] += 1
         return [(e[:c], at[:c]) for e, at, c in zip(matched, position, n_matched.tolist())]
 
-    def replay(self, trial, seq: ArrivalSequence) -> tuple:
-        """One trial's picks: a block of one."""
-        return self.replay_block([trial], [seq])[0]
-
-    def _begin(self, states: list, block: "_Block"):
-        """The policy's own state for a block, passed to each round."""
+    def _begin(self, rngs: list[np.random.Generator], block: "_Block"):
+        """The policy's own state for a block, from one generator per trial;
+        a stepping policy's is passed to each round."""
         raise NotImplementedError
 
     def _choose(self, run, rows: np.ndarray, v: np.ndarray, cand: np.ndarray,
@@ -167,9 +161,9 @@ class PredrawnPolicy(OnlinePolicy):
     of stepping.  ``_begin`` returns the picks as (arrival, edge) arrays,
     arrivals indexing ``_Block.v``, in the order the policy makes them."""
 
-    def replay_block(self, states, seqs):
+    def replay_block(self, rngs, seqs):
         block = _Block(self.inst, seqs)
-        return block.resolve(*self._begin(states, block))
+        return block.resolve(*self._begin(rngs, block))
 
 
 class _Block:
@@ -185,14 +179,6 @@ class _Block:
         self.v = np.concatenate([seq.slots[seq.arrival_times] for seq in seqs]
                                 + [np.empty(0, dtype=np.int64)])
         self.first = np.cumsum(self.count) - self.count
-
-    def table(self) -> np.ndarray:
-        """The arrival types as (trials x most arrivals), -1 past a trial's
-        last arrival."""
-        types = np.full((len(self.count), int(self.count.max(initial=0))), -1,
-                        dtype=np.int64)
-        types[np.arange(types.shape[1]) < self.count[:, None]] = self.v
-        return types
 
     def resolve(self, a: np.ndarray, e: np.ndarray) -> list:
         """Each trial's (matched edges, their arrival positions) from picks
@@ -283,18 +269,15 @@ class ContentionResolutionPolicy(PredrawnPolicy):
                 "run it anyway"
             )
 
-    def start_trials(self, rngs):
-        supports = sample_support(self.x_star, self.inst, list(rngs))
-        return list(zip(supports, rngs))
-
-    def _begin(self, states, block):
-        """Each arrival's pick up front: the arrival of v draws one of its
-        k_v X-edges uniformly (an arrival with none draws nothing), and
-        offers it if its Y bit is set."""
+    def _begin(self, rngs, block):
+        """Each trial's support (X, Y), then each arrival's pick up front:
+        the arrival of v draws one of its k_v X-edges uniformly (an arrival
+        with none draws nothing), and offers it if its Y bit is set."""
         inst = self.inst
+        supports = sample_support(self.x_star, inst, rngs)
         arrivals, edges = [], []
-        for start, n, (support, rng) in zip(block.first.tolist(),
-                                            block.count.tolist(), states):
+        for start, n, support, rng in zip(block.first.tolist(), block.count.tolist(),
+                                          supports, rngs):
             # X-edges grouped by type, each type's in index order
             present = inst.edges_by_v[support.X[inst.edges_by_v]]
             k = np.bincount(inst.edge_v[present], minlength=inst.n_online)
@@ -319,8 +302,8 @@ class GreedyPolicy(OnlinePolicy):
         order = np.argsort(self._edge_u[table], axis=1, kind="stable")
         self._table = np.take_along_axis(table, order, axis=1)
 
-    def _begin(self, states, block):
-        return self.objective.evaluator(len(states))
+    def _begin(self, rngs, block):
+        return self.objective.evaluator(len(rngs))
 
     def _choose(self, evaluator, rows, v, cand, open_):
         r, c = np.nonzero(open_)
@@ -341,14 +324,10 @@ class DependentRoundingPolicy(OnlinePolicy):
         super().__init__(inst, objective, x_star)
         self._table = inst.edge_table_v  # serve the rounded edges in index order
 
-    def start_trials(self, rngs):
-        chosen = dependent_round_stars(self.x_star, self.inst, list(rngs))
-        return list(zip(chosen, rngs))
-
-    def _begin(self, states, block):
-        chosen = np.zeros((len(states), self.inst.n_edges + 1), dtype=bool)  # [-1]: pad
-        chosen[:, :-1] = [c for c, _ in states]
-        return chosen, [rng for _, rng in states]
+    def _begin(self, rngs, block):
+        chosen = np.zeros((len(rngs), self.inst.n_edges + 1), dtype=bool)  # [-1]: pad
+        chosen[:, :-1] = dependent_round_stars(self.x_star, self.inst, rngs)
+        return chosen, rngs
 
     def _choose(self, run, rows, v, cand, open_):
         chosen, rngs = run
@@ -385,15 +364,15 @@ def run_trial(policy: OnlinePolicy, inst: Instance,
     """Audit and score one trial; returns (objective value, matched edges).
 
     ``picks`` is the trial's (matched edges, arrival positions) from
-    ``policy.replay_block``; without it the trial is replayed alone from
-    ``policy.start_trial(rng)``.  This is the only code that accepts a
+    ``policy.replay_block``; without it the trial is replayed alone, as a
+    block of one drawing from ``rng``.  This is the only code that accepts a
     trial's matches: it audits the whole trial once against the online
     rule, recounting each offline vertex's load from the matches rather
     than trusting the policy's own bookkeeping.  ``matched`` keeps repeats
     of a type-edge; the objective scores the set.
     """
     if picks is None:
-        picks = policy.replay(policy.start_trial(rng), seq)
+        picks = policy.replay_block([rng], [seq])[0]
     e, at = (np.asarray(p, dtype=np.int64) for p in picks)
     matched = e.tolist()
     if matched:
@@ -460,10 +439,10 @@ def compute_benchmark(kind: str, inst: Instance,
 # (16 MiB).  Each trial takes one per edge (its dependent-rounding draws,
 # support or membership masks); at most 7 + 6 * eta per round of the horizon
 # for its arrival stream and the engine's arrays (measured with an arrival in
-# every round: the step loop's arrival types, matched edges and positions,
-# at most 3.4 + 2 * eta; marginal sampling's uniforms and binary search, and
-# the rank resolve's picks, sort keys and ranks, at most 12.4 at eta 1 and
-# 23.2 at eta 3); and about 384 (3 KiB, measured) for its generator, start
+# every round: the step loop's matched edges and positions, at most
+# 3.4 + 2 * eta; marginal sampling's uniforms and binary search, and the
+# rank resolve's picks, sort keys and ranks, at most 12.4 at eta 1 and 23.2
+# at eta 3); and about 384 (3 KiB, measured) for its generator, start
 # state, sequence object and picks, which bounds the block on small
 # instances too.
 BLOCK_CELLS = 1 << 21
@@ -479,16 +458,14 @@ class ArrivalStreams:
     ``sample_arrivals(inst, seed + i)``.  A stream depends only on the
     rates, the horizon and the seed, so one set serves every cell (b, eta)
     and every policy of a sweep.  The set draws and holds the streams of the
-    first trials, as many as ``cells`` (by default STREAM_CELLS) allows; the
-    stream of a later trial is drawn when its block runs, each time it runs.
+    first trials, as many as STREAM_CELLS allows; the stream of a later
+    trial is drawn when its block runs, each time it runs.
     """
 
-    def __init__(self, inst: Instance, seed: int, trials: int,
-                 cells: int | None = None):
+    def __init__(self, inst: Instance, seed: int, trials: int):
         self.seed, self.trials = seed, trials
         self.horizon, self.rates = inst.horizon, inst.rates
-        cells = STREAM_CELLS if cells is None else cells
-        held = min(trials, cells // (2 * inst.horizon + 64))
+        held = min(trials, STREAM_CELLS // (2 * inst.horizon + 64))
         self._held = [sample_arrivals(inst, seed + i) for i in range(held)]
 
     def check(self, inst: Instance, seed: int, trials: int) -> None:
@@ -505,14 +482,15 @@ class ArrivalStreams:
         return self._held[seeds.start - self.seed:seeds.stop - self.seed]
 
 
-def _trial_block(policy, inst, objective, keep, seeds, held):
-    """One batched start and one block replay for the block's trials, then
-    the audit and score of each.  ``held`` are the streams of the block's
-    first trials; the others are drawn here."""
-    states = policy.start_trials([np.random.default_rng((s, 1)) for s in seeds])
+def _trial_block(policy, keep, seeds, held):
+    """One block replay for the block's trials, then the audit and score of
+    each.  ``held`` are the streams of the block's first trials; the others
+    are drawn here."""
+    inst, objective = policy.inst, policy.objective
+    rngs = [np.random.default_rng((s, 1)) for s in seeds]
     seqs = list(held) + [sample_arrivals(inst, s) for s in seeds[len(held):]]
     results = []
-    for seq, picks in zip(seqs, policy.replay_block(states, seqs)):
+    for seq, picks in zip(seqs, policy.replay_block(rngs, seqs)):
         value, matched = run_trial(policy, inst, objective, seq, picks=picks)
         results.append((value, matched if keep else None))
     return results
@@ -537,17 +515,15 @@ def simulate(
     randomness split off that), so results are identical for any worker
     count and any scheduling order.  ``streams``, built for the same seed,
     trial count, horizon and rates, shares the arrival streams of a sweep.
-    Without it the run builds its own set, which holds none: a run alone
-    draws each stream once either way, so holding them would only add
-    memory.
+    Without it every block draws its own streams: a run alone draws each
+    stream once either way, so holding them would only add memory.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     policy = make_policy(policy, inst, objective, x_star,
                          allow_fractional_cr=allow_fractional_cr)
-    if streams is None:
-        streams = ArrivalStreams(inst, seed, trials, cells=0)
-    streams.check(inst, seed, trials)
+    if streams is not None:
+        streams.check(inst, seed, trials)
     if isinstance(benchmark, str):
         benchmark_kind, benchmark_value = compute_benchmark(
             benchmark, inst, objective, x_star=x_star, seed=seed)
@@ -563,8 +539,8 @@ def simulate(
     seeds = range(seed, seed + trials)
     blocks = [seeds[i:i + block] for i in range(0, trials, block)]
     # a pool task carries only its own block's streams
-    held = [streams.held(b) for b in blocks]
-    one = partial(_trial_block, policy, inst, objective, keep_matches)
+    held = [streams.held(b) if streams is not None else [] for b in blocks]
+    one = partial(_trial_block, policy, keep_matches)
     if workers > 1 and trials > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = [r for rs in pool.map(one, blocks, held) for r in rs]

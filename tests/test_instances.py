@@ -14,6 +14,7 @@ import pytest
 from osbm import cli
 from osbm import instances as instances_mod
 from osbm.instances import (
+    OBJECTIVE_PAYLOADS,
     EdgeFeatures,
     IngestError,
     InstanceError,
@@ -28,6 +29,8 @@ from osbm.instances import (
 )
 from osbm.lp import solve_offline_lp
 from osbm.objectives import build_objective
+from osbm.offline import (OfflineSolution, SolutionError, load_solution,
+                          save_solution)
 
 
 def tiny_instance(**kw):
@@ -389,6 +392,159 @@ class TestRoundTrip:
         assert np.array_equal(back.features.feature_weights, [2.5])
         assert back.features.feature_sets == (frozenset(),) * 3
         assert build_objective(back).value([0, 1, 2]) == 0.0
+
+    @pytest.mark.parametrize("kind", ["linear", "budget_additive"])
+    def test_weight_kinds_without_edges_round_trip(self, tmp_path, kind):
+        # no e record carries a weight, and the kind still reads them
+        inst = build_instance([("u1", 1)], [("v1", 1.0)], [], horizon=1)
+        prob = Problem(instance=inst, kind=kind, budget=2.0 if kind != "linear" else None,
+                       features=EdgeFeatures(edge_weights=np.zeros(0)))
+        assert prob.validate() == []
+        save_problem(prob, tmp_path / "p.txt")
+        back = load_problem(tmp_path / "p.txt")
+        assert back.features.edge_weights.shape == (0,)
+        assert build_objective(back).value([]) == 0.0
+
+    def test_validate_rejects_payloads_the_format_cannot_hold(self):
+        # one fn and fw record per feature (fn a token), one uw record per
+        # (type, feature); each of these would reload as another problem
+        def problem(kind="linear", n_features=2, **payload):
+            features = dict(edge_weights=np.ones(3)) if kind == "linear" else \
+                dict(feature_sets=(frozenset(),) * 3)
+            return Problem(instance=tiny_instance(), kind=kind, features=EdgeFeatures(
+                n_features=n_features, **features, **payload))
+        names = "feature names must name each of at least one feature"
+        assert problem(feature_names=("a", "b")).validate() == []
+        assert problem(feature_names=("a",)).validate() == [names]
+        assert problem(n_features=0, feature_names=()).validate() == [names]
+        assert problem(feature_names=("a b", "")).validate() == [
+            "feature name 'a b' is empty or has whitespace",
+            "feature name '' is empty or has whitespace"]
+        assert problem("coverage", feature_weights=np.ones(1)).validate() == [
+            "feature weight vector length mismatch"]
+        for shape in ((2, 1), (3, 2)):  # two types, two features
+            assert problem("per_user_coverage", user_weights=np.ones(shape)).validate() \
+                == ["user weight matrix shape mismatch"]
+
+
+def problem_strategy(st):
+    """Problems of every objective kind carrying exactly the payloads their
+    kind reads, with empty and degenerate ones allowed: no vertices, types
+    or edges, no features, empty feature sets, zero and -0.0 weights, a
+    zero budget.  Ids and feature names are whitespace-free tokens, which
+    `validate` demands of ids; the caller skips what `validate` rejects."""
+    token = st.text(st.characters(blacklist_categories=("Z", "C")),
+                    min_size=1, max_size=3)
+    weight = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False) \
+        | st.sampled_from([0.0, -0.0, 1.0])
+
+    def ids(draw, n):
+        return draw(st.lists(token, min_size=n, max_size=n, unique=True))
+
+    def weights(draw, *shape):
+        n = math.prod(shape)
+        return np.array(draw(st.lists(weight, min_size=n, max_size=n)),
+                        dtype=float).reshape(shape)
+
+    @st.composite
+    def problems(draw):
+        kind = draw(st.sampled_from(sorted(OBJECTIVE_PAYLOADS)))
+        reads = OBJECTIVE_PAYLOADS[kind]
+        n_u, n_v = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        u_ids, v_ids = ids(draw, n_u), ids(draw, n_v)
+        pairs = draw(st.lists(st.tuples(st.integers(0, n_u - 1), st.integers(0, n_v - 1)),
+                              unique=True)) if n_u and n_v else []
+        inst = build_instance(
+            [(u, draw(st.integers(1, 3))) for u in u_ids],
+            [(v, draw(st.floats(0.0, 1.0, exclude_min=True))) for v in v_ids],
+            [(e, u_ids[i], v_ids[j]) for e, (i, j) in zip(ids(draw, len(pairs)), pairs)],
+            horizon=draw(st.integers(max(1, n_v), 5)), eta=draw(st.integers(1, 3)))
+        m, n_f = inst.n_edges, draw(st.integers(0, 3)) if "feature_sets" in reads else 0
+        feature_set = st.sets(st.sampled_from(range(n_f))) if n_f else st.just(set())
+        features = EdgeFeatures(
+            n_features=n_f,
+            edge_weights=weights(draw, m) if "edge_weights" in reads else None,
+            feature_sets=(tuple(frozenset(draw(feature_set)) for _ in range(m))
+                          if "feature_sets" in reads else None),
+            feature_weights=weights(draw, n_f) if "feature_weights" in reads else None,
+            user_weights=weights(draw, n_v, n_f) if "user_weights" in reads else None,
+            feature_names=draw(st.none() | st.lists(token, min_size=n_f, max_size=n_f)
+                               .map(tuple)))
+        return Problem(instance=inst, features=features, kind=kind,
+                       budget=draw(weight) if "budget" in reads else None)
+
+    return problems()
+
+
+def assert_same_problem(a, b):
+    assert (a.instance, a.kind, a.budget) == (b.instance, b.kind, b.budget)
+    fa, fb = a.features, b.features
+    assert (fa.n_features, fa.feature_sets, fa.feature_names) == \
+        (fb.n_features, fb.feature_sets, fb.feature_names)
+    for name in ("edge_weights", "feature_weights", "user_weights"):
+        x, y = getattr(fa, name), getattr(fb, name)
+        assert (x is None) == (y is None), name
+        assert x is None or np.array_equal(x, y), name
+
+
+def same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+class TestRoundTripProperty:
+    def test_valid_problems_and_feasible_solutions_round_trip(self, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        token = st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1,
+                        max_size=3)
+        count = st.none() | st.integers(-2**63, 2**63)
+        path, x_path = tmp_path / "p.txt", tmp_path / "x.txt"
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None)
+        @hypothesis.given(problem_strategy(st), st.data())
+        def check(problem, data):
+            hypothesis.assume(problem.validate() == [])
+            save_problem(problem, path)
+            assert_same_problem(load_problem(path), problem)
+            # a feasible x: each edge within its box, its star's capacity
+            # and its type's eta * rate, each spread over the degree
+            inst = problem.instance
+            deg_u = np.bincount(inst.edge_u, minlength=inst.n_offline)[inst.edge_u]
+            deg_v = np.bincount(inst.edge_v, minlength=inst.n_online)[inst.edge_v]
+            top = np.minimum(1.0, np.minimum(
+                inst.capacity_array[inst.edge_u] / deg_u,
+                inst.eta * inst.rate_array[inst.edge_v] / deg_v))
+            share = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0])
+            x = top * np.array(data.draw(st.lists(share, min_size=inst.n_edges,
+                                                  max_size=inst.n_edges)), dtype=float)
+            label = token | st.text(max_size=2)
+            benchmark = data.draw(st.none() | st.tuples(label, st.floats()))
+            sol = OfflineSolution(
+                x=x, objective_estimate=data.draw(st.floats()),
+                estimate_std_error=data.draw(st.floats()), solver=data.draw(label),
+                seed=data.draw(count), steps=data.draw(count),
+                grad_samples=data.draw(count),
+                benchmark_kind=benchmark and benchmark[0],
+                benchmark_value=benchmark and benchmark[1])
+            # the saver refuses what the loader would misread or reject
+            labels = [sol.solver] + ([] if benchmark is None else [benchmark[0]])
+            if not all(s and not any(ch.isspace() for ch in s) for s in labels) or \
+                    benchmark is not None and not math.isfinite(benchmark[1]):
+                with pytest.raises(SolutionError, match="whitespace|is not finite"):
+                    save_solution(x_path, inst, sol)
+                return
+            save_solution(x_path, inst, sol)
+            back = load_solution(x_path, inst)
+            assert np.array_equal(back.x, x)
+            assert (back.solver, back.seed, back.steps, back.grad_samples,
+                    back.benchmark_kind) == (sol.solver, sol.seed, sol.steps,
+                                             sol.grad_samples, sol.benchmark_kind)
+            for field in ("objective_estimate", "estimate_std_error", "benchmark_value"):
+                mine, theirs = getattr(back, field), getattr(sol, field)
+                assert (mine is None) == (theirs is None), field
+                assert mine is None or same_float(mine, theirs), field
+
+        check()
 
 
 class TestRecordLines:

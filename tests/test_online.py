@@ -29,7 +29,8 @@ from osbm.online import (
     run_trial,
     simulate,
 )
-from osbm.rounding import SampledSupport, select_per_star
+from osbm.rounding import (SampledSupport, dependent_round_stars, sample_support,
+                           select_per_star)
 
 
 SIMULATE_GOLDEN = "a4e50008e8227e38805fa0a6371b13b4cefb0d43c8679f7d2ddb8c8bafe8994f"
@@ -213,7 +214,7 @@ class TestContentionResolution:
                      trials=100, seed=6)
         assert m.mean == 0.0
 
-    def test_conditional_marginal_audit(self, rng):
+    def test_conditional_marginal_audit(self, rng, monkeypatch):
         # survival probability of a sampled edge stays above the
         # half-times-(1 - e^{-1/2}) floor
         floor = 0.5 * (1 - math.exp(-0.5))
@@ -222,14 +223,13 @@ class TestContentionResolution:
         x, _, _ = solve_offline_lp(inst, obj)
         policy = make_policy("contention-resolution", inst, obj, x)
         supports = []
-        start_trial = policy.start_trial
 
-        def recording_start(rng_t):
-            trial = start_trial(rng_t)
-            supports.append(trial[0])
-            return trial
+        def recording_sample(x_star, inst, rngs):
+            out = sample_support(x_star, inst, rngs)
+            supports.extend(out)
+            return out
 
-        policy.start_trial = recording_start
+        monkeypatch.setattr(online_mod, "sample_support", recording_sample)
         n = 12_000
         sampled = np.zeros(inst.n_edges)
         matched_given_sampled = np.zeros(inst.n_edges)
@@ -271,7 +271,7 @@ class TestContentionResolution:
             assert matched == [0, 1]
             assert value == 2.0
 
-    def test_monotonicity_in_the_sampled_support(self, rng):
+    def test_monotonicity_in_the_sampled_support(self, rng, monkeypatch):
         # shrinking the support never lowers a surviving edge's match rate
         inst = perfect_matching_instance(4)
         extra = [("x0", "u0", "v1"), ("x1", "u0", "v2"), ("x2", "u1", "v2")]
@@ -292,8 +292,8 @@ class TestContentionResolution:
 
         def match_rate(X, n=6000):
             # the support is fixed to X; only the thinning to Y is drawn
-            policy.start_trial = lambda rng_t: (
-                SampledSupport(X=X, Y=select_per_star(X, inst, rng_t)), rng_t)
+            monkeypatch.setattr(online_mod, "sample_support", lambda x_star, inst, rngs: [
+                SampledSupport(X=X, Y=select_per_star(X, inst, rng_t)) for rng_t in rngs])
             hits = 0
             for s in range(n):
                 _, matched = run_trial(policy, inst, obj, sample_arrivals(inst, s),
@@ -412,7 +412,7 @@ class TestSimulator:
             name = "faulty"
             needs_guide = False
 
-            def replay_block(self, states, seqs):
+            def replay_block(self, rngs, seqs):
                 # the same picks on every arrival
                 return [([e for _ in range(n) for e in picks],
                          [i for i in range(n) for _ in picks])
@@ -435,7 +435,7 @@ class TestSimulator:
             name = "per-edge-booking"
             needs_guide = False
 
-            def replay_block(self, states, seqs):
+            def replay_block(self, rngs, seqs):
                 (seq,) = seqs
                 self.remaining = [inst.capacities[u] for u in inst.edge_u]
                 matched, arrival_of = [], []
@@ -591,8 +591,8 @@ class TestSimulator:
         # perfbench's budget-sweep (eta 2, 170 trials) and coverage sweep
         # (eta 1, 50 trials) cells each fit one block
         sizes = []
-        monkeypatch.setattr(online_mod, "_trial_block", lambda policy, inst, obj, keep, seeds,
-                            held: sizes.append(len(seeds)) or [(0.0, None)] * len(seeds))
+        monkeypatch.setattr(online_mod, "_trial_block", lambda policy, keep, seeds, held:
+                            sizes.append(len(seeds)) or [(0.0, None)] * len(seeds))
         for kind, eta, trials in (("budget_additive", 2, 170), ("coverage", 1, 50)):
             problem = generate_synthetic(kind, 11)
             simulate(problem.instance.with_capacities(15).with_eta(eta),
@@ -741,29 +741,39 @@ def reference_replay(policy, trial, seq):
     return matched, arrival_of
 
 
-def generator_states(policy, states):
-    """The bit-generator state of each trial's generator."""
-    if policy.name in ("contention-resolution", "dependent-rounding"):
-        return [rng.bit_generator.state for _, rng in states]
-    return [rng.bit_generator.state for rng in states]
+def trial_rngs(seeds):
+    return [np.random.default_rng((s, 1)) for s in seeds]
+
+
+def reference_trials(policy, rngs):
+    """Each trial's start for ``reference_replay``: its generator, after
+    contention resolution's sampled support or dependent rounding's rounded
+    edge set, drawn here by the rounding module itself (a batched call, whose
+    rows equal one-trial calls: ``TestBatchedStart``)."""
+    start = {"contention-resolution": sample_support,
+             "dependent-rounding": dependent_round_stars}.get(policy.name)
+    if start is None:
+        return rngs
+    return list(zip(start(policy.x_star, policy.inst, rngs), rngs))
 
 
 def assert_engine_matches_reference(policy, seqs, seeds, sizes=(None,)):
     """Replay ``seqs`` in blocks of each size (None: all in one block) and
     compare every trial's picks, and its generator's state after, with the
     reference loop's."""
-    start = lambda: policy.start_trials([np.random.default_rng((s, 1)) for s in seeds])
-    ref_states = start()
-    expected = [reference_replay(policy, t, seq) for t, seq in zip(ref_states, seqs)]
+    ref_rngs = trial_rngs(seeds)
+    expected = [reference_replay(policy, t, seq)
+                for t, seq in zip(reference_trials(policy, ref_rngs), seqs)]
+    ref_states = [rng.bit_generator.state for rng in ref_rngs]
     for size in sizes:
         size = size or len(seqs)
-        states, got = start(), []
+        rngs, got = trial_rngs(seeds), []
         for i in range(0, len(seqs), size):
-            got += policy.replay_block(states[i:i + size], seqs[i:i + size])
+            got += policy.replay_block(rngs[i:i + size], seqs[i:i + size])
         for (e, at), (ref_e, ref_at) in zip(got, expected):
             assert np.asarray(e).tolist() == ref_e
             assert np.asarray(at).tolist() == ref_at
-        assert generator_states(policy, states) == generator_states(policy, ref_states)
+        assert [rng.bit_generator.state for rng in rngs] == ref_states
 
 
 def tie_instance(b, eta):
@@ -836,7 +846,28 @@ class TestBlockEngine:
         empty = ArrivalSequence(np.full(3, -1))
         seqs = [sample_arrivals(inst, 0), empty, sample_arrivals(inst, 2)]
         assert_engine_matches_reference(pol, seqs, range(3), sizes=(1, None))
-        (e, at), = pol.replay_block(pol.start_trials([np.random.default_rng(0)]), [empty])
+        (e, at), = pol.replay_block([np.random.default_rng(0)], [empty])
         assert len(e) == len(at) == 0
         value, matched = run_trial(pol, inst, obj, empty, np.random.default_rng(0))
         assert value == 0.0 and matched == []
+
+    @pytest.mark.parametrize("kind", ["budget_additive", "coverage"])
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_lone_trial_matches_its_block_trial(self, kind, policy):
+        # run_trial without picks replays a block of one; trial i of a run
+        # must read the same from it as from the run's blocks
+        problem = generate_synthetic(kind, 11)
+        obj, seed, trials = build_objective(problem), 11, 4
+        for b in (1, 5):
+            for eta in (1, 2):
+                inst = problem.instance.with_capacities(b).with_eta(eta)
+                x = recipe_guide(inst, b, eta)
+                m = simulate(inst, obj, policy, x_star=x, trials=trials, seed=seed,
+                             keep_matches=True, allow_fractional_cr=True)
+                pol = make_policy(policy, inst, obj, x, allow_fractional_cr=True)
+                for i in range(trials):
+                    value, matched = run_trial(
+                        pol, inst, obj, sample_arrivals(inst, seed + i),
+                        np.random.default_rng((seed + i, 1)))
+                    assert value == m.values[i]
+                    assert matched == m.matches[i]
