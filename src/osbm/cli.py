@@ -27,8 +27,7 @@ from .instances import (
     num,
     save_problem,
 )
-from .objectives import (EXACT_ENUMERATION_LIMIT, build_objective,
-                         multilinear_exact, multilinear_mc)
+from .objectives import build_objective, multilinear_estimate
 from .offline import (
     OfflineSolution,
     SolutionError,
@@ -119,10 +118,8 @@ def _solve_offline(problem: Problem, solver: str, steps: int, grad_samples: int,
         x, value, _ = lpmod.solve_offline_lp(inst, objective)
         if problem.kind == "linear":
             est, se = float(objective.weights @ x), 0.0
-        elif inst.n_edges <= EXACT_ENUMERATION_LIMIT:
-            est, se = multilinear_exact(objective, x), 0.0
         else:
-            est, se = multilinear_mc(
+            est, se = multilinear_estimate(
                 objective, x, samples=min(2000, 200 + inst.n_edges), seed=seed)
         return OfflineSolution(
             x=x, objective_estimate=est, estimate_std_error=se, solver="lp",

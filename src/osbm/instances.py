@@ -642,6 +642,23 @@ def read_records(path, header: str, error: type, what: str) -> list[tuple[int, s
     return lines[1:]
 
 
+class RepeatedRecord(ValueError):
+    """A record that sets what an earlier record of the file already set."""
+
+
+def put_once(table: dict, key, value) -> None:
+    """``table[key] = value``; raises RepeatedRecord if ``key`` is set."""
+    if key in table:
+        raise RepeatedRecord(key)
+    table[key] = value
+
+
+def record_error(error: type, path, lineno: int, line: str, exc: Exception) -> Exception:
+    """``error`` naming the file, line and record at which ``exc`` was raised."""
+    what = "repeated" if isinstance(exc, RepeatedRecord) else "bad"
+    return error(f"{path}: {what} record at line {lineno}: {line!r}")
+
+
 def save_problem(problem: Problem, path) -> None:
     """Write a problem to its line-record text format (lossless round-trip)."""
     inst, feats = problem.instance, problem.features
@@ -687,20 +704,19 @@ def save_problem(problem: Problem, path) -> None:
 def load_problem(path) -> Problem:
     """Read a problem written by :func:`save_problem`.
 
-    Raises InstanceError, naming the file, on a missing header, a short or
-    unparsable record, a missing ``T`` or ``eta`` record, a feature index
-    outside ``[0, features)``, a ``uw`` record for an unknown online type,
-    a structural violation such as a dangling edge endpoint, or a value that
-    `Problem.validate` rejects (a non-finite or negative rate, weight or
-    budget, a feature set index out of range, a payload its objective kind
-    reads), except a rate above 1.  Omitted ``q`` and ``uw`` records load
-    as empty sets and zero weights.
+    Raises InstanceError, naming the file, on a missing header, a short,
+    unparsable or repeated record (a second ``T``, ``eta``, ``objective``,
+    ``budget`` or ``features``, or a second ``q``, ``fw``, ``fn`` or ``uw``
+    for one key), a missing ``T`` or ``eta`` record, an edge weight on some
+    ``e`` records but not all, a feature index outside ``[0, features)``, a
+    ``uw`` record for an unknown online type, a structural violation such
+    as a dangling edge endpoint, or a value that `Problem.validate` rejects
+    (a non-finite or negative rate, weight or budget, a feature set index
+    out of range, a payload its objective kind reads), except a rate above
+    1.  Omitted ``q`` and ``uw`` records load as empty sets and zero weights.
     """
     records = read_records(path, SCHEMA_HEADER, InstanceError, "an instance file")
-    horizon = eta = None
-    kind = "linear"
-    budget = None
-    n_features = 0
+    scalars: dict = {}  # T, eta, objective, budget, features
     feature_names: dict[int, str] = {}
     offline: list[tuple[str, int]] = []
     online: list[tuple[str, float]] = []
@@ -708,25 +724,21 @@ def load_problem(path) -> Problem:
     edge_weights: dict[str, float] = {}
     q_sets: dict[str, frozenset[int]] = {}
     feature_weights: dict[int, float] = {}
-    user_weight_rows: list[tuple[str, int, float]] = []
+    user_weights: dict[tuple[str, int], float] = {}
     for lineno, line in records:
         tok = line.split()
         tag = tok[0]
         try:
-            if tag == "T":
-                horizon = int(tok[1])
-            elif tag == "eta":
-                eta = int(tok[1])
-            elif tag == "objective":
-                kind = tok[1]
-            elif tag == "budget":
-                budget = float(tok[1])
-            elif tag == "features":
-                n_features = int(tok[1])
-                if n_features < 0:
+            if tag in ("T", "eta", "features"):
+                put_once(scalars, tag, int(tok[1]))
+                if tag == "features" and scalars[tag] < 0:
                     raise ValueError("negative feature count")
+            elif tag == "objective":
+                put_once(scalars, tag, tok[1])
+            elif tag == "budget":
+                put_once(scalars, tag, float(tok[1]))
             elif tag == "fn":
-                feature_names[int(tok[1])] = tok[2]
+                put_once(feature_names, int(tok[1]), tok[2])
             elif tag == "u":
                 offline.append((tok[1], int(tok[2])))
             elif tag == "v":
@@ -736,28 +748,32 @@ def load_problem(path) -> Problem:
                 if len(tok) > 4:
                     edge_weights[tok[1]] = float(tok[4])
             elif tag == "q":
-                q_sets[tok[1]] = frozenset(map(int, tok[2:]))
+                put_once(q_sets, tok[1], frozenset(map(int, tok[2:])))
             elif tag == "fw":
-                feature_weights[int(tok[1])] = float(tok[2])
+                put_once(feature_weights, int(tok[1]), float(tok[2]))
             elif tag == "uw":
-                user_weight_rows.append((tok[1], int(tok[2]), float(tok[3])))
+                put_once(user_weights, (tok[1], int(tok[2])), float(tok[3]))
             else:
                 raise ValueError(f"unknown record tag {tag!r}")
-        except (IndexError, ValueError):
-            raise InstanceError(f"{path}: bad record at line {lineno}: {line!r}") from None
-    if horizon is None or eta is None:
+        except (IndexError, ValueError) as exc:
+            raise record_error(InstanceError, path, lineno, line, exc) from None
+    if "T" not in scalars or "eta" not in scalars:
         raise InstanceError(f"{path}: missing T or eta record")
-    inst = build_instance(offline, online, edges, horizon, eta)
+    kind, n_features = scalars.get("objective", "linear"), scalars.get("features", 0)
+    inst = build_instance(offline, online, edges, scalars["T"], scalars["eta"])
     try:
         inst.edge_u  # builds the dense endpoints after the structural check
     except ValueError as exc:
         raise InstanceError(f"{path}: {exc}") from None
+    if edge_weights and len(edge_weights) < inst.n_edges:
+        eid = next(eid for eid in inst.edge_ids if eid not in edge_weights)
+        raise InstanceError(f"{path}: edge {eid} has no weight but other edges have one")
 
     ew = None
     # with no edges there is no record to carry a weight: a kind that reads
     # weights gets the empty vector
     if edge_weights or not edges and "edge_weights" in OBJECTIVE_PAYLOADS.get(kind, ()):
-        ew = np.array([edge_weights.get(eid, 0.0) for eid in inst.edge_ids])
+        ew = np.array([edge_weights[eid] for eid in inst.edge_ids])
     fs = None
     if q_sets or kind in ("coverage", "per_user_coverage"):
         fs = tuple(q_sets.get(eid, frozenset()) for eid in inst.edge_ids)
@@ -771,10 +787,10 @@ def load_problem(path) -> Problem:
         for z, w in feature_weights.items():
             fw[z] = w
     uw = None
-    if user_weight_rows or kind == "per_user_coverage":  # save omits zero weights
+    if user_weights or kind == "per_user_coverage":  # save omits zero weights
         uw = np.zeros((inst.n_online, n_features))
         vidx = inst.online_index
-        for vid, z, w in user_weight_rows:
+        for (vid, z), w in user_weights.items():
             if vid not in vidx:
                 raise InstanceError(f"{path}: uw record for unknown online type {vid!r}")
             if not 0 <= z < n_features:
@@ -786,7 +802,7 @@ def load_problem(path) -> Problem:
         names = tuple(feature_names.get(z, str(z)) for z in range(n_features))
     feats = EdgeFeatures(n_features=n_features, edge_weights=ew, feature_sets=fs,
                          feature_weights=fw, user_weights=uw, feature_names=names)
-    problem = Problem(instance=inst, features=feats, kind=kind, budget=budget)
+    problem = Problem(instance=inst, features=feats, kind=kind, budget=scalars.get("budget"))
     # Problem.validate's checks but the structural one (run above), the ids
     # (split on whitespace) and a rate above 1 (`ingest` warns and writes it)
     problems = _value_violations(inst) + problem._payload_violations()

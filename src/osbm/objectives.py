@@ -1,10 +1,11 @@
 """Monotone submodular objectives over edge subsets, with multilinear tools.
 
-Objectives expose value-oracle access (``value``) plus a few hooks the
-solvers lean on: incremental evaluators for repeated marginal-gain queries
-and vectorized coordinate gains for gradient estimation on the multilinear
-extension F(x) = E[f(R_x)], where R_x includes each edge ``e`` independently
-with probability ``x_e``.
+Objectives expose value-oracle access (``value``) plus two hooks the solvers
+lean on: an `Evaluator`, the one marginal-gain protocol (``row_gains`` and
+``row_add`` over many edge sets at once, as greedy runs them), and vectorized
+coordinate gains for gradient estimation on the multilinear extension
+F(x) = E[f(R_x)], where R_x includes each edge ``e`` independently with
+probability ``x_e``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ class SubmodularObjective:
     def __init__(self, n_edges: int):
         self.n_edges = int(n_edges)
 
-    # subclasses override
     def value(self, edges) -> float:
         raise NotImplementedError
 
@@ -44,46 +44,30 @@ class SubmodularObjective:
         member[self._check_edges(edges)] = True
         return member
 
-    def gain(self, edges, e: int) -> float:
-        """Marginal value of adding ``e`` to the set ``edges`` (requires e not in set)."""
-        members = set(self._check_edges(edges))
-        e = int(e)
-        if e in members:
-            raise ValueError(f"edge {e} already in the set")
-        if not (0 <= e < self.n_edges):
-            raise ValueError(f"unknown edge id {e}")
-        return self.value(members | {e}) - self.value(members)
-
-    def evaluator(self, rows: int = 1) -> "Evaluator":
+    def evaluator(self, rows: int) -> "Evaluator":
         return Evaluator(self, rows)
 
     def coordinate_gains(self, member: np.ndarray) -> np.ndarray:
         """f(R + e) - f(R - e) for every edge, R given as a boolean mask."""
-        member = np.asarray(member, dtype=bool)
-        base = set(np.flatnonzero(member).tolist())
-        out = np.empty(self.n_edges)
-        for e in range(self.n_edges):
-            with_e = base | {e}
-            without_e = base - {e}
-            out[e] = self.value(with_e) - self.value(without_e)
-        return out
+        base = set(np.flatnonzero(np.asarray(member, dtype=bool)).tolist())
+        return np.array([self.value(base | {e}) - self.value(base - {e})
+                         for e in range(self.n_edges)], dtype=float)
 
 
 class Evaluator:
     """Marginal gains for ``rows`` independent greedy runs, one edge set each.
 
-    The base class owns each row's membership mask and running value: a
-    member gains 0 and adding it again changes nothing.  Concrete
-    objectives plug in their own ``_gains`` for non-members and ``_absorb``
-    for the state update when they join, both over aligned (row, edge)
-    arrays; the generic fallback recomputes through the value oracle.
-    ``gain``, ``add`` and ``value`` are the view of row 0.
+    The only gain protocol: ``row_gains`` reads the gains of (row, edge)
+    pairs and ``row_add`` adds edges to rows.  The base class owns each
+    row's membership mask: a member gains 0 and adding it again changes
+    nothing.  Each objective plugs in ``_gains`` for non-members and
+    ``_absorb`` for the state update when they join, both over aligned
+    (row, edge) arrays; the generic ``_gains`` is value(S + e) - value(S).
     """
 
-    def __init__(self, objective: SubmodularObjective, rows: int = 1):
+    def __init__(self, objective: SubmodularObjective, rows: int):
         self._objective = objective
         self.members = np.zeros((rows, objective.n_edges), dtype=bool)
-        self.values = np.zeros(rows)
 
     def row_gains(self, rows: np.ndarray, edges: np.ndarray) -> np.ndarray:
         """The gain of adding ``edges[i]`` to row ``rows[i]``, for each i."""
@@ -92,30 +76,17 @@ class Evaluator:
         out[new] = self._gains(rows[new], edges[new])
         return out
 
-    def row_add(self, rows: np.ndarray, edges: np.ndarray) -> np.ndarray:
-        """Add ``edges[i]`` to row ``rows[i]`` (rows distinct); returns the gains."""
+    def row_add(self, rows: np.ndarray, edges: np.ndarray) -> None:
+        """Add ``edges[i]`` to row ``rows[i]``, for each i (rows distinct)."""
         new = ~self.members[rows, edges]
-        gains = self.row_gains(rows, edges)
         self._absorb(rows[new], edges[new])
         self.members[rows, edges] = True
-        self.values[rows] += gains
-        return gains
-
-    @property
-    def value(self) -> float:
-        return float(self.values[0])
-
-    def gain(self, e: int) -> float:
-        return float(self.row_gains(np.zeros(1, np.int64), np.array([e]))[0])
-
-    def add(self, e: int) -> float:
-        return float(self.row_add(np.zeros(1, np.int64), np.array([e]))[0])
 
     def _gains(self, rows: np.ndarray, edges: np.ndarray) -> np.ndarray:
         value = self._objective.value
-        return np.array([
-            value(set(np.flatnonzero(self.members[r]).tolist()) | {e}) - self.values[r]
-            for r, e in zip(rows.tolist(), edges.tolist())], dtype=float)
+        sets = [set(np.flatnonzero(self.members[r]).tolist()) for r in rows.tolist()]
+        return np.array([value(s | {e}) - value(s) for s, e in zip(sets, edges.tolist())],
+                        dtype=float)
 
     def _absorb(self, rows: np.ndarray, edges: np.ndarray) -> None:
         pass
@@ -137,7 +108,7 @@ class LinearObjective(SubmodularObjective):
     def coordinate_gains(self, member) -> np.ndarray:
         return self.weights.copy()
 
-    def evaluator(self, rows: int = 1):
+    def evaluator(self, rows: int):
         return _LinearEvaluator(self, rows)
 
 
@@ -170,7 +141,7 @@ class BudgetAdditiveObjective(SubmodularObjective):
         base = np.where(member, total - self.weights, total)
         return np.minimum(self.budget, base + self.weights) - np.minimum(self.budget, base)
 
-    def evaluator(self, rows: int = 1):
+    def evaluator(self, rows: int):
         return _BudgetEvaluator(self, rows)
 
 
@@ -247,7 +218,7 @@ class CoverageObjective(SubmodularObjective):
                                    minlength=self.n_edges)
         return gain_if_out + np.where(member, gain_if_sole, 0.0)
 
-    def evaluator(self, rows: int = 1):
+    def evaluator(self, rows: int):
         return _CoverageEvaluator(self, rows)
 
 
@@ -382,6 +353,15 @@ def multilinear_mc(objective: SubmodularObjective, x, samples: int, seed) -> tup
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return est, se
+
+
+def multilinear_estimate(objective: SubmodularObjective, x, samples: int,
+                         seed) -> tuple[float, float]:
+    """(F(x), standard error): exact, with error 0, on ground sets of up to
+    EXACT_ENUMERATION_LIMIT edges, else `multilinear_mc` with ``samples``."""
+    if objective.n_edges <= EXACT_ENUMERATION_LIMIT:
+        return multilinear_exact(objective, x), 0.0
+    return multilinear_mc(objective, x, samples, seed)
 
 
 def partial_derivative(objective: SubmodularObjective, x, e: int,

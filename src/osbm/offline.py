@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import lp as lpmod
-from .instances import (ArrivalSequence, Instance, num, read_records,
-                        sample_arrivals)
+from .instances import (ArrivalSequence, Instance, num, put_once, read_records,
+                        record_error, sample_arrivals)
 from .objectives import SubmodularObjective, batch_gradient, multilinear_mc
 
 SOLUTION_HEADER = "osbm-solution/1"
@@ -255,27 +255,27 @@ def _finite_float(text: str) -> float:
 def load_solution(path, inst: Instance) -> OfflineSolution:
     """Read a marginals artifact written by `save_solution` for `inst`.
 
-    Raises SolutionError, naming the file, on non-UTF-8 text, a short or
-    unparsable record, a non-finite number, edge ids that differ from the
-    instance's, or an x outside the instance's b-matching polytope.
+    Raises SolutionError, naming the file, on non-UTF-8 text, a short,
+    unparsable or repeated record (a second ``x`` for one edge id, or a
+    second ``benchmark`` or metadata record), a non-finite number, edge ids
+    that differ from the instance's, or an x outside the instance's
+    b-matching polytope.
     """
     records = read_records(path, SOLUTION_HEADER, SolutionError, "a solution file")
-    meta: dict[str, str] = {}
+    meta: dict = {}
     values: dict[str, float] = {}
-    benchmark_kind = None
-    benchmark_value = None
     for lineno, line in records:
         tok = line.split()
         try:
             if tok[0] == "x":
-                values[tok[1]] = _finite_float(tok[2])
+                put_once(values, tok[1], _finite_float(tok[2]))
             elif tok[0] == "benchmark":
-                benchmark_kind, benchmark_value = tok[1], _finite_float(tok[2])
+                put_once(meta, tok[0], (tok[1], _finite_float(tok[2])))
             else:
-                meta[tok[0]] = tok[1]
-        except (IndexError, ValueError):
-            raise SolutionError(
-                f"{path}: bad record at line {lineno}: {line!r}") from None
+                put_once(meta, tok[0], tok[1])
+        except (IndexError, ValueError) as exc:
+            raise record_error(SolutionError, path, lineno, line, exc) from None
+    benchmark_kind, benchmark_value = meta.get("benchmark", (None, None))
     missing = [eid for eid in inst.edge_ids if eid not in values]
     if missing or len(values) != inst.n_edges:
         raise SolutionError(f"{path}: edge marginals do not match the instance")

@@ -61,8 +61,7 @@ import numpy as np
 
 from . import lp as lpmod
 from .instances import ArrivalSequence, Instance, sample_arrivals
-from .objectives import (EXACT_ENUMERATION_LIMIT, SubmodularObjective,
-                         multilinear_exact, multilinear_mc)
+from .objectives import SubmodularObjective, multilinear_estimate
 from .offline import expected_opt
 from .rounding import dependent_round_stars, sample_support
 
@@ -427,10 +426,7 @@ def compute_benchmark(kind: str, inst: Instance,
     if kind == "guide-scaled":
         if x_star is None or len(x_star) != inst.n_edges:
             raise ValueError("guide-scaled benchmark needs edge marginals")
-        if inst.n_edges <= EXACT_ENUMERATION_LIMIT:
-            est = multilinear_exact(objective, x_star)
-        else:
-            est, _ = multilinear_mc(objective, x_star, samples=4000, seed=seed)
+        est, _ = multilinear_estimate(objective, x_star, samples=4000, seed=seed)
         return "guide-scaled", est * E_OVER_E_MINUS_1
     raise ValueError(f"unknown benchmark kind {kind!r}")
 

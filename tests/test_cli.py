@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, artifacts, report determinism."""
 
 import csv
+import inspect
 import io
 import math
 from contextlib import redirect_stderr, redirect_stdout
@@ -8,6 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
+import osbm
 from osbm.cli import main
 from osbm.instances import load_problem, save_problem
 from osbm.offline import load_solution
@@ -38,6 +40,25 @@ def small_problem_file(tmp_path, rng_seed=0):
     path = tmp_path / "instance.txt"
     save_problem(problem, path)
     return path
+
+
+class TestPublicNames:
+    def test_package_names_stay(self):
+        # the library's public names: dropping one breaks the code that calls it
+        assert {name for name, value in vars(osbm).items()
+                if not name.startswith("_") and not inspect.ismodule(value)} == {
+            "ArrivalSequence", "BudgetAdditiveObjective", "CoverageObjective",
+            "EdgeFeatures", "Instance", "LinearObjective", "LinearProgram",
+            "LpSolution", "OfflineSolution", "PerUserCoverageObjective", "Problem",
+            "RunMetrics", "SampledSupport", "SubmodularObjective", "build_instance",
+            "build_matching_lmo", "build_objective", "build_special_lp",
+            "compute_benchmark", "continuous_greedy", "dependent_round_stars",
+            "expected_opt", "generate_synthetic", "hindsight_optimal",
+            "independent_sample", "ingest_ratings", "load_problem", "make_policy",
+            "multilinear_exact", "multilinear_mc", "partial_derivative",
+            "pipage_round", "run_trial", "sample_arrivals", "sample_support",
+            "saturate_marginals", "save_problem", "select_per_star", "simulate",
+            "solve", "solve_offline_lp", "validate"}
 
 
 class TestGenerate:
@@ -193,7 +214,7 @@ class TestSimulate:
         assert benchmarks[0] == benchmarks[1]
 
     @pytest.mark.parametrize("corrupt", ["truncated", "non_finite", "infeasible",
-                                         "not_utf8"])
+                                         "not_utf8", "repeated_x"])
     def test_malformed_artifact_exits_2_naming_file(self, tmp_path, corrupt):
         inst_file = small_problem_file(tmp_path)
         x_file = tmp_path / "x.txt"
@@ -208,6 +229,8 @@ class TestSimulate:
         elif corrupt == "infeasible":
             lines = [" ".join(ln.split()[:2] + ["5"]) if ln.startswith("x ")
                      else ln for ln in lines]
+        elif corrupt == "repeated_x":
+            lines.append(" ".join(lines[first_x].split()[:2] + ["0.25"]))
         x_file.write_text("\n".join(lines) + "\n")
         if corrupt == "not_utf8":
             x_file.write_bytes(x_file.read_bytes() + b"\xff\xfe\n")
@@ -224,7 +247,7 @@ class TestSimulate:
         "fw_index", "uw_negative_index", "uw_unknown_type", "dangling_endpoint",
         "not_utf8", "budget_nan", "budget_negative", "q_negative_index",
         "q_index_past_features", "rate_nan", "fw_nan", "coverage_without_fw",
-        "linear_without_weights"])
+        "linear_without_weights", "repeated_T", "dropped_weight"])
     def test_malformed_instance_exits_2_naming_file(self, tmp_path, corrupt):
         inst_file = small_problem_file(tmp_path)
         lines = inst_file.read_text().splitlines()
@@ -261,6 +284,10 @@ class TestSimulate:
         elif corrupt == "coverage_without_fw":  # feature sets, no feature weights
             lines = [ln.replace("budget_additive", "coverage") for ln in lines]
             lines += ["features 2", f"q {lines[first_e].split()[1]} 0 1"]
+        elif corrupt == "repeated_T":
+            lines += ["T 2000"]
+        elif corrupt == "dropped_weight":
+            lines[first_e] = " ".join(lines[first_e].split()[:4])
         elif corrupt == "linear_without_weights":
             lines = [" ".join(ln.split()[:4]) if ln.startswith("e ")
                      else ln.replace("budget_additive", "linear") for ln in lines]

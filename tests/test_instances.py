@@ -4,6 +4,7 @@ import contextlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -561,19 +562,101 @@ class TestRecordLines:
         assert k + 1 == 8
 
 
+def every_record_problem():
+    """A problem whose file holds one record of every kind the format has."""
+    feats = EdgeFeatures(
+        n_features=3,
+        edge_weights=np.array([0.5, 1.0, 0.25]),
+        feature_sets=(frozenset({0}), frozenset({1, 2}), frozenset()),
+        feature_weights=np.array([1.0, 2.0, 0.5]),
+        user_weights=np.array([[0.0, 1.0, 0.5], [2.0, 0.0, 1.0]]),
+        feature_names=("a", "b", "c"))
+    return Problem(tiny_instance(), feats, "budget_additive", 1.0)
+
+
+class TestRepeatedRecords:
+    # a record may set a value once: a second one must not replace the first
+    @pytest.mark.parametrize("tag", ["T", "eta", "objective", "budget", "features",
+                                     "fn", "q", "fw", "uw"])
+    def test_problem_record_repeated(self, tmp_path, tag):
+        path = tmp_path / "p.txt"
+        save_problem(every_record_problem(), path)
+        lines = path.read_text().splitlines()
+        k = next(k for k, ln in enumerate(lines) if ln.split()[0] == tag)
+        lines.insert(k + 1, lines[k])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InstanceError,
+                           match=f"{re.escape(str(path))}: repeated record at line {k + 2}: "):
+            load_problem(path)
+
+    def test_coverage_recipe_repeats_rejected(self, tmp_path):
+        path = tmp_path / "p.txt"
+        save_problem(generate_synthetic("coverage", 11), path)
+        lines = path.read_text().splitlines()
+        for extra in ("q e0 0", "fw 0 0.5", "T 2000"):
+            path.write_text("\n".join(lines + [extra]) + "\n")
+            with pytest.raises(InstanceError, match=f"repeated record at line {len(lines) + 1}"):
+                load_problem(path)
+
+    def test_distinct_keys_are_not_repeats(self, tmp_path):
+        path = tmp_path / "p.txt"
+        save_problem(every_record_problem(), path)
+        lines = path.read_text().splitlines()
+        assert sum(ln.startswith("uw v1 ") for ln in lines) == 2
+        assert sum(ln.startswith("fw ") for ln in lines) == 3
+        assert_same_problem(load_problem(path), every_record_problem())
+
+    @pytest.mark.parametrize("record", ["x e1 0.25", "benchmark lp 1.0", "solver lp",
+                                        "seed 3", "objective-estimate 0.5"])
+    def test_solution_record_repeated(self, tmp_path, record):
+        inst = tiny_instance()
+        path = tmp_path / "x.txt"
+        save_solution(path, inst, OfflineSolution(
+            x=np.array([0.5, 0.5, 0.25]), objective_estimate=1.0,
+            estimate_std_error=0.0, solver="lp", seed=1, benchmark_kind="lp",
+            benchmark_value=2.0))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [record]) + "\n")
+        where = re.escape(str(path))
+        with pytest.raises(SolutionError,
+                           match=f"{where}: repeated record at line {len(lines) + 1}: "):
+            load_solution(path, inst)
+
+
+class TestEdgeWeightsAllOrNone:
+    def test_a_dropped_weight_is_rejected(self, tmp_path):
+        # a dropped weight must not load as 0.0
+        path = tmp_path / "p.txt"
+        problem = generate_synthetic("budget_additive", 11)
+        save_problem(problem, path)
+        lines = path.read_text().splitlines()
+        k = next(k for k, ln in enumerate(lines) if ln.startswith("e "))
+        assert lines[k].split()[:4] == ["e", "e0", "u0", "v0"]
+        assert problem.features.edge_weights[0] == pytest.approx(0.2887, abs=1e-4)
+        lines[k] = "e e0 u0 v0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InstanceError, match=f"{re.escape(str(path))}: edge e0 has no"):
+            load_problem(path)
+
+    def test_one_weight_among_none_is_rejected(self, tmp_path):
+        path = tmp_path / "p.txt"
+        problem = Problem(tiny_instance(), EdgeFeatures(
+            n_features=1, feature_sets=(frozenset({0}),) * 3,
+            feature_weights=np.ones(1)), "coverage")
+        save_problem(problem, path)
+        assert_same_problem(load_problem(path), problem)
+        text = path.read_text().replace("e e2 u2 v1\n", "e e2 u2 v1 1.5\n")
+        path.write_text(text)
+        with pytest.raises(InstanceError, match=f"{re.escape(str(path))}: edge e1 has no"):
+            load_problem(path)
+
+
 class TestLoadProblemFuzz:
     def test_one_edit_loads_or_raises_instance_error(self, tmp_path):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
-        feats = EdgeFeatures(
-            n_features=3,
-            edge_weights=np.array([0.5, 1.0, 0.25]),
-            feature_sets=(frozenset({0}), frozenset({1, 2}), frozenset()),
-            feature_weights=np.array([1.0, 2.0, 0.5]),
-            user_weights=np.array([[0.0, 1.0, 0.5], [2.0, 0.0, 1.0]]),
-            feature_names=("a", "b", "c"))
         path = tmp_path / "p.txt"
-        save_problem(Problem(tiny_instance(), feats, "budget_additive", 1.0), path)
+        save_problem(every_record_problem(), path)
         lines = path.read_text().splitlines()
         tokens = st.sampled_from(["", "-1", "0", "7", "nan", "x", "e1", "u1",
                                   "v1", "T", "e", "uw", "fw"])

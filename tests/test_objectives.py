@@ -35,6 +35,12 @@ def brute_multilinear(objective, x):
     return total
 
 
+def gain(objective, edges, e):
+    """f(S + e) - f(S), the marginal gain taken through the value oracle."""
+    s = set(edges)
+    return objective.value(s | {e}) - objective.value(s)
+
+
 class TestValueOracles:
     def test_empty_set_is_zero_for_every_kind(self, rng):
         for kind in ("linear", "coverage", "budget_additive"):
@@ -89,22 +95,17 @@ class TestValueOracles:
 class TestMarginalGain:
     def test_linear_gain_independent_of_set(self):
         obj = LinearObjective([2.0, 7.0, 1.0])
-        assert obj.gain([], 1) == 7.0
-        assert obj.gain([0, 2], 1) == 7.0
+        assert gain(obj, [], 1) == 7.0
+        assert gain(obj, [0, 2], 1) == 7.0
 
     def test_saturated_budget_gain_zero(self):
         obj = BudgetAdditiveObjective([3.0, 4.0, 2.0], budget=5.0)
-        assert obj.gain([0, 1], 2) == 0.0
+        assert gain(obj, [0, 1], 2) == 0.0
 
     def test_coverage_overlap_gain(self):
         obj = CoverageObjective([frozenset({0, 1}), frozenset({1, 2})],
                                 [1.0, 1.0, 1.0])
-        assert obj.gain([0], 1) == 1.0
-
-    def test_member_edge_rejected(self):
-        obj = LinearObjective([1.0, 1.0])
-        with pytest.raises(ValueError, match="already in"):
-            obj.gain([0], 0)
+        assert gain(obj, [0], 1) == 1.0
 
     def test_gain_nonnegative_everywhere(self, rng):
         for kind in ("linear", "coverage", "budget_additive"):
@@ -115,7 +116,7 @@ class TestMarginalGain:
                 e = int(rng.integers(0, 6))
                 if e in s:
                     continue
-                assert obj.gain(s, e) >= -1e-12
+                assert gain(obj, s, e) >= -1e-12
 
 
 class TestSubmodularityAudit:
@@ -131,7 +132,7 @@ class TestSubmodularityAudit:
                 e = int(rng.integers(0, 7))
                 if e in big:
                     continue
-                assert obj.gain(small, e) >= obj.gain(big, e) - 1e-12
+                assert gain(obj, small, e) >= gain(obj, big, e) - 1e-12
                 checked += 1
 
 
@@ -255,31 +256,61 @@ class TestPartialDerivative:
         assert est == pytest.approx(3.0)
 
 
+def all_pairs(rows, n_edges):
+    """(row, edge) index arrays over every row and every edge."""
+    return np.repeat(np.arange(rows), n_edges), np.tile(np.arange(n_edges), rows)
+
+
 class TestEvaluators:
     def test_incremental_matches_recompute(self, rng):
+        # two rows add the edges in different orders; at each step every
+        # (row, edge) gain equals the value difference over that row's set
         for kind in ("linear", "coverage", "budget_additive"):
             obj = small_objective(kind, 8, rng)
-            ev = obj.evaluator()
-            members = []
-            order = rng.permutation(8)
-            for e in order[:6]:
-                e = int(e)
-                expected_gain = obj.value(set(members) | {e}) - obj.value(members)
-                assert ev.gain(e) == pytest.approx(expected_gain, abs=1e-12)
-                ev.add(e)
-                members.append(e)
-                assert ev.value == pytest.approx(obj.value(members), abs=1e-12)
+            ev = obj.evaluator(2)
+            orders = [rng.permutation(8).tolist() for _ in range(2)]
+            sets = [set(), set()]
+            rows, edges = all_pairs(2, 8)
+            for step in range(6):
+                gains = ev.row_gains(rows, edges)
+                for r, e, g in zip(rows.tolist(), edges.tolist(), gains.tolist()):
+                    assert g == pytest.approx(gain(obj, sets[r], e), abs=1e-12)
+                added = [order[step] for order in orders]
+                assert ev.row_add(np.arange(2), np.array(added)) is None
+                for r, e in enumerate(added):
+                    sets[r].add(e)
+                    assert np.array_equal(np.flatnonzero(ev.members[r]), sorted(sets[r]))
 
     def test_re_adding_member_gains_nothing(self, rng):
         for kind in ("linear", "coverage", "budget_additive"):
             obj = small_objective(kind, 4, rng)
-            ev = obj.evaluator()
-            ev.add(2)
-            assert ev.gain(2) == 0.0
-            before, gain_of_3 = ev.value, ev.gain(3)
-            assert ev.add(2) == 0.0
-            assert ev.value == before and ev.gain(3) == gain_of_3
+            ev = obj.evaluator(2)
+            ev.row_add(np.array([0, 1]), np.array([2, 1]))
+            assert ev.row_gains(np.array([0]), np.array([2]))[0] == 0.0
+            rows, edges = all_pairs(2, 4)
+            gains, members = ev.row_gains(rows, edges), ev.members.copy()
+            ev.row_add(np.array([0]), np.array([2]))
+            assert np.array_equal(ev.row_gains(rows, edges), gains)
+            assert np.array_equal(ev.members, members)
 
+    def test_row_add_takes_no_gain(self, rng, monkeypatch):
+        # greedy has just taken the gains it commits; adding them again
+        # would double its gain work
+        for kind in ("linear", "coverage", "budget_additive", "generic"):
+            obj = (_ValueOnlyLinear(rng.random(6)) if kind == "generic"
+                   else small_objective(kind, 6, rng))
+            ev = obj.evaluator(3)
+            calls = []
+
+            def counted(self, r, e, real=type(ev)._gains):
+                calls.append(len(e))
+                return real(self, r, e)
+
+            monkeypatch.setattr(type(ev), "_gains", counted)
+            ev.row_gains(np.arange(3), np.array([0, 1, 2]))
+            assert calls == [3]
+            ev.row_add(np.arange(3), np.array([0, 4, 5]))
+            assert calls == [3]
 
     def test_coverage_row_gains_sum_as_the_one_edge_form(self, rng):
         # edges with 0 to 40 features: the sums of 8 and more terms take
@@ -289,12 +320,12 @@ class TestEvaluators:
         obj = CoverageObjective(sets, rng.random(60) * 10.0 ** rng.integers(-3, 4, 60))
         ev = obj.evaluator(rows=3)
         ev.row_add(np.array([1, 2]), np.array([5, 17]))
-        rows, edges = np.repeat(np.arange(3), 41), np.tile(np.arange(41), 3)
-        for r, e, gain in zip(rows, edges, ev.row_gains(rows, edges)):
+        rows, edges = all_pairs(3, 41)
+        for r, e, g in zip(rows, edges, ev.row_gains(rows, edges)):
             q = obj.edge_features[e]
             fresh = q[~ev._covered[r][q]]
             expected = 0.0 if ev.members[r, e] else float(obj.feature_weights[fresh].sum())
-            assert gain == expected
+            assert g == expected
 
 
 class _ValueOnlyLinear(SubmodularObjective):
@@ -327,13 +358,22 @@ class TestGenericValueOracle:
                                   linear.coordinate_gains(mask))
 
     def test_evaluator_gains_and_values(self, pair, rng):
+        # three rows add the edges in different orders; every (row, edge)
+        # gain agrees at each step, and so does the value of each row's set
         _, generic, linear = pair
-        evs = generic.evaluator(), linear.evaluator()
-        for e in rng.permutation(generic.n_edges).tolist():
-            for f in range(generic.n_edges):
-                assert evs[0].gain(f) == evs[1].gain(f)
-            assert evs[0].add(e) == evs[1].add(e)
-            assert evs[0].value == evs[1].value
+        m = generic.n_edges
+        evs = generic.evaluator(3), linear.evaluator(3)
+        rows, edges = all_pairs(3, m)
+        orders = np.array([rng.permutation(m) for _ in range(3)])
+        for step in range(m):
+            assert np.array_equal(evs[0].row_gains(rows, edges),
+                                  evs[1].row_gains(rows, edges))
+            for ev in evs:
+                ev.row_add(np.arange(3), orders[:, step])
+            for r in range(3):
+                members = np.flatnonzero(evs[0].members[r])
+                assert np.array_equal(members, np.flatnonzero(evs[1].members[r]))
+                assert generic.value(members) == linear.value(members)
 
     def test_greedy_and_continuous_greedy(self, pair):
         inst, generic, linear = pair
