@@ -799,6 +799,9 @@ def load_problem(path) -> Problem:
             uw[vidx[vid], z] = w
     names = None
     if feature_names:
+        bad = [z for z in feature_names if not 0 <= z < n_features]
+        if bad:
+            raise InstanceError(f"{path}: fn feature index {bad[0]} outside [0, {n_features})")
         names = tuple(feature_names.get(z, str(z)) for z in range(n_features))
     feats = EdgeFeatures(n_features=n_features, edge_weights=ew, feature_sets=fs,
                          feature_weights=fw, user_weights=uw, feature_names=names)

@@ -8,12 +8,15 @@ pivots it is the lowest eligible index instead (Bland's rule) until the next
 nondegenerate pivot, so the solver cannot cycle.  The leaving variable is
 always the lowest variable index among minimum ratios.  Variable upper
 bounds are handled implicitly (nonbasic variables may sit at either bound),
-which keeps the tableau at one row per graph constraint.  All generated
-programs have nonnegative right-hand sides, so the all-slack basis is always
-primal feasible and no phase-1 is needed.  Each pivot updates the rows with a
-nonzero entry in the entering column in place, one row at a time through a
-preallocated buffer: the same float operations as a full rank-1 update,
-without a temporary the size of the touched block.
+so the tableau has one row per row of A.  It keeps only the n nonbasic
+columns of [A | I] (the dictionary form, Chvatal 1983, ch. 2 and 8): the
+basic columns are unit vectors, and a pivot swaps the entering and leaving
+variables' columns.  All generated programs have nonnegative right-hand
+sides, so the all-slack basis is always primal feasible and no phase-1 is
+needed.  A pivot updates the rows with a nonzero entry in the entering
+column in place, one row at a time, with the float operations [A | I] would
+perform on its nonbasic entries, so every result is bit for bit the full
+tableau's.
 
 The coverage epigraph program is presolved exactly before it reaches the
 solver (see `build_special_lp`): features with identical covering-edge sets
@@ -37,8 +40,6 @@ PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
 # consecutive degenerate pivots before entering switches to Bland's rule
 DEGENERATE_LIMIT = 50
-
-LOWER, UPPER, BASIC = 0, 1, 2
 
 
 @dataclass
@@ -100,72 +101,66 @@ class LpSolution:
 
 
 def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
-    """Dense bounded-variable primal simplex.
+    """Dense bounded-variable primal simplex on the condensed tableau.
 
-    Dantzig pricing enters the eligible variable with the largest |d_j|;
-    a run of DEGENERATE_LIMIT degenerate pivots switches entering to Bland's
-    lowest index until a pivot moves the objective.  Both rules and the
-    lowest-index leaving rule break ties by index, so the result is a
-    deterministic function of the program.
+    Column k of T holds nonbasic variable nb[k], row r the basic variable
+    basis[r].  Dantzig pricing enters the eligible variable with the largest
+    |d_j|; a run of DEGENERATE_LIMIT degenerate pivots switches entering to
+    Bland's lowest index until a pivot moves the objective.  Both rules and
+    the lowest-index leaving rule break ties by variable index, so the result
+    is a deterministic function of the program.
     """
     m, n = lp.A.shape
     if np.any(lp.b < 0):
         raise ValueError("negative right-hand side; generated programs keep b >= 0")
-    N = n + m
-    M = np.hstack([lp.A, np.eye(m)])  # hstack and astype copy: lp is not written
+    T = lp.A.copy()  # lp is not written
     beta = lp.b.astype(float)
-    d = np.concatenate([lp.c, np.zeros(m)])
+    d = lp.c.copy()
     upper = np.concatenate([lp.upper, np.full(m, np.inf)])
-    vstat = np.full(N, LOWER, dtype=np.int8)
-    vstat[n:] = BASIC
-    basis = np.arange(n, N)
-    fixed = upper <= 0.0  # zero-width box: never eligible to enter
-    scratch = np.empty(N)
+    nb = np.arange(n)
+    basis = np.arange(n, n + m)
+    # +1 at the lower bound, -1 at the upper, 0 for a zero-width box (never enters)
+    side = np.where(lp.upper <= 0.0, 0.0, 1.0)
+    ub_row = np.full(m, np.inf)
+    ratio = np.empty(m)
+    scratch = np.empty(n)
     if max_iterations is None:
-        max_iterations = 200 * (N + m) + 10_000
+        max_iterations = 200 * (n + 2 * m) + 10_000
 
     iterations = 0
     degenerate = 0
     degenerate_run = 0
     while True:
-        enter_mask = (
-            ((vstat == LOWER) & (d > PIVOT_TOL))
-            | ((vstat == UPPER) & (d < -PIVOT_TOL))
-        ) & ~fixed
-        cand = np.flatnonzero(enter_mask)
-        if cand.size == 0:
+        score = side * d
+        best = score.max(initial=0.0)
+        if best <= PIVOT_TOL:
             break
         if degenerate_run < DEGENERATE_LIMIT:
-            j = int(cand[np.argmax(np.abs(d[cand]))])  # Dantzig
+            cand = np.flatnonzero(score == best)  # Dantzig
         else:
-            j = int(cand[0])  # Bland: lowest index enters
-        sigma = 1.0 if vstat[j] == LOWER else -1.0
-        col = M[:, j]
+            cand = np.flatnonzero(score > PIVOT_TOL)  # Bland
+        q = int(cand[np.argmin(nb[cand])])
+        j = int(nb[q])
+        sigma = side[q]
+        col = T[:, q]
         v = sigma * col
 
-        # ratio test: basic hits lower bound, basic hits upper bound, or the
-        # entering variable flips to its own opposite bound
-        dec_rows = np.flatnonzero(v > PIVOT_TOL)
-        t_dec = np.maximum(beta[dec_rows] / v[dec_rows], 0.0)
-        inc_rows = np.flatnonzero(v < -PIVOT_TOL)
-        inc_rows = inc_rows[np.isfinite(upper[basis[inc_rows]])]
-        t_inc = np.maximum(
-            (upper[basis[inc_rows]] - beta[inc_rows]) / (-v[inc_rows]), 0.0
-        )
-        all_rows = np.concatenate([dec_rows, inc_rows])
-        all_t = np.concatenate([t_dec, t_inc])
+        # ratio test: a basic variable hits either bound, or the entering one
+        # flips to its other bound; no finite ratio leaves best_t infinite
+        ratio.fill(np.inf)
+        np.divide(beta, v, out=ratio, where=v > PIVOT_TOL)
+        np.divide(ub_row - beta, -v, out=ratio, where=v < -PIVOT_TOL)
+        np.maximum(ratio, 0.0, out=ratio)
         best_t = upper[j]
-        leave_var = j
-        leave_row = -1
-        if all_rows.size:
-            t_min = float(all_t.min())
-            if t_min <= best_t + 1e-15:
-                tied = all_rows[all_t <= t_min + 1e-15]
-                # Bland: lowest variable index leaves; the entering variable's
-                # own bound flip competes under its own index
-                pick = tied[np.argmin(basis[tied])]
-                if t_min < best_t - 1e-15 or basis[pick] < leave_var:
-                    best_t, leave_var, leave_row = t_min, int(basis[pick]), int(pick)
+        r = -1
+        t_min = float(ratio.min(initial=np.inf))
+        if np.isfinite(t_min) and t_min <= best_t + 1e-15:
+            tied = np.flatnonzero(ratio <= t_min + 1e-15)
+            # Bland: lowest variable index leaves; the entering variable's
+            # own bound flip competes under its own index
+            pick = int(tied[np.argmin(basis[tied])])
+            if t_min < best_t - 1e-15 or basis[pick] < j:
+                best_t, r = t_min, pick
 
         if not np.isfinite(best_t):
             return LpSolution(status="unbounded", x=None, value=np.inf,
@@ -181,40 +176,45 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
         else:
             degenerate_run = 0
 
-        if leave_row < 0:
-            # bound flip, no basis change
-            beta -= sigma * best_t * col
-            vstat[j] = UPPER if vstat[j] == LOWER else LOWER
+        beta -= sigma * best_t * col
+        if r < 0:
+            side[q] = -sigma  # bound flip, no basis change
             continue
 
-        beta -= sigma * best_t * col
         entering_value = best_t if sigma > 0 else upper[j] - best_t
-        old_var = basis[leave_row]
-        # which bound did the leaving variable hit
-        vstat[old_var] = LOWER if v[leave_row] > 0 else UPPER
-        vstat[j] = BASIC
-        basis[leave_row] = j
-        piv = M[leave_row, j]
-        M[leave_row, :] /= piv
-        pivot_row = M[leave_row, :]
-        colj = M[:, j].copy()
-        colj[leave_row] = 0.0
+        # the leaving variable takes column q at the bound it hit; its
+        # entries are those a full tableau would compute from its unit column
+        nb[q], basis[r] = basis[r], j
+        side[q] = 1.0 if v[r] > 0 else -1.0
+        ub_row[r] = upper[j]
+        piv = T[r, q]
+        colj = col.copy()
+        colj[r] = 0.0
+        T[r] /= piv
+        T[:, q] = 0.0
+        T[r, q] = 1.0 / piv
+        pivot_row = T[r]
         for i in np.flatnonzero(colj):
             np.multiply(pivot_row, colj[i], out=scratch)
-            np.subtract(M[i], scratch, out=M[i])
-        d -= d[j] * pivot_row
-        beta[leave_row] = entering_value
+            np.subtract(T[i], scratch, out=T[i])
+        dj = d[q]
+        d[q] = 0.0
+        d -= dj * pivot_row
+        beta[r] = entering_value
 
-    x_full = np.where(vstat == UPPER, np.where(np.isfinite(upper), upper, 0.0), 0.0)
+    x_full = np.zeros(n + m)
+    at_upper = nb[side < 0]
+    x_full[at_upper] = upper[at_upper]
     x_full[basis] = beta
     x = x_full[:n]
     np.clip(x, 0.0, None, out=x)
     finite = np.isfinite(lp.upper)
     x[finite] = np.minimum(x[finite], lp.upper[finite])
     value = float(lp.c @ x)
-    duals = -d[n:]
-    return LpSolution(status="optimal", x=x, value=value, duals=duals,
-                      reduced_costs=d[:n].copy(), iterations=iterations,
+    d_full = np.zeros(n + m)  # a basic variable's reduced cost is 0
+    d_full[nb] = d
+    return LpSolution(status="optimal", x=x, value=value, duals=-d_full[n:],
+                      reduced_costs=d_full[:n], iterations=iterations,
                       degenerate_pivots=degenerate)
 
 

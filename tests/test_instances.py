@@ -651,6 +651,19 @@ class TestEdgeWeightsAllOrNone:
             load_problem(path)
 
 
+class TestFeatureIndexRange:
+    @pytest.mark.parametrize("record", ["fn 7 ghost", "fw 7 0.5", "uw v1 7 0.5"])
+    def test_index_outside_the_feature_count_is_rejected(self, tmp_path, record):
+        # an out-of-range fn name must not be dropped without a word
+        path = tmp_path / "p.txt"
+        save_problem(every_record_problem(), path)
+        path.write_text(path.read_text() + record + "\n")
+        tag = record.split()[0]
+        with pytest.raises(InstanceError, match=re.escape(
+                f"{path}: {tag} feature index 7 outside [0, 3)")):
+            load_problem(path)
+
+
 class TestLoadProblemFuzz:
     def test_one_edit_loads_or_raises_instance_error(self, tmp_path):
         hypothesis = pytest.importorskip("hypothesis")
