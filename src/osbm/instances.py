@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -43,7 +44,7 @@ def fmt(x: float) -> str:
 
 
 def num(x: float) -> str:
-    """17-significant-digit echo, for artifacts, MPS dumps and CLI reports."""
+    """17-significant-digit echo, for artifacts and CLI reports."""
     return format(float(x), ".17g")
 
 
@@ -301,12 +302,6 @@ class ArrivalSequence:
     @cached_property
     def arrival_times(self) -> np.ndarray:
         return np.flatnonzero(self.slots >= 0)
-
-    @cached_property
-    def arrivals(self) -> list[tuple[int, int]]:
-        """(round, online type index) pairs, in time order."""
-        ts = self.arrival_times
-        return list(zip(ts.tolist(), self.slots[ts].tolist()))
 
     def counts(self, n_online: int) -> np.ndarray:
         """Number of arrivals per online type."""
@@ -659,153 +654,141 @@ def record_error(error: type, path, lineno: int, line: str, exc: Exception) -> E
     return error(f"{path}: {what} record at line {lineno}: {line!r}")
 
 
+def _feature_count(tokens: list[str]) -> tuple[int]:
+    if (n := int(tokens[0])) < 0:
+        raise ValueError("negative feature count")
+    return (n,)
+
+
+def the_one(found: dict, default=None):
+    """The first field of a tag's one record, or `default` without one."""
+    return found.get((), (default,))[0]
+
+
+# One row of README's record table: `parse` turns the tokens after the tag
+# into fields (too few raise IndexError; tokens it does not read are ignored),
+# the first `key` of which name what the record sets, for `put_once` (0: once
+# per file, None: a list); `needs` is "one", "feature", "edge" or None; and
+# `write(*objects)` yields each record's text after the tag (None: left out).
+Record = namedtuple("Record", "parse key needs write")
+
+
+def write_table(path, header: str, records: dict, *objects) -> None:
+    """Write `header`, then the records of each tag in table order."""
+    lines = [header] + [f"{tag} {fields}" for tag, rec in records.items()
+                        for fields in rec.write(*objects) if fields is not None]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def read_table(path, header: str, error: type, what: str, records: dict) -> dict:
+    """Each tag's records of a file written by `write_table`, parsed by its
+    `Record`: tag -> {key: fields}, in file order.  Raises `error`, naming the
+    file, on an unknown tag, a short, unparsable or repeated or missing record."""
+    found = {tag: {} for tag in records}
+    for lineno, line in read_records(path, header, error, what):
+        tok = line.split()
+        try:
+            rec = records[tok[0]]
+            fields = rec.parse(tok[1:])
+            put_once(found[tok[0]], lineno if rec.key is None else fields[:rec.key], fields)
+        except (LookupError, ValueError) as exc:
+            raise record_error(error, path, lineno, line, exc) from None
+    required = [tag for tag, rec in records.items() if rec.needs == "one"]
+    if not all(found[tag] for tag in required):
+        raise error(f"{path}: missing {' or '.join(required)} record")
+    return found
+
+
+def _each(values) -> Sequence:
+    return () if values is None else values
+
+
+def _edge_records(p: Problem):
+    inst, weights = p.instance, p.features.edge_weights
+    edges = map(" ".join, zip(inst.edge_ids, inst.edge_offline, inst.edge_online))
+    return edges if weights is None else (f"{e} {fmt(w)}" for e, w in zip(edges, weights))
+
+
+# the records of an instance file, in the order save_problem writes them
+PROBLEM_RECORDS = {
+    "T": Record(lambda t: (int(t[0]),), 0, "one", lambda p: [p.instance.horizon]),
+    "eta": Record(lambda t: (int(t[0]),), 0, "one", lambda p: [p.instance.eta]),
+    "objective": Record(lambda t: (t[0],), 0, None, lambda p: [str(p.kind)]),
+    "budget": Record(lambda t: (float(t[0]),), 0, None,
+                     lambda p: [None if p.budget is None else fmt(p.budget)]),
+    "features": Record(_feature_count, 0, None, lambda p: [p.features.n_features or None]),
+    "fn": Record(lambda t: (int(t[0]), t[1]), 1, "feature", lambda p: (
+        f"{z} {name}" for z, name in enumerate(_each(p.features.feature_names)))),
+    "u": Record(lambda t: (t[0], int(t[1])), None, None, lambda p: (
+        f"{uid} {cap}" for uid, cap in zip(p.instance.offline_ids, p.instance.capacities))),
+    "v": Record(lambda t: (t[0], float(t[1])), None, None, lambda p: (
+        f"{vid} {fmt(rate)}" for vid, rate in zip(p.instance.online_ids, p.instance.rates))),
+    "e": Record(lambda t: (t[0], t[1], t[2], float(t[3]) if len(t) > 3 else None), None, None,
+                _edge_records),  # the weight is optional
+    "q": Record(lambda t: (t[0], frozenset(map(int, t[1:]))), 1, None, lambda p: (
+        f"{eid} {' '.join(map(str, sorted(q)))}"
+        for eid, q in zip(p.instance.edge_ids, _each(p.features.feature_sets)) if q)),
+    "fw": Record(lambda t: (int(t[0]), float(t[1])), 1, "feature", lambda p: (
+        f"{z} {fmt(w)}" for z, w in enumerate(_each(p.features.feature_weights)))),
+    "uw": Record(lambda t: (t[0], int(t[1]), float(t[2])), 2, None, lambda p: (
+        f"{vid} {z} {fmt(w)}"  # zero weights are omitted
+        for vid, row in zip(p.instance.online_ids, _each(p.features.user_weights))
+        for z, w in enumerate(row) if w != 0.0)),
+}
+
+
 def save_problem(problem: Problem, path) -> None:
     """Write a problem to its line-record text format (lossless round-trip)."""
-    inst, feats = problem.instance, problem.features
-    lines = [SCHEMA_HEADER,
-             f"T {inst.horizon}",
-             f"eta {inst.eta}",
-             f"objective {problem.kind}"]
-    if problem.budget is not None:
-        lines.append(f"budget {fmt(problem.budget)}")
-    if feats.n_features:
-        lines.append(f"features {feats.n_features}")
-    if feats.feature_names is not None:
-        for z, name in enumerate(feats.feature_names):
-            lines.append(f"fn {z} {name}")
-    for uid, cap in zip(inst.offline_ids, inst.capacities):
-        lines.append(f"u {uid} {cap}")
-    for vid, rate in zip(inst.online_ids, inst.rates):
-        lines.append(f"v {vid} {fmt(rate)}")
-    has_w = feats.edge_weights is not None
-    for k, (eid, u, v) in enumerate(
-        zip(inst.edge_ids, inst.edge_offline, inst.edge_online)
-    ):
-        if has_w:
-            lines.append(f"e {eid} {u} {v} {fmt(feats.edge_weights[k])}")
-        else:
-            lines.append(f"e {eid} {u} {v}")
-    if feats.feature_sets is not None:
-        for eid, q in zip(inst.edge_ids, feats.feature_sets):
-            if q:
-                lines.append(f"q {eid} " + " ".join(str(z) for z in sorted(q)))
-    if feats.feature_weights is not None:
-        for z, w in enumerate(feats.feature_weights):
-            lines.append(f"fw {z} {fmt(w)}")
-    if feats.user_weights is not None:
-        for vi, vid in enumerate(inst.online_ids):
-            for z in range(feats.user_weights.shape[1]):
-                w = feats.user_weights[vi, z]
-                if w != 0.0:
-                    lines.append(f"uw {vid} {z} {fmt(w)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_table(path, SCHEMA_HEADER, PROBLEM_RECORDS, problem)
 
 
 def load_problem(path) -> Problem:
     """Read a problem written by :func:`save_problem`.
 
-    Raises InstanceError, naming the file, on a missing header, a short,
-    unparsable or repeated record (a second ``T``, ``eta``, ``objective``,
-    ``budget`` or ``features``, or a second ``q``, ``fw``, ``fn`` or ``uw``
-    for one key), a missing ``T`` or ``eta`` record, an edge weight on some
-    ``e`` records but not all, a feature index outside ``[0, features)``, a
-    ``uw`` record for an unknown online type, a structural violation such
-    as a dangling edge endpoint, or a value that `Problem.validate` rejects
-    (a non-finite or negative rate, weight or budget, a feature set index
-    out of range, a payload its objective kind reads), except a rate above
-    1.  Omitted ``q`` and ``uw`` records load as empty sets and zero weights.
+    Raises InstanceError, naming the file, where the file breaks README's
+    record table, on a ``uw`` record for an unknown online type, on a
+    structural violation such as a dangling edge endpoint, or on a value
+    that `Problem.validate` rejects, except a rate above 1.  Omitted ``q``
+    and ``uw`` records load as empty sets and zero weights.
     """
-    records = read_records(path, SCHEMA_HEADER, InstanceError, "an instance file")
-    scalars: dict = {}  # T, eta, objective, budget, features
-    feature_names: dict[int, str] = {}
-    offline: list[tuple[str, int]] = []
-    online: list[tuple[str, float]] = []
-    edges: list[tuple[str, str, str]] = []
-    edge_weights: dict[str, float] = {}
-    q_sets: dict[str, frozenset[int]] = {}
-    feature_weights: dict[int, float] = {}
-    user_weights: dict[tuple[str, int], float] = {}
-    for lineno, line in records:
-        tok = line.split()
-        tag = tok[0]
-        try:
-            if tag in ("T", "eta", "features"):
-                put_once(scalars, tag, int(tok[1]))
-                if tag == "features" and scalars[tag] < 0:
-                    raise ValueError("negative feature count")
-            elif tag == "objective":
-                put_once(scalars, tag, tok[1])
-            elif tag == "budget":
-                put_once(scalars, tag, float(tok[1]))
-            elif tag == "fn":
-                put_once(feature_names, int(tok[1]), tok[2])
-            elif tag == "u":
-                offline.append((tok[1], int(tok[2])))
-            elif tag == "v":
-                online.append((tok[1], float(tok[2])))
-            elif tag == "e":
-                edges.append((tok[1], tok[2], tok[3]))
-                if len(tok) > 4:
-                    edge_weights[tok[1]] = float(tok[4])
-            elif tag == "q":
-                put_once(q_sets, tok[1], frozenset(map(int, tok[2:])))
-            elif tag == "fw":
-                put_once(feature_weights, int(tok[1]), float(tok[2]))
-            elif tag == "uw":
-                put_once(user_weights, (tok[1], int(tok[2])), float(tok[3]))
-            else:
-                raise ValueError(f"unknown record tag {tag!r}")
-        except (IndexError, ValueError) as exc:
-            raise record_error(InstanceError, path, lineno, line, exc) from None
-    if "T" not in scalars or "eta" not in scalars:
-        raise InstanceError(f"{path}: missing T or eta record")
-    kind, n_features = scalars.get("objective", "linear"), scalars.get("features", 0)
-    inst = build_instance(offline, online, edges, scalars["T"], scalars["eta"])
+    found = read_table(path, SCHEMA_HEADER, InstanceError, "an instance file", PROBLEM_RECORDS)
+    kind, n = the_one(found["objective"], "linear"), the_one(found["features"], 0)
+    reads = OBJECTIVE_PAYLOADS.get(kind, ())
+    edges = list(found["e"].values())
+    inst = build_instance(found["u"].values(), found["v"].values(), [e[:3] for e in edges],
+                          the_one(found["T"]), the_one(found["eta"]))
     try:
         inst.edge_u  # builds the dense endpoints after the structural check
     except ValueError as exc:
         raise InstanceError(f"{path}: {exc}") from None
-    if edge_weights and len(edge_weights) < inst.n_edges:
-        eid = next(eid for eid in inst.edge_ids if eid not in edge_weights)
+    weighted = [e[3] is not None for e in edges]
+    if any(weighted) and not all(weighted):
+        eid = edges[weighted.index(False)][0]
         raise InstanceError(f"{path}: edge {eid} has no weight but other edges have one")
-
-    ew = None
+    for tag in ("fn", "fw", "uw"):  # the records keyed by a feature index
+        if bad := [key[-1] for key in found[tag] if not 0 <= key[-1] < n]:
+            raise InstanceError(f"{path}: {tag} feature index {bad[0]} outside [0, {n})")
+        if PROBLEM_RECORDS[tag].needs == "feature" and found[tag] and (
+                missing := [z for z in range(n) if (z,) not in found[tag]]):
+            raise InstanceError(f"{path}: feature {missing[0]} has no {tag} record")
+    uw = np.zeros((inst.n_online, n)) if found["uw"] or "user_weights" in reads else None
+    for vid, z, w in found["uw"].values():  # save omits zero weights
+        if vid not in inst.online_index:
+            raise InstanceError(f"{path}: uw record for unknown online type {vid!r}")
+        uw[inst.online_index[vid], z] = w
     # with no edges there is no record to carry a weight: a kind that reads
     # weights gets the empty vector
-    if edge_weights or not edges and "edge_weights" in OBJECTIVE_PAYLOADS.get(kind, ()):
-        ew = np.array([edge_weights[eid] for eid in inst.edge_ids])
-    fs = None
-    if q_sets or kind in ("coverage", "per_user_coverage"):
-        fs = tuple(q_sets.get(eid, frozenset()) for eid in inst.edge_ids)
-    fw = None
-    if feature_weights:
-        size = n_features or max(feature_weights) + 1
-        bad = [z for z in feature_weights if not 0 <= z < size]
-        if bad:
-            raise InstanceError(f"{path}: fw feature index {bad[0]} outside [0, {size})")
-        fw = np.zeros(size)
-        for z, w in feature_weights.items():
-            fw[z] = w
-    uw = None
-    if user_weights or kind == "per_user_coverage":  # save omits zero weights
-        uw = np.zeros((inst.n_online, n_features))
-        vidx = inst.online_index
-        for (vid, z), w in user_weights.items():
-            if vid not in vidx:
-                raise InstanceError(f"{path}: uw record for unknown online type {vid!r}")
-            if not 0 <= z < n_features:
-                raise InstanceError(
-                    f"{path}: uw feature index {z} outside [0, {n_features})")
-            uw[vidx[vid], z] = w
-    names = None
-    if feature_names:
-        bad = [z for z in feature_names if not 0 <= z < n_features]
-        if bad:
-            raise InstanceError(f"{path}: fn feature index {bad[0]} outside [0, {n_features})")
-        names = tuple(feature_names.get(z, str(z)) for z in range(n_features))
-    feats = EdgeFeatures(n_features=n_features, edge_weights=ew, feature_sets=fs,
-                         feature_weights=fw, user_weights=uw, feature_names=names)
-    problem = Problem(instance=inst, features=feats, kind=kind, budget=scalars.get("budget"))
+    ew = any(weighted) or not edges and "edge_weights" in reads
+    fs = found["q"] or "feature_sets" in reads
+    q_sets = (found["q"].get((eid,), (eid, frozenset()))[1] for eid in inst.edge_ids)
+    fw, names = ([found[tag][z,][1] for z in range(n)] if found[tag] else None
+                 for tag in ("fw", "fn"))
+    feats = EdgeFeatures(
+        n_features=n, edge_weights=np.array([e[3] for e in edges]) if ew else None,
+        feature_sets=tuple(q_sets) if fs else None, user_weights=uw,
+        feature_weights=None if fw is None else np.array(fw),
+        feature_names=None if names is None else tuple(names))
+    problem = Problem(inst, feats, kind, the_one(found["budget"]))
     # Problem.validate's checks but the structural one (run above), the ids
     # (split on whitespace) and a rate above 1 (`ingest` warns and writes it)
     problems = _value_violations(inst) + problem._payload_violations()

@@ -30,11 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
-from .instances import Instance, num
+from .instances import Instance
 
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
@@ -424,34 +423,3 @@ def feasible_for_matching(inst: Instance, x, tol: float = FEAS_TOL) -> bool:
     return bool(np.all((x >= -tol) & (x <= 1.0 + tol))
                 and np.all(load_u <= inst.capacity_array + tol)
                 and np.all(load_v <= inst.eta * inst.rate_array + tol))
-
-
-# -- text dump ---------------------------------------------------------------
-
-def write_mps(lp: LinearProgram, path) -> None:
-    """Fixed-column MPS-style dump with full 17-significant-digit echo.
-
-    Field offsets follow the classic section layout but are widened so the
-    exact numeric echo fits; modern free-format MPS readers accept it.
-    """
-    cols = lp.col_names or tuple(f"X{j:07d}" for j in range(len(lp.c)))
-    rows = lp.row_names or tuple(f"R{i:07d}" for i in range(len(lp.b)))
-    out = ["NAME          OSBM_LP", "ROWS", " N  OBJ"]
-    for r in rows:
-        out.append(f" L  {r}")
-    out.append("COLUMNS")
-    for j, cname in enumerate(cols):
-        if lp.c[j] != 0.0:
-            out.append(f"    {cname:<24}  OBJ                       {num(lp.c[j])}")
-        for i in np.flatnonzero(lp.A[:, j] != 0.0):
-            out.append(f"    {cname:<24}  {rows[i]:<24}  {num(lp.A[i, j])}")
-    out.append("RHS")
-    for i, r in enumerate(rows):
-        if lp.b[i] != 0.0:
-            out.append(f"    RHS                       {r:<24}  {num(lp.b[i])}")
-    out.append("BOUNDS")
-    for j, cname in enumerate(cols):
-        if np.isfinite(lp.upper[j]):
-            out.append(f" UP BND                       {cname:<24}  {num(lp.upper[j])}")
-    out.append("ENDATA")
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")

@@ -14,13 +14,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import lp as lpmod
-from .instances import (ArrivalSequence, Instance, num, put_once, read_records,
-                        record_error, sample_arrivals)
+from .instances import (ArrivalSequence, Instance, Record, num, read_table,
+                        sample_arrivals, the_one, write_table)
 from .objectives import SubmodularObjective, batch_gradient, multilinear_mc
 
 SOLUTION_HEADER = "osbm-solution/1"
@@ -212,6 +211,33 @@ def expected_opt(
 # -- solution artifact --------------------------------------------------------
 
 
+class SolutionError(ValueError):
+    """Raised when a marginals artifact cannot guide the given instance."""
+
+
+def _finite_float(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
+# the records of a solution file, in the order save_solution writes them
+SOLUTION_RECORDS = {
+    "solver": Record(lambda t: (t[0],), 0, None, lambda _, s: [str(s.solver)]),
+    "objective-estimate": Record(lambda t: (float(t[0]),), 0, None,
+                                 lambda _, s: [num(s.objective_estimate)]),
+    "estimate-std-error": Record(lambda t: (float(t[0]),), 0, None,
+                                 lambda _, s: [num(s.estimate_std_error)]),
+    "seed": Record(lambda t: (int(t[0]),), 0, None, lambda _, s: [s.seed]),
+    "steps": Record(lambda t: (int(t[0]),), 0, None, lambda _, s: [s.steps]),
+    "grad-samples": Record(lambda t: (int(t[0]),), 0, None, lambda _, s: [s.grad_samples]),
+    "benchmark": Record(lambda t: (t[0], _finite_float(t[1])), 0, None, lambda _, s: [
+        None if s.benchmark_kind is None else f"{s.benchmark_kind} {num(s.benchmark_value)}"]),
+    "x": Record(lambda t: (t[0], _finite_float(t[1])), 1, "edge", lambda inst, s: (
+        f"{eid} {num(v)}" for eid, v in zip(inst.edge_ids, s.x))),
+}
+
+
 def save_solution(path, inst: Instance, solution: OfflineSolution) -> None:
     """Write edge marginals (17 significant digits) plus solver metadata.
 
@@ -221,79 +247,36 @@ def save_solution(path, inst: Instance, solution: OfflineSolution) -> None:
     for what, text in (("solver", solution.solver), ("benchmark kind", solution.benchmark_kind)):
         if text is not None and (not text or any(ch.isspace() for ch in text)):
             raise SolutionError(f"{path}: {what} {text!r} is empty or has whitespace")
-    lines = [SOLUTION_HEADER,
-             f"solver {solution.solver}",
-             f"objective-estimate {num(solution.objective_estimate)}",
-             f"estimate-std-error {num(solution.estimate_std_error)}"]
-    if solution.seed is not None:
-        lines.append(f"seed {solution.seed}")
-    if solution.steps is not None:
-        lines.append(f"steps {solution.steps}")
-    if solution.grad_samples is not None:
-        lines.append(f"grad-samples {solution.grad_samples}")
-    if solution.benchmark_kind is not None:
-        if not math.isfinite(solution.benchmark_value):
-            raise SolutionError(f"{path}: benchmark value "
-                                f"{num(solution.benchmark_value)} is not finite")
-        lines.append(f"benchmark {solution.benchmark_kind} {num(solution.benchmark_value)}")
-    for eid, val in zip(inst.edge_ids, solution.x):
-        lines.append(f"x {eid} {num(val)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-class SolutionError(ValueError):
-    """Raised when a marginals artifact cannot guide the given instance."""
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {text!r}")
-    return value
+    if solution.benchmark_kind is not None and not math.isfinite(solution.benchmark_value):
+        raise SolutionError(f"{path}: benchmark value "
+                            f"{num(solution.benchmark_value)} is not finite")
+    write_table(path, SOLUTION_HEADER, SOLUTION_RECORDS, inst, solution)
 
 
 def load_solution(path, inst: Instance) -> OfflineSolution:
     """Read a marginals artifact written by `save_solution` for `inst`.
 
-    Raises SolutionError, naming the file, on non-UTF-8 text, a short,
-    unparsable or repeated record (a second ``x`` for one edge id, or a
-    second ``benchmark`` or metadata record), a non-finite number, edge ids
-    that differ from the instance's, or an x outside the instance's
-    b-matching polytope.
+    Raises SolutionError, naming the file, on non-UTF-8 text, a record that
+    breaks README's record table, edge ids that differ from the instance's,
+    or an x outside the instance's b-matching polytope.
     """
-    records = read_records(path, SOLUTION_HEADER, SolutionError, "a solution file")
-    meta: dict = {}
-    values: dict[str, float] = {}
-    for lineno, line in records:
-        tok = line.split()
-        try:
-            if tok[0] == "x":
-                put_once(values, tok[1], _finite_float(tok[2]))
-            elif tok[0] == "benchmark":
-                put_once(meta, tok[0], (tok[1], _finite_float(tok[2])))
-            else:
-                put_once(meta, tok[0], tok[1])
-        except (IndexError, ValueError) as exc:
-            raise record_error(SolutionError, path, lineno, line, exc) from None
-    benchmark_kind, benchmark_value = meta.get("benchmark", (None, None))
-    missing = [eid for eid in inst.edge_ids if eid not in values]
-    if missing or len(values) != inst.n_edges:
+    found = read_table(path, SOLUTION_HEADER, SolutionError, "a solution file", SOLUTION_RECORDS)
+    values = found["x"]
+    if len(values) != inst.n_edges or any((eid,) not in values for eid in inst.edge_ids):
         raise SolutionError(f"{path}: edge marginals do not match the instance")
-    x = np.array([values[eid] for eid in inst.edge_ids])
+    x = np.array([values[eid,][1] for eid in inst.edge_ids])
     if not lpmod.feasible_for_matching(inst, x):
         raise SolutionError(
             f"{path}: edge marginals lie outside the instance's b-matching polytope")
-    try:
-        return OfflineSolution(
-            x=x,
-            objective_estimate=float(meta.get("objective-estimate", "nan")),
-            estimate_std_error=float(meta.get("estimate-std-error", "nan")),
-            solver=meta.get("solver", "unknown"),
-            seed=int(meta["seed"]) if "seed" in meta else None,
-            steps=int(meta["steps"]) if "steps" in meta else None,
-            grad_samples=int(meta["grad-samples"]) if "grad-samples" in meta else None,
-            benchmark_kind=benchmark_kind,
-            benchmark_value=benchmark_value,
-        )
-    except ValueError as exc:
-        raise SolutionError(f"{path}: bad metadata: {exc}") from None
+    benchmark_kind, benchmark_value = found["benchmark"].get((), (None, None))
+    return OfflineSolution(
+        x=x,
+        objective_estimate=the_one(found["objective-estimate"], math.nan),
+        estimate_std_error=the_one(found["estimate-std-error"], math.nan),
+        solver=the_one(found["solver"], "unknown"),
+        seed=the_one(found["seed"]),
+        steps=the_one(found["steps"]),
+        grad_samples=the_one(found["grad-samples"]),
+        benchmark_kind=benchmark_kind,
+        benchmark_value=benchmark_value,
+    )

@@ -110,7 +110,7 @@ class OnlinePolicy:
                      seqs: list[ArrivalSequence]) -> list:
         """Match along each trial's arrival sequence, trial i drawing from
         ``rngs[i]``: for trial i, the edges matched in commit order and, for
-        each, its position in ``seqs[i].arrivals`` (two int arrays).  The
+        each, its position in ``seqs[i].arrival_times`` (two int arrays).  The
         policy keeps its own remaining capacities."""
         block = _Block(self.inst, seqs)
         run = self._begin(rngs, block)

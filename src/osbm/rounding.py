@@ -48,9 +48,6 @@ class SampledSupport:
     X: np.ndarray  # bool per edge
     Y: np.ndarray  # bool per edge; at most b_u true edges in the star of u
 
-    def x_edges_at(self, edge_list: np.ndarray) -> np.ndarray:
-        return edge_list[self.X[edge_list]]
-
 
 def independent_sample(x, seed) -> np.ndarray:
     """Include each edge independently with probability x_e."""

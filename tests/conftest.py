@@ -15,6 +15,15 @@ from osbm.objectives import (
 
 GOLDEN_NUMPY = "2.4.6"  # the numpy release every golden digest was recorded on
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip without hypothesis
+    pass
+else:
+    # `--hypothesis-profile=ci`: a failing property prints the
+    # @reproduce_failure blob that replays its example
+    settings.register_profile("ci", print_blob=True)
+
 
 def golden_note(name: str) -> str:
     """The failure message of a golden-digest check."""

@@ -1,6 +1,7 @@
 """Instance model: validation, arrival sampling, generators, ingestion, I/O."""
 
 import contextlib
+import hashlib
 import io
 import math
 import os
@@ -12,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import golden_note
+from test_acceptance import write_natural_ratings
 from osbm import cli
 from osbm import instances as instances_mod
 from osbm.instances import (
@@ -561,6 +564,49 @@ class TestRecordLines:
             load_problem(path)
         assert k + 1 == 8
 
+    @pytest.mark.parametrize("record", ["sede 3", "seed three", "x e1"])
+    def test_bad_solution_record_names_its_line(self, tmp_path, record):
+        # every tag is parsed by its table row: a misspelt tag is not skipped
+        # and a metadata value is parsed where its line is known
+        path = tmp_path / "x.txt"
+        save_solution(path, tiny_instance(), OfflineSolution(
+            x=np.array([0.25, 0.25, 0.5]), objective_estimate=1.0,
+            estimate_std_error=0.0, solver="lp"))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:2] + [record] + lines[2:]) + "\n")
+        with pytest.raises(SolutionError, match=re.escape(
+                f"{path}: bad record at line 3: {record!r}")):
+            load_solution(path, tiny_instance())
+
+
+class TestRecordTable:
+    def test_readme_table_matches_the_code(self, tmp_path):
+        # README lists each tag once with its fields, key and the records a
+        # file needs; so do PROBLEM_RECORDS and SOLUTION_RECORDS, whose
+        # parsers give each record of the every-record files that many fields
+        from osbm.offline import SOLUTION_RECORDS
+        readme = (Path(instances_mod.__file__).parents[2] / "README.md").read_text()
+        rows = [[c.strip() for c in ln.strip("|").split("|")] for ln in readme.splitlines()
+                if ln.startswith(("| instance |", "| solution |"))]
+        tables = {"instance": instances_mod.PROBLEM_RECORDS, "solution": SOLUTION_RECORDS}
+        assert [(f, t.strip("`")) for f, t, *_ in rows] == \
+            [(f, tag) for f, table in tables.items() for tag in table]
+        save_problem(every_record_problem(), tmp_path / "p.txt")
+        save_solution(tmp_path / "x.txt", tiny_instance(), OfflineSolution(
+            x=np.array([0.25, 0.25, 0.5]), objective_estimate=1.0, estimate_std_error=0.0,
+            solver="lp", seed=1, steps=2, grad_samples=3, benchmark_kind="lp",
+            benchmark_value=2.0))
+        lines = {f: (tmp_path / name).read_text().splitlines()
+                 for f, name in (("instance", "p.txt"), ("solution", "x.txt"))}
+        needs = {"one": "one", "none, or one per feature": "feature", "one per edge": "edge"}
+        for file, tag, fields, key, records in rows:
+            tag = tag.strip("`")
+            rec = tables[file][tag]
+            line = next(ln for ln in lines[file] if ln.split()[0] == tag)
+            assert len(rec.parse(line.split()[1:])) == len(fields.split(",")), tag
+            assert {"tag": 0, "none": None}.get(key, len(key.split(","))) == rec.key, tag
+            assert needs.get(records) == rec.needs, tag
+
 
 def every_record_problem():
     """A problem whose file holds one record of every kind the format has."""
@@ -572,6 +618,49 @@ def every_record_problem():
         user_weights=np.array([[0.0, 1.0, 0.5], [2.0, 0.0, 1.0]]),
         feature_names=("a", "b", "c"))
     return Problem(tiny_instance(), feats, "budget_additive", 1.0)
+
+
+FILE_GOLDENS = {
+    ("coverage", 1): "858de1f77480ee529c76764206fade7c27a27ce646f5bdd7c381bd5d37e760be",
+    ("coverage", 7): "6084c0d1900009361941dc1d7b2722d076aeb92c3a281a13521552b7c317119d",
+    ("coverage", 11): "b194df84912be25bd9c263272f3757ea7cd5bfabca0cf7d11895a4f065d80938",
+    ("budget_additive", 1): "b80d14b562e44768c84410b5183c2bfde36c26ccf585a1a6597840e62ce840e2",
+    ("budget_additive", 7): "f3bdc029546e3081e05352412273c8195bb6fdefb3f6c191bdb18e8df4092e9c",
+    ("budget_additive", 11): "fc74cc073a441b89a05620c9454f0743a1b21231c2b6dcdb1b0b42a43c989a2e",
+    ("ingest", "integral"): "e65e4ec7c8e999ff7c06f113e3b5a97881dbc2a2a4d5d3a553cbb50c08b66b18",
+    ("ingest", "normalized"): "60f0997c5261242a90c7571d361a3a78bd24e1a6ac880ed9ba76c1d9314530f5",
+    ("ingest", "horizon 500"): "f66addcb6a8fc7dfd7c6c1bb92bbfce363773e7ebf051b817386d8196163fe74",
+    ("every record", None): "121f10fa415b2fbe13f82bf1d3599bca0388c8134a9c7c052e72ab70c6abc2b3",
+    ("solution", None): "b56efa7b21813c30aae983c83dfd518a32cae54403f3dfad2a656969dd4ff6d4",
+}
+
+
+class TestFileGoldens:
+    # the bytes save_problem and save_solution write, pinned by sha256:
+    # both recipes, the three ingest modes, every record kind and a solution
+    # artifact with every metadata record
+    @pytest.mark.parametrize("case", FILE_GOLDENS, ids=lambda case: "-".join(
+        str(part) for part in case if part is not None).replace(" ", "-"))
+    def test_file_bytes(self, tmp_path, case):
+        what, variant = case
+        path = tmp_path / "f.txt"
+        if what in ("coverage", "budget_additive"):
+            save_problem(generate_synthetic(what, variant), path)
+        elif what == "ingest":
+            mode = dict(integral=dict(rates_mode="integral"), normalized={})
+            save_problem(ingest_ratings(*write_natural_ratings(tmp_path, seed=99),
+                                        num_users=60, num_movies=40, seed=3,
+                                        **mode.get(variant, dict(horizon=500))), path)
+        elif what == "every record":
+            save_problem(every_record_problem(), path)
+        else:
+            save_solution(path, tiny_instance(), OfflineSolution(
+                x=np.array([0.25, 0.2, 0.5]), objective_estimate=1.5,
+                estimate_std_error=0.125, solver="continuous-greedy", seed=3,
+                steps=10, grad_samples=20, benchmark_kind="guide-scaled",
+                benchmark_value=2.5))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == FILE_GOLDENS[case], golden_note(f"FILE_GOLDENS[{case!r}]")
 
 
 class TestRepeatedRecords:
@@ -649,6 +738,31 @@ class TestEdgeWeightsAllOrNone:
         path.write_text(text)
         with pytest.raises(InstanceError, match=f"{re.escape(str(path))}: edge e1 has no"):
             load_problem(path)
+
+    @pytest.mark.parametrize("tag", ["fw", "fn"])
+    def test_a_dropped_feature_record_is_rejected(self, tmp_path, tag):
+        # fw and fn records are one per feature, as weights are one per
+        # edge: a dropped fw must not load as weight 0.0, nor a dropped fn
+        # as the name str(z), which save_problem never writes
+        path = tmp_path / "p.txt"
+        if tag == "fw":
+            problem, dropped = generate_synthetic("coverage", 11), "fw 5 "
+            assert problem.features.feature_weights[5] == pytest.approx(0.4559, abs=1e-4)
+        else:
+            problem, dropped = Problem(tiny_instance(), EdgeFeatures(
+                n_features=2, edge_weights=np.ones(3), feature_names=("a", "b")),
+                "linear"), "fn 1 "
+        save_problem(problem, path)
+        lines = path.read_text().splitlines()
+        assert sum(ln.startswith(dropped) for ln in lines) == 1
+        path.write_text("".join(ln + "\n" for ln in lines if not ln.startswith(dropped)))
+        z = dropped.split()[1]
+        with pytest.raises(InstanceError,
+                           match=re.escape(f"{path}: feature {z} has no {tag} record")):
+            load_problem(path)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(["simulate", "--instance", str(path), "--algorithm", "greedy",
+                             "--trials", "1"]) == 2
 
 
 class TestFeatureIndexRange:

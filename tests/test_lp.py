@@ -1,4 +1,4 @@
-"""Simplex solver, program builders, rational cross-check, MPS dump."""
+"""Simplex solver, program builders, rational cross-check."""
 
 import hashlib
 import tracemalloc
@@ -20,7 +20,6 @@ from osbm.lp import (
     saturate_marginals,
     solve,
     solve_offline_lp,
-    write_mps,
 )
 from osbm.objectives import (
     BudgetAdditiveObjective,
@@ -650,17 +649,3 @@ class TestGuideMarginals:
         x = saturate_marginals(inst, np.zeros(2), priority=[1.0, 9.0])
         np.testing.assert_allclose(x, [0.0, 1.0])
 
-
-class TestMpsDump:
-    def test_dump_round_trips_all_numbers(self, tmp_path, rng):
-        inst = small_instance(rng)
-        lp = build_matching_lmo(inst, rng.random(inst.n_edges))
-        path = tmp_path / "prog.mps"
-        write_mps(lp, path)
-        text = path.read_text()
-        assert text.startswith("NAME")
-        assert "ENDATA" in text
-        # every objective coefficient echoes exactly
-        for j, cname in enumerate(lp.col_names):
-            if lp.c[j] != 0.0:
-                assert format(lp.c[j], ".17g") in text

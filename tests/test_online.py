@@ -416,7 +416,7 @@ class TestSimulator:
                 # the same picks on every arrival
                 return [([e for _ in range(n) for e in picks],
                          [i for i in range(n) for _ in picks])
-                        for n in (len(seq.arrivals) for seq in seqs)]
+                        for n in (len(seq.arrival_times) for seq in seqs)]
 
         with pytest.raises(RuntimeError, match=message):
             run_trial(Faulty(inst, obj), inst, obj,
@@ -439,7 +439,7 @@ class TestSimulator:
                 (seq,) = seqs
                 self.remaining = [inst.capacities[u] for u in inst.edge_u]
                 matched, arrival_of = [], []
-                for i, (_, v) in enumerate(seq.arrivals):
+                for i, (_, v) in enumerate(arrival_pairs(seq)):
                     for e in inst.edges_at_v[v].tolist():
                         if self.remaining[e] > 0:
                             self.remaining[e] -= 1
@@ -664,6 +664,12 @@ class ReferenceEvaluator:
             self.members.add(e)
 
 
+def arrival_pairs(seq):
+    """(round, online type index) pairs of an arrival sequence, in time order."""
+    ts = seq.arrival_times
+    return list(zip(ts.tolist(), seq.slots[ts].tolist()))
+
+
 def reference_replay(policy, trial, seq):
     """(matched edges, arrival positions) of one trial."""
     inst, eta = policy.inst, policy.inst.eta
@@ -673,8 +679,8 @@ def reference_replay(policy, trial, seq):
     if policy.name == "marginal-sampling":
         cum = [np.cumsum(policy.x_star[edges] / (eta * rate)).tolist()
                for edges, rate in zip(inst.edges_at_v, inst.rates)]
-        draws = iter(trial.random(eta * len(seq.arrivals)).tolist())
-        for i, (_, v) in enumerate(seq.arrivals):
+        draws = iter(trial.random(eta * len(seq.arrival_times)).tolist())
+        for i, (_, v) in enumerate(arrival_pairs(seq)):
             used_u = []
             for r in islice(draws, eta):
                 k = bisect_right(cum[v], r)
@@ -706,7 +712,7 @@ def reference_replay(policy, trial, seq):
         evaluator = ReferenceEvaluator(policy.objective)
         by_u = [sorted((edge_u[e], e) for e in edges.tolist())
                 for edges in inst.edges_at_v]
-        for i, (_, v) in enumerate(seq.arrivals):
+        for i, (_, v) in enumerate(arrival_pairs(seq)):
             used_u = []
             for _ in range(eta):
                 best_e, best_u, best_gain = -1, -1, -1.0
@@ -726,7 +732,7 @@ def reference_replay(policy, trial, seq):
     else:
         chosen, rng = trial
         menu = [[e for e in edges.tolist() if chosen[e]] for edges in inst.edges_at_v]
-        for i, (_, v) in enumerate(seq.arrivals):
+        for i, (_, v) in enumerate(arrival_pairs(seq)):
             used_u = []
             for _ in range(eta):
                 avail = [e for e in menu[v]

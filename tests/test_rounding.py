@@ -165,6 +165,11 @@ class TestSelectPerStarCapacity:
             assert got_rng.random() == ref_rng.random()
 
 
+def x_edges_at(support, edge_list):
+    """The edges of `edge_list` in the sampled support X."""
+    return edge_list[support.X[edge_list]]
+
+
 class TestSampledSupport:
     def test_support_respects_order_x_then_y(self):
         inst = star_instance(3)
@@ -175,7 +180,7 @@ class TestSampledSupport:
     def test_x_edges_at_filters(self):
         inst = star_instance(3)
         s = sample_support(np.array([1.0, 0.0, 1.0]), inst, seed=4)
-        present = s.x_edges_at(inst.edges_at_u[0])
+        present = x_edges_at(s, inst.edges_at_u[0])
         assert set(present.tolist()) == {0, 2}
 
 
