@@ -252,7 +252,7 @@ def validate(inst: Instance) -> list[str]:
     """
     problems = _structural_violations(inst) + _value_violations(inst)
     for vid, r in zip(inst.online_ids, inst.rates):
-        if r > 1.0 + RATE_TOL:
+        if 1.0 + RATE_TOL < r < math.inf:  # _value_violations flags inf
             problems.append(f"rate of {vid!r} out of range (0, 1]: got {fmt(r)}")
     for id_group, label in (
         (inst.offline_ids, "offline vertex"),
@@ -746,7 +746,7 @@ def load_problem(path) -> Problem:
     """Read a problem written by :func:`save_problem`.
 
     Raises InstanceError, naming the file, where the file breaks README's
-    record table, on a ``uw`` record for an unknown online type, on a
+    record table, on a ``uw`` or ``q`` record for an unknown type or edge, on a
     structural violation such as a dangling edge endpoint, or on a value
     that `Problem.validate` rejects, except a rate above 1.  Omitted ``q``
     and ``uw`` records load as empty sets and zero weights.
@@ -779,6 +779,8 @@ def load_problem(path) -> Problem:
     # with no edges there is no record to carry a weight: a kind that reads
     # weights gets the empty vector
     ew = any(weighted) or not edges and "edge_weights" in reads
+    if ghost := found["q"].keys() - {(eid,) for eid in inst.edge_ids}:
+        raise InstanceError(f"{path}: q record for unknown edge {min(ghost)[0]!r}")
     fs = found["q"] or "feature_sets" in reads
     q_sets = (found["q"].get((eid,), (eid, frozenset()))[1] for eid in inst.edge_ids)
     fw, names = ([found[tag][z,][1] for z in range(n)] if found[tag] else None

@@ -49,8 +49,6 @@ class LinearProgram:
     A: np.ndarray
     b: np.ndarray
     upper: np.ndarray
-    col_names: tuple[str, ...] | None = None
-    row_names: tuple[str, ...] | None = None
     n_edge_vars: int | None = None  # leading columns that map to instance edges
 
     def __post_init__(self):
@@ -278,7 +276,7 @@ def reference_solve(lp: LinearProgram) -> Fraction:
 
 # -- program builders -------------------------------------------------------
 
-def matching_rows(inst: Instance) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+def matching_rows(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
     """Degree rows of the b-matching polytope over edge variables:
     per offline vertex sum <= capacity, per online type sum <= eta * rate.
     """
@@ -287,9 +285,7 @@ def matching_rows(inst: Instance) -> tuple[np.ndarray, np.ndarray, tuple[str, ..
     A[inst.edge_u, np.arange(m)] = 1.0
     A[inst.n_offline + inst.edge_v, np.arange(m)] = 1.0
     b = np.concatenate([inst.capacity_array, inst.eta * inst.rate_array])
-    names = tuple(f"cap_{uid}" for uid in inst.offline_ids) + tuple(
-        f"rate_{vid}" for vid in inst.online_ids)
-    return A, b, names
+    return A, b
 
 
 def build_matching_lmo(inst: Instance, weights) -> LinearProgram:
@@ -301,10 +297,9 @@ def build_matching_lmo(inst: Instance, weights) -> LinearProgram:
     w = np.asarray(weights, dtype=float)
     if len(w) != inst.n_edges:
         raise ValueError("weight vector length mismatch")
-    A, b, row_names = matching_rows(inst)
+    A, b = matching_rows(inst)
     return LinearProgram(
         c=w, A=A, b=b, upper=np.ones(inst.n_edges),
-        col_names=tuple(inst.edge_ids), row_names=row_names,
         n_edge_vars=inst.n_edges,
     )
 
@@ -317,8 +312,8 @@ def build_special_lp(inst: Instance, objective) -> LinearProgram:
     gamma_z <= sum of the x_e covering z and gamma_z <= 1, after an exact
     presolve (Andersen & Andersen 1995) over `objective.covering_edges()`:
       - features with identical covering-edge sets share one epigraph
-        column and one link row, weighted by the sum of their weights and
-        named after the lowest feature id (cover_z, link_z);
+        column and one link row, weighted by the sum of their weights, in
+        the order of their lowest feature ids;
       - a feature covered by a single edge e gets no row: x_e <= 1 makes
         gamma_z = min(x_e, 1) = x_e, so its weight moves into c_e.
     The optimum is that of the unpresolved program; the leading edge columns
@@ -340,7 +335,7 @@ def build_special_lp(inst: Instance, objective) -> LinearProgram:
             if len(cover) and w[z] > 0:
                 merged.setdefault(tuple(cover.tolist()), []).append(z)
         links = [(cover, feats) for cover, feats in merged.items() if len(cover) > 1]
-        A_match, b_match, row_names = matching_rows(inst)
+        A_match, b_match = matching_rows(inst)
         k0, n = A_match.shape[0], m + len(links)
         A = np.zeros((k0 + len(links), n))
         A[:k0, :m] = A_match
@@ -355,8 +350,6 @@ def build_special_lp(inst: Instance, objective) -> LinearProgram:
         return LinearProgram(
             c=c, A=A, b=np.concatenate([b_match, np.zeros(len(links))]),
             upper=np.ones(n),
-            col_names=tuple(inst.edge_ids) + tuple(f"cover_{f[0]}" for _, f in links),
-            row_names=row_names + tuple(f"link_{f[0]}" for _, f in links),
             n_edge_vars=m,
         )
 
@@ -398,20 +391,15 @@ def solve_offline_lp(inst: Instance, objective) -> tuple[np.ndarray, float, LpSo
     starting point is the max-weight-matching solution, always on the
     optimal face; the reported optimum is min(budget, max weight).
     """
-    if getattr(objective, "kind", None) == "budget_additive":
-        lmo = build_matching_lmo(inst, objective.weights)
-        sol = solve(lmo)
-        if sol.status != "optimal":
-            raise RuntimeError(f"offline program not optimal: {sol.status}")
-        x, value = sol.x.copy(), min(objective.budget, sol.value)
-    else:
-        lp = build_special_lp(inst, objective)
-        sol = solve(lp)
-        if sol.status != "optimal":
-            raise RuntimeError(f"offline program not optimal: {sol.status}")
-        x, value = sol.x[:lp.n_edge_vars].copy(), sol.value
+    budget_additive = getattr(objective, "kind", None) == "budget_additive"
+    lp = (build_matching_lmo(inst, objective.weights) if budget_additive
+          else build_special_lp(inst, objective))
+    sol = solve(lp)
+    if sol.status != "optimal":
+        raise RuntimeError(f"offline program not optimal: {sol.status}")
+    value = min(objective.budget, sol.value) if budget_additive else sol.value
     singleton = objective.coordinate_gains(np.zeros(inst.n_edges, dtype=bool))
-    x = saturate_marginals(inst, x, singleton)
+    x = saturate_marginals(inst, sol.x[:lp.n_edge_vars], singleton)
     return x, value, sol
 
 

@@ -105,6 +105,8 @@ class OnlinePolicy:
                 raise ValueError(f"{self.name} needs offline edge marginals")
             if len(self.x_star) != inst.n_edges:
                 raise ValueError("edge marginal vector length mismatch")
+            if not lpmod.feasible_for_matching(inst, self.x_star):
+                raise ValueError(f"infeasible {self.name} guide: not in the b-matching polytope")
 
     def replay_block(self, rngs: list[np.random.Generator],
                      seqs: list[ArrivalSequence]) -> list:
@@ -216,13 +218,6 @@ class MarginalSamplingPolicy(PredrawnPolicy):
     def __init__(self, inst, objective, x_star):
         super().__init__(inst, objective, x_star)
         eta = inst.eta
-        mass = inst.loads(self.x_star)[1] / (eta * inst.rate_array)
-        over = np.flatnonzero(mass > 1.0 + 1e-9)
-        if len(over):
-            raise ValueError(
-                f"infeasible marginals at type {inst.online_ids[over[0]]!r}: "
-                f"sampling mass {mass[over[0]]:.6g} > 1"
-            )
         # per type: cumulative sampling mass over its edges in index order
         self._table = inst.edge_table_v
         self._cum = np.cumsum(np.where(self._table >= 0, self.x_star[self._table], 0.0)

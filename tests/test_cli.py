@@ -247,7 +247,7 @@ class TestSimulate:
         "fw_index", "uw_negative_index", "uw_unknown_type", "dangling_endpoint",
         "not_utf8", "budget_nan", "budget_negative", "q_negative_index",
         "q_index_past_features", "rate_nan", "fw_nan", "coverage_without_fw",
-        "linear_without_weights", "repeated_T", "dropped_weight"])
+        "linear_without_weights", "repeated_T", "dropped_weight", "q_unknown_edge"])
     def test_malformed_instance_exits_2_naming_file(self, tmp_path, corrupt):
         inst_file = small_problem_file(tmp_path)
         lines = inst_file.read_text().splitlines()
@@ -273,6 +273,8 @@ class TestSimulate:
             value = "nan" if corrupt == "budget_nan" else "-1"
             lines = [f"budget {value}" if ln.startswith("budget ") else ln
                      for ln in lines]
+        elif corrupt == "q_unknown_edge":
+            lines += ["features 2", "q ghost 0 1"]
         elif corrupt.startswith("q_"):
             z = "-1" if corrupt == "q_negative_index" else "5000"
             lines += [f"q {lines[first_e].split()[1]} {z} 3"]

@@ -79,6 +79,13 @@ class TestValidate:
         assert any("out of range" in m for m in msgs)
         assert any("rates exceed horizon" in m for m in msgs)
 
+    @pytest.mark.parametrize("rate", [math.inf, 1.5])
+    def test_a_rate_out_of_range_is_listed_once(self, rate):
+        inst = build_instance([("u0", 1)], [("v0", rate), ("v1", 0.5)],
+                              [("e0", "u0", "v0")], 3)
+        msg = f"rate of 'v0' out of range (0, 1]: got {rate:g}"
+        assert validate(inst).count(msg) == 1
+
     def test_duplicate_pair_and_bad_capacity(self):
         inst = tiny_instance(
             offline=[("u1", 0)],
@@ -775,6 +782,15 @@ class TestFeatureIndexRange:
         tag = record.split()[0]
         with pytest.raises(InstanceError, match=re.escape(
                 f"{path}: {tag} feature index 7 outside [0, 3)")):
+            load_problem(path)
+
+    def test_a_q_record_for_an_unknown_edge_is_rejected(self, tmp_path):
+        # as a uw record for an unknown type is: it must not be dropped
+        path = tmp_path / "p.txt"
+        save_problem(every_record_problem(), path)
+        path.write_text(path.read_text() + "q ghost 0 1\n")
+        with pytest.raises(InstanceError, match=re.escape(
+                f"{path}: q record for unknown edge 'ghost'")):
             load_problem(path)
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 from bisect import bisect_right
 from itertools import islice
 
@@ -282,7 +283,7 @@ class TestContentionResolution:
                 inst.edge_ids, inst.edge_offline, inst.edge_online)] + extra,
             horizon=4)
         obj = LinearObjective(np.ones(inst.n_edges))
-        x = np.full(inst.n_edges, 0.5)
+        x = np.full(inst.n_edges, 1 / 3)  # stars u0 and v2 at exactly 1
         policy = make_policy("contention-resolution", inst, obj, x)
 
         small_support = np.zeros(inst.n_edges, dtype=bool)
@@ -619,6 +620,23 @@ class TestSimulator:
         with pytest.raises(ValueError, match="needs edge marginals"):
             simulate(inst, obj, "greedy", x_star=x[:-1], trials=5,
                      benchmark="guide-scaled")
+
+    @pytest.mark.parametrize("name", ["marginal-sampling", "contention-resolution",
+                                      "dependent-rounding"])
+    @pytest.mark.parametrize("x", [[0.7, 0.0, 0.4],    # star u0 above b_u = 1
+                                   [0.0, 0.7, 0.4],    # type v1 above eta * rate = 1
+                                   [-0.2, 0.5, 0.5]],  # an entry outside [0, 1]
+                             ids=["star", "type", "box"])
+    def test_a_guide_outside_the_polytope_is_rejected(self, name, x):
+        # every guided policy checks its guide once, at construction
+        inst = build_instance([("u0", 1), ("u1", 1)], [("v0", 1.0), ("v1", 1.0)],
+                              [("e0", "u0", "v0"), ("e1", "u1", "v1"),
+                               ("x0", "u0", "v1")], horizon=2)
+        obj = LinearObjective(np.ones(3))
+        make_policy(name, inst, obj, np.full(3, 0.5))  # u0 and v1 exactly full
+        with pytest.raises(ValueError, match=re.escape(
+                f"infeasible {name} guide: not in the b-matching polytope")):
+            make_policy(name, inst, obj, np.array(x))
 
     def test_ratio_never_exceeds_one_plus_noise(self, rng):
         for _ in range(5):
