@@ -30,7 +30,6 @@ from .objectives import (
     build_objective,
     multilinear_exact,
     multilinear_mc,
-    partial_derivative,
 )
 from .lp import (
     LinearProgram,

@@ -35,7 +35,7 @@ from .offline import (
     load_solution,
     save_solution,
 )
-from .online import POLICY_NAMES, ArrivalStreams, simulate
+from .online import POLICY_NAMES, ArrivalStreams, guide_scaled, simulate
 
 # reference lines echoed in experiment reports: online-phase guarantee
 # factors of the guided policies relative to the offline guide value
@@ -116,11 +116,8 @@ def _solve_offline(problem: Problem, solver: str, steps: int, grad_samples: int,
     objective = build_objective(problem)
     if solver in ("auto", "lp"):
         x, value, _ = lpmod.solve_offline_lp(inst, objective)
-        if problem.kind == "linear":
-            est, se = float(objective.weights @ x), 0.0
-        else:
-            est, se = multilinear_estimate(
-                objective, x, samples=min(2000, 200 + inst.n_edges), seed=seed)
+        est, se = multilinear_estimate(
+            objective, x, samples=min(2000, 200 + inst.n_edges), seed=seed)
         return OfflineSolution(
             x=x, objective_estimate=est, estimate_std_error=se, solver="lp",
             seed=seed, benchmark_kind="lp", benchmark_value=value,
@@ -129,7 +126,7 @@ def _solve_offline(problem: Problem, solver: str, steps: int, grad_samples: int,
     sol = continuous_greedy(objective, inst, steps=steps,
                             grad_samples=grad_samples, seed=seed)
     sol.benchmark_kind = "guide-scaled"
-    sol.benchmark_value = sol.objective_estimate * math.e / (math.e - 1.0)
+    sol.benchmark_value = guide_scaled(sol.objective_estimate)
     return sol
 
 

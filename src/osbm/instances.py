@@ -550,6 +550,9 @@ def ingest_ratings(
         if not 0.0 <= r < math.inf:  # a genre weight is a mean rating, >= 0
             raise IngestError(f"ratings file {ratings_path}: malformed row "
                               f"{lineno}: bad rating {value!r}")
+        if (user, movie) in ratings:
+            raise IngestError(f"ratings file {ratings_path}: malformed row "
+                              f"{lineno}: {user} rates {movie} again")
         ratings[(user, movie)] = r
         user_counts[user] = user_counts.get(user, 0) + 1
         movie_set.add(movie)

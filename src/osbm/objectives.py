@@ -340,49 +340,41 @@ def multilinear_exact(objective: SubmodularObjective, x) -> float:
     return total
 
 
-def multilinear_mc(objective: SubmodularObjective, x, samples: int, seed) -> tuple[float, float]:
-    """Monte Carlo estimate of F(x); returns (estimate, standard error)."""
+def _draws(objective: SubmodularObjective, x, samples: int, rng: np.random.Generator):
+    """Yield ``samples`` draws of R ~ x, each a boolean mask over the ground
+    set made from one ``rng.random`` vector of its length."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     x = _point(objective, x)
-    rng = np.random.default_rng(seed)
-    vals = np.empty(samples)
-    for i in range(samples):
-        mask = rng.random(len(x)) < x
-        vals[i] = objective.value(np.flatnonzero(mask))
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return est, se
+    for _ in range(samples):
+        yield rng.random(len(x)) < x
+
+
+def mean_se(values) -> tuple[float, float]:
+    """(mean, standard error of the mean) of ``values``; the error of one
+    value is 0."""
+    values = np.asarray(values, dtype=float)
+    n = len(values)
+    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return float(values.mean()), se
+
+
+def multilinear_mc(objective: SubmodularObjective, x, samples: int, seed) -> tuple[float, float]:
+    """Monte Carlo estimate of F(x); returns (estimate, standard error)."""
+    draws = _draws(objective, x, samples, np.random.default_rng(seed))
+    return mean_se([objective.value(np.flatnonzero(mask)) for mask in draws])
 
 
 def multilinear_estimate(objective: SubmodularObjective, x, samples: int,
                          seed) -> tuple[float, float]:
-    """(F(x), standard error): exact, with error 0, on ground sets of up to
-    EXACT_ENUMERATION_LIMIT edges, else `multilinear_mc` with ``samples``."""
+    """(F(x), standard error): exact, with error 0, for a linear objective
+    (w . x) and on ground sets of up to EXACT_ENUMERATION_LIMIT edges, else
+    `multilinear_mc` with ``samples``."""
+    if isinstance(objective, LinearObjective):
+        return float(objective.weights @ _point(objective, x)), 0.0
     if objective.n_edges <= EXACT_ENUMERATION_LIMIT:
         return multilinear_exact(objective, x), 0.0
     return multilinear_mc(objective, x, samples, seed)
-
-
-def partial_derivative(objective: SubmodularObjective, x, e: int,
-                       samples: int, seed) -> tuple[float, float]:
-    """Estimate dF/dx_e = F(x | x_e=1) - F(x | x_e=0) with common random draws
-    on the other coordinates; returns (estimate, standard error).
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    x = _point(objective, x)
-    rng = np.random.default_rng(seed)
-    m = len(x)
-    diffs = np.empty(samples)
-    for i in range(samples):
-        mask = rng.random(m) < x
-        mask[e] = False
-        base = np.flatnonzero(mask)
-        diffs[i] = objective.value(np.append(base, e)) - objective.value(base)
-    est = float(diffs.mean())
-    se = float(diffs.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return est, se
 
 
 def batch_gradient(objective: SubmodularObjective, x, samples: int,
@@ -390,10 +382,7 @@ def batch_gradient(objective: SubmodularObjective, x, samples: int,
     """Estimate the full multilinear gradient, sharing one batch of subset
     draws across all coordinates (unbiased; cuts oracle calls by a factor m).
     """
-    x = np.asarray(x, dtype=float)
-    m = len(x)
-    acc = np.zeros(m)
-    for _ in range(samples):
-        mask = rng.random(m) < x
+    acc = np.zeros(objective.n_edges)
+    for mask in _draws(objective, x, samples, rng):
         acc += objective.coordinate_gains(mask)
     return acc / samples

@@ -20,7 +20,7 @@ import numpy as np
 from . import lp as lpmod
 from .instances import (ArrivalSequence, Instance, Record, num, read_table,
                         sample_arrivals, the_one, write_table)
-from .objectives import SubmodularObjective, batch_gradient, multilinear_mc
+from .objectives import SubmodularObjective, batch_gradient, mean_se, multilinear_estimate
 
 SOLUTION_HEADER = "osbm-solution/1"
 HINDSIGHT_NODE_BUDGET = 10_000_000
@@ -79,7 +79,7 @@ def continuous_greedy(
             raise RuntimeError(f"linear oracle returned {sol.status}")
         x = x + sol.x / steps
     x = _project_into_polytope(x, inst)
-    est, se = multilinear_mc(objective, x, 2000, rng)
+    est, se = multilinear_estimate(objective, x, 2000, rng)
     return OfflineSolution(
         x=x, objective_estimate=est, estimate_std_error=se,
         solver="continuous-greedy", seed=seed, steps=steps,
@@ -198,12 +198,8 @@ def expected_opt(
         return total, 0.0
 
     if mode == "mc":
-        vals = np.empty(trials)
-        for i in range(trials):
-            seq = sample_arrivals(inst, seed + i)
-            vals[i], _ = hindsight_optimal(inst, seq, objective)
-        se = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-        return float(vals.mean()), se
+        return mean_se([hindsight_optimal(inst, sample_arrivals(inst, seed + i), objective)[0]
+                        for i in range(trials)])
 
     raise ValueError(f"unknown mode {mode!r}")
 

@@ -61,14 +61,12 @@ import numpy as np
 
 from . import lp as lpmod
 from .instances import ArrivalSequence, Instance, sample_arrivals
-from .objectives import SubmodularObjective, multilinear_estimate
+from .objectives import SubmodularObjective, mean_se, multilinear_estimate
 from .offline import expected_opt
 from .rounding import dependent_round_stars, sample_support
 
 POLICY_NAMES = ("marginal-sampling", "contention-resolution", "greedy",
                 "dependent-rounding")
-
-E_OVER_E_MINUS_1 = math.e / (math.e - 1.0)
 
 
 class OnlinePolicy:
@@ -319,9 +317,8 @@ class DependentRoundingPolicy(OnlinePolicy):
         self._table = inst.edge_table_v  # serve the rounded edges in index order
 
     def _begin(self, rngs, block):
-        chosen = np.zeros((len(rngs), self.inst.n_edges + 1), dtype=bool)  # [-1]: pad
-        chosen[:, :-1] = dependent_round_stars(self.x_star, self.inst, rngs)
-        return chosen, rngs
+        # a -1 pad reads the last edge's bit, but open_ is False there
+        return dependent_round_stars(self.x_star, self.inst, rngs), rngs
 
     def _choose(self, run, rows, v, cand, open_):
         chosen, rngs = run
@@ -401,6 +398,11 @@ class RunMetrics:
     matches: list[list[int]] | None = None
 
 
+def guide_scaled(f_value: float) -> float:
+    """The ``guide-scaled`` bound F(x*) * e/(e-1) from an estimate of F(x*)."""
+    return f_value * math.e / (math.e - 1.0)
+
+
 def compute_benchmark(kind: str, inst: Instance,
                       objective: SubmodularObjective,
                       x_star: np.ndarray | None = None,
@@ -422,7 +424,7 @@ def compute_benchmark(kind: str, inst: Instance,
         if x_star is None or len(x_star) != inst.n_edges:
             raise ValueError("guide-scaled benchmark needs edge marginals")
         est, _ = multilinear_estimate(objective, x_star, samples=4000, seed=seed)
-        return "guide-scaled", est * E_OVER_E_MINUS_1
+        return "guide-scaled", guide_scaled(est)
     raise ValueError(f"unknown benchmark kind {kind!r}")
 
 
@@ -540,9 +542,8 @@ def simulate(
     values = np.array([value for value, _ in results], dtype=float)
     matches = [m for _, m in results] if keep_matches else None
 
-    mean = float(values.mean())
+    mean, std_error = mean_se(values)
     std = float(values.std(ddof=1)) if trials > 1 else 0.0
-    std_error = std / math.sqrt(trials) if trials > 1 else 0.0
     if benchmark_value:
         ratio = mean / benchmark_value
         ratio_se = std_error / benchmark_value

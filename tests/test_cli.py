@@ -55,7 +55,7 @@ class TestPublicNames:
             "compute_benchmark", "continuous_greedy", "dependent_round_stars",
             "expected_opt", "generate_synthetic", "hindsight_optimal",
             "independent_sample", "ingest_ratings", "load_problem", "make_policy",
-            "multilinear_exact", "multilinear_mc", "partial_derivative",
+            "multilinear_exact", "multilinear_mc",
             "pipage_round", "run_trial", "sample_arrivals", "sample_support",
             "saturate_marginals", "save_problem", "select_per_star", "simulate",
             "solve", "solve_offline_lp", "validate"}
@@ -106,6 +106,16 @@ class TestIngest:
             "--out", str(tmp_path / "o"))
         assert code == 2
         assert str(files[which]) in err
+        assert "Traceback" not in err
+
+    def test_repeated_rating_exits_2_naming_file(self, tmp_path):
+        ratings, genres = write_ratings_fixture(tmp_path, n_users=4, n_movies=3)
+        ratings.write_text(ratings.read_text() + ratings.read_text().splitlines()[0] + "\n")
+        code, _, err = run_cli(
+            "ingest", "--ratings", str(ratings), "--genres", str(genres),
+            "--users", "4", "--movies", "3", "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert str(ratings) in err and "again" in err
         assert "Traceback" not in err
 
     def test_all_zero_ratings_ingest_then_offline(self, tmp_path):

@@ -311,6 +311,13 @@ class TestIngest:
         genres.write_text("m1,gz\n")
         with pytest.raises(IngestError, match="malformed row"):
             ingest_ratings(ratings, genres, num_users=1, num_movies=1)
+        # a repeated (user, movie) row: counting every row made u1, who
+        # rated one movie, the most prolific rater, weighted by the last row
+        ratings.write_text("u0,m0,1\nu0,m1,2\nu1,m0,5\nu1,m0,4\nu1,m0,1\nu2,m2,3\n")
+        genres.write_text("m0,a\nm1,b\nm2,a\n")
+        with pytest.raises(IngestError, match=re.escape(
+                f"ratings file {ratings}: malformed row 4: u1 rates m0 again")):
+            ingest_ratings(ratings, genres, num_users=1, num_movies=2, seed=0)
 
     def test_negative_rating_raises(self, tmp_path):
         # it would make a negative genre weight, which load_problem refuses

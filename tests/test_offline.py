@@ -83,6 +83,29 @@ class TestContinuousGreedy:
         b = continuous_greedy(obj, inst, steps=12, grad_samples=12, seed=9)
         assert np.array_equal(a.x, b.x)
 
+    def test_zero_grad_samples_is_rejected(self, rng):
+        # an empty gradient batch divided 0 by 0, and the NaN gradient then
+        # failed inside the linear oracle
+        inst = small_instance(rng)
+        obj = small_objective("budget_additive", inst.n_edges, rng)
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            continuous_greedy(obj, inst, steps=2, grad_samples=0)
+
+    def test_estimate_is_exact_on_small_ground_sets(self, rng):
+        # F(x) over at most 20 edges is enumerated, not sampled
+        for kind in ("coverage", "budget_additive", "linear"):
+            inst = small_instance(rng)
+            assert inst.n_edges <= 20
+            obj = small_objective(kind, inst.n_edges, rng)
+            sol = continuous_greedy(obj, inst, steps=5, grad_samples=5, seed=0)
+            if kind == "linear":
+                assert sol.objective_estimate == float(obj.weights @ sol.x)
+                assert sol.objective_estimate == pytest.approx(
+                    multilinear_exact(obj, sol.x), rel=1e-12)
+            else:
+                assert sol.objective_estimate == multilinear_exact(obj, sol.x)
+            assert sol.estimate_std_error == 0.0
+
 
 class TestPipage:
     def test_integral_input_returned_unchanged(self, rng):
