@@ -1,11 +1,13 @@
 """Monotone submodular objectives over edge subsets, with multilinear tools.
 
-Objectives expose value-oracle access (``value``) plus two hooks the solvers
-lean on: an `Evaluator`, the one marginal-gain protocol (``row_gains`` and
-``row_add`` over many edge sets at once, as greedy runs them), and vectorized
+Each objective is one class: its value oracle (``value``), its vectorized
 coordinate gains for gradient estimation on the multilinear extension
 F(x) = E[f(R_x)], where R_x includes each edge ``e`` independently with
-probability ``x_e``.
+probability ``x_e``, and its marginal-gain hooks over many edge sets at once,
+as greedy runs them.  The hooks are ``_row_state(rows)``, the per-set state,
+``_gains(ev, rows, edges)``, the gains of edges not yet in their sets, and
+``_absorb(ev, rows, edges)``, the state update when they join; the one
+`Evaluator` calls them behind ``row_gains`` and ``row_add``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ EXACT_ENUMERATION_LIMIT = 20
 
 
 class SubmodularObjective:
-    """Base value oracle over a ground set of ``n_edges`` edges."""
+    """Base value oracle over a ground set of ``n_edges`` edges.  Its gain
+    hooks are the value-oracle fallbacks: no row state, the gain
+    value(S + e) - value(S), and nothing to absorb."""
 
     kind = "abstract"
 
@@ -47,6 +51,17 @@ class SubmodularObjective:
     def evaluator(self, rows: int) -> "Evaluator":
         return Evaluator(self, rows)
 
+    def _row_state(self, rows: int):
+        return None
+
+    def _gains(self, ev: "Evaluator", rows: np.ndarray, edges: np.ndarray) -> np.ndarray:
+        sets = [set(np.flatnonzero(ev.members[r]).tolist()) for r in rows.tolist()]
+        return np.array([self.value(s | {e}) - self.value(s)
+                         for s, e in zip(sets, edges.tolist())], dtype=float)
+
+    def _absorb(self, ev: "Evaluator", rows: np.ndarray, edges: np.ndarray) -> None:
+        pass
+
     def coordinate_gains(self, member: np.ndarray) -> np.ndarray:
         """f(R + e) - f(R - e) for every edge, R given as a boolean mask."""
         base = set(np.flatnonzero(np.asarray(member, dtype=bool)).tolist())
@@ -58,38 +73,30 @@ class Evaluator:
     """Marginal gains for ``rows`` independent greedy runs, one edge set each.
 
     The only gain protocol: ``row_gains`` reads the gains of (row, edge)
-    pairs and ``row_add`` adds edges to rows.  The base class owns each
-    row's membership mask: a member gains 0 and adding it again changes
-    nothing.  Each objective plugs in ``_gains`` for non-members and
-    ``_absorb`` for the state update when they join, both over aligned
-    (row, edge) arrays; the generic ``_gains`` is value(S + e) - value(S).
+    pairs and ``row_add`` adds edges to rows.  It owns each row's membership
+    mask: a member gains 0 and adding it again changes nothing.  For
+    non-members it calls the objective's ``_gains`` and, when they join,
+    ``_absorb``, both over aligned (row, edge) arrays and both reading
+    ``members`` and the objective's row ``state``.
     """
 
     def __init__(self, objective: SubmodularObjective, rows: int):
-        self._objective = objective
+        self.objective = objective
         self.members = np.zeros((rows, objective.n_edges), dtype=bool)
+        self.state = objective._row_state(rows)
 
     def row_gains(self, rows: np.ndarray, edges: np.ndarray) -> np.ndarray:
         """The gain of adding ``edges[i]`` to row ``rows[i]``, for each i."""
         out = np.zeros(len(edges))
         new = ~self.members[rows, edges]
-        out[new] = self._gains(rows[new], edges[new])
+        out[new] = self.objective._gains(self, rows[new], edges[new])
         return out
 
     def row_add(self, rows: np.ndarray, edges: np.ndarray) -> None:
         """Add ``edges[i]`` to row ``rows[i]``, for each i (rows distinct)."""
         new = ~self.members[rows, edges]
-        self._absorb(rows[new], edges[new])
+        self.objective._absorb(self, rows[new], edges[new])
         self.members[rows, edges] = True
-
-    def _gains(self, rows: np.ndarray, edges: np.ndarray) -> np.ndarray:
-        value = self._objective.value
-        sets = [set(np.flatnonzero(self.members[r]).tolist()) for r in rows.tolist()]
-        return np.array([value(s | {e}) - value(s) for s, e in zip(sets, edges.tolist())],
-                        dtype=float)
-
-    def _absorb(self, rows: np.ndarray, edges: np.ndarray) -> None:
-        pass
 
 
 class LinearObjective(SubmodularObjective):
@@ -108,17 +115,13 @@ class LinearObjective(SubmodularObjective):
     def coordinate_gains(self, member) -> np.ndarray:
         return self.weights.copy()
 
-    def evaluator(self, rows: int):
-        return _LinearEvaluator(self, rows)
-
-
-class _LinearEvaluator(Evaluator):
-    def _gains(self, rows, edges):
-        return self._objective.weights[edges]
+    def _gains(self, ev, rows, edges):
+        return self.weights[edges]
 
 
 class BudgetAdditiveObjective(SubmodularObjective):
-    """f(S) = min(budget, sum of edge weights over S)."""
+    """f(S) = min(budget, sum of edge weights over S).  A greedy row's state
+    is its unclamped weight sum."""
 
     kind = "budget_additive"
 
@@ -141,37 +144,31 @@ class BudgetAdditiveObjective(SubmodularObjective):
         base = np.where(member, total - self.weights, total)
         return np.minimum(self.budget, base + self.weights) - np.minimum(self.budget, base)
 
-    def evaluator(self, rows: int):
-        return _BudgetEvaluator(self, rows)
+    def _row_state(self, rows):
+        return np.zeros(rows)
 
+    def _gains(self, ev, rows, edges):
+        raw = ev.state[rows]
+        return np.minimum(self.budget, raw + self.weights[edges]) - np.minimum(self.budget, raw)
 
-class _BudgetEvaluator(Evaluator):
-    def __init__(self, objective, rows):
-        super().__init__(objective, rows)
-        self._raw = np.zeros(rows)  # each row's unclamped weight sum
-
-    def _gains(self, rows, edges):
-        b, raw = self._objective.budget, self._raw[rows]
-        return np.minimum(b, raw + self._objective.weights[edges]) - np.minimum(b, raw)
-
-    def _absorb(self, rows, edges):
-        self._raw[rows] += self._objective.weights[edges]
+    def _absorb(self, ev, rows, edges):
+        ev.state[rows] += self.weights[edges]
 
 
 class CoverageObjective(SubmodularObjective):
-    """Weighted coverage: f(S) = total weight of features covered by S.
+    """Weighted coverage: f(S) = total weight of features covered by S, over
+    the ground set of edges ``0 .. len(feature_sets) - 1``.
 
     The one owner of the coverage incidence: ``edge_features`` per edge, the
     flat (edge, feature) pairs in edge order, and their inverse
-    `covering_edges` (read by the LP presolve).
+    `covering_edges` (read by the LP presolve).  A greedy row's state is its
+    covered-feature mask.
     """
 
     kind = "coverage"
 
-    def __init__(self, feature_sets, feature_weights, n_edges: int | None = None):
-        if n_edges is None:
-            n_edges = len(feature_sets)
-        super().__init__(n_edges)
+    def __init__(self, feature_sets, feature_weights):
+        super().__init__(len(feature_sets))
         self.feature_weights = np.asarray(feature_weights, dtype=float)
         self.n_features = len(self.feature_weights)
         self.edge_features = tuple(np.array(sorted(q), dtype=np.int64)
@@ -218,8 +215,19 @@ class CoverageObjective(SubmodularObjective):
                                    minlength=self.n_edges)
         return gain_if_out + np.where(member, gain_if_sole, 0.0)
 
-    def evaluator(self, rows: int):
-        return _CoverageEvaluator(self, rows)
+    def _row_state(self, rows):
+        return np.zeros((rows, self.n_features), dtype=bool)
+
+    def _gains(self, ev, rows, edges):
+        # the weight of each edge's features its row has not covered yet
+        owner, feat = self._incidence(edges)
+        fresh = ~ev.state[rows[owner], feat]
+        return _run_sums(self.feature_weights[feat[fresh]],
+                         np.bincount(owner[fresh], minlength=len(edges)))
+
+    def _absorb(self, ev, rows, edges):
+        owner, feat = self._incidence(edges)
+        ev.state[rows[owner], feat] = True
 
 
 def _run_sums(w: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -238,23 +246,6 @@ def _run_sums(w: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
-class _CoverageEvaluator(Evaluator):
-    def __init__(self, objective, rows):
-        super().__init__(objective, rows)
-        self._covered = np.zeros((rows, objective.n_features), dtype=bool)
-
-    def _gains(self, rows, edges):
-        # the weight of each edge's features its row has not covered yet
-        owner, feat = self._objective._incidence(edges)
-        fresh = ~self._covered[rows[owner], feat]
-        return _run_sums(self._objective.feature_weights[feat[fresh]],
-                         np.bincount(owner[fresh], minlength=len(edges)))
-
-    def _absorb(self, rows, edges):
-        owner, feat = self._objective._incidence(edges)
-        self._covered[rows[owner], feat] = True
-
-
 class PerUserCoverageObjective(CoverageObjective):
     """Sum over online types of that type's weighted genre coverage.
 
@@ -266,19 +257,16 @@ class PerUserCoverageObjective(CoverageObjective):
     kind = "per_user_coverage"
 
     def __init__(self, edge_online, genre_sets, user_weights):
-        edge_online = np.asarray(edge_online, dtype=np.int64)
         user_weights = np.asarray(user_weights, dtype=float)
         n_users, n_genres = user_weights.shape
         flat_sets = [
             frozenset(int(v) * n_genres + z for z in q)
             for v, q in zip(edge_online, genre_sets)
         ]
-        super().__init__(flat_sets, user_weights.reshape(-1),
-                         n_edges=len(flat_sets))
+        super().__init__(flat_sets, user_weights.reshape(-1))
         self.n_users = n_users
         self.n_genres = n_genres
         self.user_weights = user_weights
-        self.edge_online = edge_online
 
     def user_cover_fractions(self, edges) -> np.ndarray:
         """Per-user covered weight as a fraction of that user's total weight."""
@@ -301,8 +289,7 @@ def build_objective(problem: Problem) -> SubmodularObjective:
     if problem.kind == "budget_additive":
         return BudgetAdditiveObjective(feats.edge_weights, problem.budget)
     if problem.kind == "coverage":
-        return CoverageObjective(feats.feature_sets, feats.feature_weights,
-                                 n_edges=problem.instance.n_edges)
+        return CoverageObjective(feats.feature_sets, feats.feature_weights)
     if problem.kind == "per_user_coverage":
         return PerUserCoverageObjective(problem.instance.edge_v,
                                         feats.feature_sets, feats.user_weights)
@@ -352,9 +339,11 @@ def _draws(objective: SubmodularObjective, x, samples: int, rng: np.random.Gener
 
 def mean_se(values) -> tuple[float, float]:
     """(mean, standard error of the mean) of ``values``; the error of one
-    value is 0."""
+    value is 0.  Raises ValueError on no values."""
     values = np.asarray(values, dtype=float)
     n = len(values)
+    if n == 0:
+        raise ValueError("mean_se needs at least one value")
     se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return float(values.mean()), se
 

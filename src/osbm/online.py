@@ -412,7 +412,8 @@ def compute_benchmark(kind: str, inst: Instance,
     ``lp``: optimum of the closed-form offline program (valid by concavity
     of the epigraph relaxation).  ``brute``: exact expectation, tiny
     instances only.  ``guide-scaled``: estimated F(x_star) * e/(e-1), valid
-    for marginals produced by the fractional ascent.
+    for marginals produced by the fractional ascent, so x_star must lie in
+    the b-matching polytope, as a guided policy's must.
     """
     if kind == "lp":
         _, value, _ = lpmod.solve_offline_lp(inst, objective)
@@ -423,6 +424,8 @@ def compute_benchmark(kind: str, inst: Instance,
     if kind == "guide-scaled":
         if x_star is None or len(x_star) != inst.n_edges:
             raise ValueError("guide-scaled benchmark needs edge marginals")
+        if not lpmod.feasible_for_matching(inst, x_star):
+            raise ValueError("infeasible guide-scaled guide: not in the b-matching polytope")
         est, _ = multilinear_estimate(objective, x_star, samples=4000, seed=seed)
         return "guide-scaled", guide_scaled(est)
     raise ValueError(f"unknown benchmark kind {kind!r}")

@@ -10,6 +10,7 @@ from osbm.objectives import (
     BudgetAdditiveObjective,
     CoverageObjective,
     LinearObjective,
+    PerUserCoverageObjective,
 )
 
 
@@ -65,14 +66,18 @@ def small_objective(kind: str, n_edges: int, rng: np.random.Generator,
     if kind == "budget_additive":
         w = 0.2 + rng.random(n_edges)
         return BudgetAdditiveObjective(w, float(w.sum()) * 0.5)
-    if kind == "coverage":
+    if kind in ("coverage", "per_user_coverage"):
         sets = [
             frozenset(rng.choice(n_features,
                                  size=int(rng.integers(1, min(4, n_features) + 1)),
                                  replace=False).tolist())
             for _ in range(n_edges)
         ]
-        return CoverageObjective(sets, 0.3 + rng.random(n_features))
+        if kind == "coverage":
+            return CoverageObjective(sets, 0.3 + rng.random(n_features))
+        # three online types, each edge at a random one; features are genres
+        return PerUserCoverageObjective(rng.integers(0, 3, size=n_edges), sets,
+                                        0.3 + rng.random((3, n_features)))
     raise ValueError(kind)
 
 

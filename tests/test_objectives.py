@@ -271,7 +271,7 @@ class TestEvaluators:
     def test_incremental_matches_recompute(self, rng):
         # two rows add the edges in different orders; at each step every
         # (row, edge) gain equals the value difference over that row's set
-        for kind in ("linear", "coverage", "budget_additive"):
+        for kind in ("linear", "coverage", "budget_additive", "per_user_coverage"):
             obj = small_objective(kind, 8, rng)
             ev = obj.evaluator(2)
             orders = [rng.permutation(8).tolist() for _ in range(2)]
@@ -288,7 +288,7 @@ class TestEvaluators:
                     assert np.array_equal(np.flatnonzero(ev.members[r]), sorted(sets[r]))
 
     def test_re_adding_member_gains_nothing(self, rng):
-        for kind in ("linear", "coverage", "budget_additive"):
+        for kind in ("linear", "coverage", "budget_additive", "per_user_coverage"):
             obj = small_objective(kind, 4, rng)
             ev = obj.evaluator(2)
             ev.row_add(np.array([0, 1]), np.array([2, 1]))
@@ -302,21 +302,25 @@ class TestEvaluators:
     def test_row_add_takes_no_gain(self, rng, monkeypatch):
         # greedy has just taken the gains it commits; adding them again
         # would double its gain work
-        for kind in ("linear", "coverage", "budget_additive", "generic"):
+        for kind in ("linear", "coverage", "budget_additive", "generic",
+                     "per_user_coverage"):
             obj = (_ValueOnlyLinear(rng.random(6)) if kind == "generic"
                    else small_objective(kind, 6, rng))
             ev = obj.evaluator(3)
             calls = []
 
-            def counted(self, r, e, real=type(ev)._gains):
+            def counted(self, ev, r, e, real=type(obj)._gains):
                 calls.append(len(e))
-                return real(self, r, e)
+                return real(self, ev, r, e)
 
-            monkeypatch.setattr(type(ev), "_gains", counted)
-            ev.row_gains(np.arange(3), np.array([0, 1, 2]))
-            assert calls == [3]
-            ev.row_add(np.arange(3), np.array([0, 4, 5]))
-            assert calls == [3]
+            # per_user_coverage inherits coverage's hooks: undo each patch
+            # before the next kind reads its class's `_gains`
+            with monkeypatch.context() as patch:
+                patch.setattr(type(obj), "_gains", counted)
+                ev.row_gains(np.arange(3), np.array([0, 1, 2]))
+                assert calls == [3]
+                ev.row_add(np.arange(3), np.array([0, 4, 5]))
+                assert calls == [3]
 
     def test_coverage_row_gains_sum_as_the_one_edge_form(self, rng):
         # edges with 0 to 40 features: the sums of 8 and more terms take
@@ -329,7 +333,7 @@ class TestEvaluators:
         rows, edges = all_pairs(3, 41)
         for r, e, g in zip(rows, edges, ev.row_gains(rows, edges)):
             q = obj.edge_features[e]
-            fresh = q[~ev._covered[r][q]]
+            fresh = q[~ev.state[r][q]]
             expected = 0.0 if ev.members[r, e] else float(obj.feature_weights[fresh].sum())
             assert g == expected
 

@@ -285,6 +285,13 @@ class TestExpectedOpt:
         est, se = expected_opt(inst, obj, mode="mc", trials=4000, seed=8)
         assert abs(est - exact) <= 3 * se
 
+    def test_mc_with_no_trials_is_rejected(self, rng):
+        # no trials have no mean: numpy's is nan, with a RuntimeWarning
+        inst = small_instance(rng, n_offline=3, n_online=2, horizon=3)
+        obj = small_objective("coverage", inst.n_edges, rng)
+        with pytest.raises(ValueError, match="at least one value"):
+            expected_opt(inst, obj, mode="mc", trials=0)
+
     def test_exact_budget_gate(self):
         inst = build_instance(
             [("u0", 1)],

@@ -621,6 +621,16 @@ class TestSimulator:
             simulate(inst, obj, "greedy", x_star=x[:-1], trials=5,
                      benchmark="guide-scaled")
 
+    def test_guide_scaled_rejects_a_guide_outside_the_polytope(self, rng):
+        # greedy takes no guide, so only the benchmark can check it:
+        # F(x) * e/(e-1) bounds E[OPT] only for an x in P
+        inst = small_instance(rng, n_offline=3, n_online=2, horizon=3)
+        obj = small_objective("budget_additive", inst.n_edges, rng)
+        with pytest.raises(ValueError, match=re.escape(
+                "infeasible guide-scaled guide: not in the b-matching polytope")):
+            simulate(inst, obj, "greedy", x_star=np.full(inst.n_edges, 5.0),
+                     trials=5, benchmark="guide-scaled")
+
     @pytest.mark.parametrize("name", ["marginal-sampling", "contention-resolution",
                                       "dependent-rounding"])
     @pytest.mark.parametrize("x", [[0.7, 0.0, 0.4],    # star u0 above b_u = 1
