@@ -158,12 +158,17 @@ class Instance:
 
     def loads(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Sums of the edge vector x over each offline star and each type:
-        the polytope's degree rows, <= b_u and <= eta * rate_v.  Each is
-        ``x[edges].sum()`` (numpy's pairwise sum): one ``bincount`` sums in
-        another order, which moves last bits and so the LP guides."""
+        the polytope's degree rows, <= b_u and <= eta * rate_v.  Each is a
+        `group_sums` run, with the bits of ``x[edges].sum()``: one
+        ``bincount`` sums in another order, which moves last bits and so the
+        LP guides.  Raises ValueError unless x has one entry per edge."""
         x = np.asarray(x, dtype=float)
-        return (np.array([x[edges].sum() for edges in self.edges_at_u]),
-                np.array([x[edges].sum() for edges in self.edges_at_v]))
+        if x.shape != (self.n_edges,):
+            raise ValueError(f"edge vector of shape {x.shape} for {self.n_edges} edges")
+        return (group_sums(x[self.edges_by_u],
+                           np.bincount(self.edge_u, minlength=self.n_offline)),
+                group_sums(x[self.edges_by_v],
+                           np.bincount(self.edge_v, minlength=self.n_online)))
 
     @cached_property
     def rate_array(self) -> np.ndarray:
@@ -193,9 +198,6 @@ class Instance:
     def with_eta(self, eta: int) -> "Instance":
         return replace(self, eta=int(eta))
 
-    def validate(self) -> list[str]:
-        return validate(self)
-
 
 def build_instance(
     offline: Sequence[tuple[str, int]],
@@ -222,6 +224,24 @@ def split_groups(order, keys: np.ndarray, n: int) -> tuple:
     """Cut `order`, edges sorted by `keys` in [0, n), into one slice per key."""
     ends = np.cumsum(np.bincount(keys, minlength=n)).tolist()
     return tuple(order[a:b] for a, b in zip([0] + ends[:-1], ends))
+
+
+def group_sums(w: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The sum of each consecutive run of ``counts`` entries of ``w``.
+
+    Each sum is numpy's own (pairwise) ``w[run].sum()``: runs of one length
+    are summed together as the rows of one matrix, which reduces each row as
+    that sum does.  Zero-padding the runs to one length would change the
+    pairwise blocking, and so the last bits.
+    """
+    out = np.zeros(len(counts))
+    starts = np.cumsum(counts) - counts
+    # the run lengths in use, ascending (np.unique's first call would
+    # import numpy.ma, about 1 MiB more resident memory)
+    for c in (np.flatnonzero(np.bincount(counts)[1:]) + 1).tolist():
+        runs = np.flatnonzero(counts == c)
+        out[runs] = w[starts[runs, None] + np.arange(c)].sum(axis=1)
+    return out
 
 
 def _structural_violations(inst: Instance) -> list[str]:
@@ -295,9 +315,6 @@ class ArrivalSequence:
     """Realized arrival stream: one entry per round, -1 meaning no arrival."""
 
     slots: np.ndarray  # int64, length T, values in {-1} | [0, n_online)
-
-    def __len__(self) -> int:
-        return len(self.slots)
 
     @cached_property
     def arrival_times(self) -> np.ndarray:

@@ -72,27 +72,28 @@ class LpSolution:
     iterations: int = 0
     degenerate_pivots: int = 0   # pivots whose step length is zero
 
-    def audit(self, lp: LinearProgram, tol: float = FEAS_TOL) -> list[str]:
-        """Primal feasibility, dual sign, and complementary slackness checks."""
+    def audit(self, lp: LinearProgram) -> list[str]:
+        """Primal feasibility, dual sign, and complementary slackness checks,
+        each to FEAS_TOL relative to the program's scale."""
         problems: list[str] = []
         if self.status != "optimal":
             return [f"status {self.status}"]
         scale = 1.0 + max(1.0, float(np.abs(lp.b).max(initial=0.0)),
                           float(np.abs(lp.upper[np.isfinite(lp.upper)]).max(initial=0.0)))
-        x = self.x
-        if np.any(x < -tol * scale):
+        x, tol = self.x, FEAS_TOL * scale
+        if np.any(x < -tol):
             problems.append("negative variable value")
         finite = np.isfinite(lp.upper)
-        if np.any(x[finite] > lp.upper[finite] + tol * scale):
+        if np.any(x[finite] > lp.upper[finite] + tol):
             problems.append("variable above upper bound")
         slack = lp.b - lp.A @ x
-        if np.any(slack < -tol * scale):
+        if np.any(slack < -tol):
             problems.append("row violated")
         if self.duals is not None:
-            if np.any(self.duals < -tol * scale):
+            if np.any(self.duals < -tol):
                 problems.append("negative dual on a <= row")
             comp = np.abs(self.duals * slack)
-            if comp.size and comp.max() > tol * scale * 10:
+            if comp.size and comp.max() > tol * 10:
                 problems.append("complementary slackness violated")
         return problems
 
@@ -319,9 +320,8 @@ def build_special_lp(inst: Instance, objective) -> LinearProgram:
     The optimum is that of the unpresolved program; the leading edge columns
     keep their meaning.  Other kinds (budget_additive) raise ValueError.
     """
-    kind = getattr(objective, "kind", None)
-    m = inst.n_edges
-    if getattr(objective, "n_edges", m) != m:
+    kind, m = objective.kind, inst.n_edges
+    if objective.n_edges != m:
         raise ValueError("objective ground set does not match the instance")
 
     if kind == "linear":
@@ -391,7 +391,7 @@ def solve_offline_lp(inst: Instance, objective) -> tuple[np.ndarray, float, LpSo
     starting point is the max-weight-matching solution, always on the
     optimal face; the reported optimum is min(budget, max weight).
     """
-    budget_additive = getattr(objective, "kind", None) == "budget_additive"
+    budget_additive = objective.kind == "budget_additive"
     lp = (build_matching_lmo(inst, objective.weights) if budget_additive
           else build_special_lp(inst, objective))
     sol = solve(lp)
@@ -403,11 +403,12 @@ def solve_offline_lp(inst: Instance, objective) -> tuple[np.ndarray, float, LpSo
     return x, value, sol
 
 
-def feasible_for_matching(inst: Instance, x, tol: float = FEAS_TOL) -> bool:
-    """Check x against the b-matching polytope (degree rows and box)."""
+def feasible_for_matching(inst: Instance, x) -> bool:
+    """Check x against the b-matching polytope (degree rows and box), to
+    FEAS_TOL.  Raises ValueError unless x has one entry per edge."""
     x = np.asarray(x, dtype=float)
     load_u, load_v = inst.loads(x)
     # written as "all within", so a NaN anywhere fails
-    return bool(np.all((x >= -tol) & (x <= 1.0 + tol))
-                and np.all(load_u <= inst.capacity_array + tol)
-                and np.all(load_v <= inst.eta * inst.rate_array + tol))
+    return bool(np.all((x >= -FEAS_TOL) & (x <= 1.0 + FEAS_TOL))
+                and np.all(load_u <= inst.capacity_array + FEAS_TOL)
+                and np.all(load_v <= inst.eta * inst.rate_array + FEAS_TOL))

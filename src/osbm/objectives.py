@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .instances import Problem, split_groups
+from .instances import Problem, group_sums, split_groups
 
 EXACT_ENUMERATION_LIMIT = 20
 
@@ -222,28 +222,12 @@ class CoverageObjective(SubmodularObjective):
         # the weight of each edge's features its row has not covered yet
         owner, feat = self._incidence(edges)
         fresh = ~ev.state[rows[owner], feat]
-        return _run_sums(self.feature_weights[feat[fresh]],
-                         np.bincount(owner[fresh], minlength=len(edges)))
+        return group_sums(self.feature_weights[feat[fresh]],
+                          np.bincount(owner[fresh], minlength=len(edges)))
 
     def _absorb(self, ev, rows, edges):
         owner, feat = self._incidence(edges)
         ev.state[rows[owner], feat] = True
-
-
-def _run_sums(w: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The sum of each consecutive run of ``counts`` entries of ``w``.
-
-    Each sum is numpy's own (pairwise) ``w[run].sum()``: runs of one length
-    are summed together as the rows of one matrix, which reduces each row as
-    that sum does.  Zero-padding the runs to one length would change the
-    pairwise blocking, and so the last bits.
-    """
-    out = np.zeros(len(counts))
-    starts = np.cumsum(counts) - counts
-    for c in np.unique(counts[counts > 0]).tolist():
-        runs = np.flatnonzero(counts == c)
-        out[runs] = w[starts[runs, None] + np.arange(c)].sum(axis=1)
-    return out
 
 
 class PerUserCoverageObjective(CoverageObjective):

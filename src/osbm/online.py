@@ -21,8 +21,9 @@ are provided:
 Trials run in blocks through one entry, ``replay_block(rngs, seqs)``, with
 one generator and one arrival sequence per trial.  A policy's ``_begin``
 prepares the whole block at once (greedy's evaluator rows; one
-``sample_support`` or ``dependent_round_stars`` call over the block's
-generators), and the block is then matched in one of two ways.  Marginal
+``dependent_round_stars`` call over the block's generators; contention
+resolution's ``sample_support`` per trial, in the loop that draws that
+trial's picks), and the block is then matched in one of two ways.  Marginal
 sampling's and contention resolution's picks depend on no state, so each
 draws all of a trial's picks up front (``eta`` uniforms per arrival; one
 index per arrival with candidates) and the block resolves them by rank,
@@ -101,8 +102,6 @@ class OnlinePolicy:
         if self.needs_guide:
             if self.x_star is None:
                 raise ValueError(f"{self.name} needs offline edge marginals")
-            if len(self.x_star) != inst.n_edges:
-                raise ValueError("edge marginal vector length mismatch")
             if not lpmod.feasible_for_matching(inst, self.x_star):
                 raise ValueError(f"infeasible {self.name} guide: not in the b-matching polytope")
 
@@ -123,12 +122,11 @@ class OnlinePolicy:
         # a table with no columns: no type has an edge, nothing to match
         for k in range(steps) if self._table.shape[1] else ():
             rows = np.flatnonzero(block.count > k)
-            v = block.v[block.first[rows] + k]
-            cand = self._table[v]
+            cand = self._table[block.v[block.first[rows] + k]]
             us = self._edge_u[cand]
             open_ = remaining[rows[:, None], us] > 0
             for _ in range(self.inst.eta):
-                hit, col = self._choose(run, rows, v, cand, open_)
+                hit, col = self._choose(run, rows, cand, open_)
                 if not len(hit):
                     continue
                 t = rows[hit]
@@ -145,12 +143,12 @@ class OnlinePolicy:
         a stepping policy's is passed to each round."""
         raise NotImplementedError
 
-    def _choose(self, run, rows: np.ndarray, v: np.ndarray, cand: np.ndarray,
+    def _choose(self, run, rows: np.ndarray, cand: np.ndarray,
                 open_: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One round of a step, over the stepping trials ``rows`` with
-        arrival types ``v``: (index into rows of each trial that picks, the
-        column of ``cand`` it picks, an open one).  Every pick returned is
-        matched."""
+        """One round of a step, over the stepping trials ``rows`` and their
+        arrivals' candidates ``cand``: (index into rows of each trial that
+        picks, the column of ``cand`` it picks, an open one).  Every pick
+        returned is matched."""
         raise NotImplementedError
 
 
@@ -262,14 +260,13 @@ class ContentionResolutionPolicy(PredrawnPolicy):
             )
 
     def _begin(self, rngs, block):
-        """Each trial's support (X, Y), then each arrival's pick up front:
+        """Per trial, its support (X, Y), then each arrival's pick up front:
         the arrival of v draws one of its k_v X-edges uniformly (an arrival
         with none draws nothing), and offers it if its Y bit is set."""
         inst = self.inst
-        supports = sample_support(self.x_star, inst, rngs)
         arrivals, edges = [], []
-        for start, n, support, rng in zip(block.first.tolist(), block.count.tolist(),
-                                          supports, rngs):
+        for start, n, rng in zip(block.first.tolist(), block.count.tolist(), rngs):
+            support = sample_support(self.x_star, inst, rng)
             # X-edges grouped by type, each type's in index order
             present = inst.edges_by_v[support.X[inst.edges_by_v]]
             k = np.bincount(inst.edge_v[present], minlength=inst.n_online)
@@ -287,7 +284,7 @@ class GreedyPolicy(OnlinePolicy):
     name = "greedy"
     needs_guide = False
 
-    def __init__(self, inst, objective, x_star=None):
+    def __init__(self, inst, objective):
         super().__init__(inst, objective, None)
         # candidate order fixes ties: lowest offline index wins
         table = inst.edge_table_v
@@ -297,7 +294,7 @@ class GreedyPolicy(OnlinePolicy):
     def _begin(self, rngs, block):
         return self.objective.evaluator(len(rngs))
 
-    def _choose(self, evaluator, rows, v, cand, open_):
+    def _choose(self, evaluator, rows, cand, open_):
         r, c = np.nonzero(open_)
         gain = np.full(cand.shape, -1.0)
         gain[r, c] = evaluator.row_gains(rows[r], cand[r, c])
@@ -320,7 +317,7 @@ class DependentRoundingPolicy(OnlinePolicy):
         # a -1 pad reads the last edge's bit, but open_ is False there
         return dependent_round_stars(self.x_star, self.inst, rngs), rngs
 
-    def _choose(self, run, rows, v, cand, open_):
+    def _choose(self, run, rows, cand, open_):
         chosen, rngs = run
         avail = open_ & chosen[rows[:, None], cand]
         n = avail.sum(axis=1)
@@ -385,11 +382,9 @@ class RunMetrics:
     """Per-trial objective values with their benchmark-relative summary."""
 
     policy: str
-    objective_kind: str
     trials: int
     values: np.ndarray
     mean: float
-    std: float
     std_error: float
     benchmark_kind: str | None
     benchmark_value: float | None
@@ -546,7 +541,6 @@ def simulate(
     matches = [m for _, m in results] if keep_matches else None
 
     mean, std_error = mean_se(values)
-    std = float(values.std(ddof=1)) if trials > 1 else 0.0
     if benchmark_value:
         ratio = mean / benchmark_value
         ratio_se = std_error / benchmark_value
@@ -555,11 +549,9 @@ def simulate(
         ratio_se = math.nan
     return RunMetrics(
         policy=policy.name,
-        objective_kind=getattr(objective, "kind", "unknown"),
         trials=trials,
         values=values,
         mean=mean,
-        std=std,
         std_error=std_error,
         benchmark_kind=benchmark_kind,
         benchmark_value=benchmark_value,

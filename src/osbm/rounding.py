@@ -2,7 +2,10 @@
 
 Four seeded operations: independent per-edge sampling, uniform thinning of
 each offline star to at most its capacity, star-wise dependent rounding,
-and pipage rounding of a whole fractional b-matching.
+and pipage rounding of a whole fractional b-matching.  Each takes a seed or
+a Generator, which ``np.random.default_rng`` passes through unchanged, so
+one generator can feed several operations in turn; dependent rounding also
+takes a list of generators, one per trial of a batch.
 
 The last two share one pairing step, `_shift`: a two-sided mass shift
 along an alternating walk that preserves every edge's marginal.  Dependent
@@ -25,20 +28,14 @@ from .instances import Instance
 SNAP_TOL = 1e-12
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _as_rngs(seed) -> tuple[list[np.random.Generator], bool]:
-    """A list of generators is a batch of trials, one generator each; any
-    other seed is a single trial.  Returns the generators and whether the
-    call was batched."""
+    """The trials of a `dependent_round_stars` call: a list of generators is
+    a batch, one generator each; any other seed is a single trial.  Returns
+    the generators and whether the call was batched."""
     if isinstance(seed, list) and all(isinstance(g, np.random.Generator)
                                       for g in seed):
         return seed, True
-    return [_as_rng(seed)], False
+    return [np.random.default_rng(seed)], False
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +49,7 @@ class SampledSupport:
 def independent_sample(x, seed) -> np.ndarray:
     """Include each edge independently with probability x_e."""
     x = np.asarray(x, dtype=float)
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     return rng.random(len(x)) < x
 
 
@@ -69,7 +66,7 @@ def select_per_star(X, inst: Instance, seed) -> np.ndarray:
     b_u = 1, otherwise one ``permutation(k)``.
     """
     X = np.asarray(X, dtype=bool)
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     # present edges grouped by star, each star's edges in index order
     present = inst.edges_by_u[X[inst.edges_by_u]]
     k = np.bincount(inst.edge_u[present], minlength=inst.n_offline)
@@ -83,16 +80,12 @@ def select_per_star(X, inst: Instance, seed) -> np.ndarray:
     return Y
 
 
-def sample_support(x, inst: Instance, seed):
-    """Sample X edge by edge, then thin it star by star into Y.  A list of
-    generators returns one support per generator, each equal to the call
-    with that generator alone."""
-    rngs, batched = _as_rngs(seed)
-    out = []
-    for rng in rngs:
-        X = independent_sample(x, rng)
-        out.append(SampledSupport(X=X, Y=select_per_star(X, inst, rng)))
-    return out if batched else out[0]
+def sample_support(x, inst: Instance, seed) -> SampledSupport:
+    """Sample X edge by edge, then thin it star by star into Y, both from
+    one generator: X's ``random(m)`` first, then Y's thinning draws."""
+    rng = np.random.default_rng(seed)
+    X = independent_sample(x, rng)
+    return SampledSupport(X=X, Y=select_per_star(X, inst, rng))
 
 
 def _fractional(v: float) -> bool:
@@ -136,9 +129,10 @@ def dependent_round_stars(x, inst: Instance, seed) -> np.ndarray:
     each trial's draws are taken up front (at most one per fractional
     edge), and its generator is then rewound to just past the draws it used.
 
-    Requires the fractional degree of every star to fit its capacity.  Every
-    run lands each star's degree in {floor(sum), ceil(sum)}; per-edge
-    inclusion probability equals x_e exactly.
+    Requires one entry of x per edge (else ValueError, from
+    `Instance.loads`) and the fractional degree of every star to fit its
+    capacity.  Every run lands each star's degree in {floor(sum),
+    ceil(sum)}; per-edge inclusion probability equals x_e exactly.
     """
     x = np.asarray(x, dtype=float)
     rngs, batched = _as_rngs(seed)
@@ -232,7 +226,7 @@ def pipage_round(x, inst: Instance, seed) -> np.ndarray:
     bound.
     """
     x = np.array(x, dtype=float)
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     n_u = inst.n_offline
     edge_ends = [(int(u), n_u + int(v)) for u, v in zip(inst.edge_u, inst.edge_v)]
     frac_edges = {e for e in range(inst.n_edges) if _fractional(x[e])}

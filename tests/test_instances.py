@@ -31,10 +31,11 @@ from osbm.instances import (
     save_problem,
     validate,
 )
-from osbm.lp import solve_offline_lp
+from osbm.lp import feasible_for_matching, saturate_marginals, solve_offline_lp
 from osbm.objectives import build_objective
 from osbm.offline import (OfflineSolution, SolutionError, load_solution,
                           save_solution)
+from osbm.rounding import dependent_round_stars
 
 
 def tiny_instance(**kw):
@@ -150,6 +151,21 @@ class TestGrouping:
                 load_u, load_v = inst.loads(x)
                 assert load_u.tolist() == [x[star].sum() for star in at_u]
                 assert load_v.tolist() == [x[edges].sum() for edges in at_v]
+
+    def test_loads_rejects_a_vector_of_another_length(self):
+        # every polytope check reads loads, so each rejects it too
+        inst = generate_synthetic("budget_additive", 11).instance
+        m = inst.n_edges
+        for n in (m - 5, m + 5):
+            for check in (inst.loads,
+                          lambda x: feasible_for_matching(inst, x),
+                          lambda x: saturate_marginals(inst, x, np.ones(len(x))),
+                          lambda x: dependent_round_stars(x, inst, 0)):
+                with pytest.raises(ValueError, match=f"for {m} edges"):
+                    check(np.full(n, 0.01))
+        lonely = tiny_instance(offline=[("u1", 1), ("u2", 2), ("lonely", 1)])
+        load_u, _ = lonely.loads(np.ones(3))
+        assert load_u.tolist() == [1.0, 2.0, 0.0]
 
 
 class TestSampleArrivals:

@@ -34,7 +34,7 @@ def grid_fractional_max(objective, inst, step=0.25):
     best = 0.0
     for point in itertools.product(levels, repeat=m):
         x = np.array(point)
-        if feasible_for_matching(inst, x, tol=1e-9):
+        if feasible_for_matching(inst, x):
             best = max(best, multilinear_exact(objective, x))
     return best
 
@@ -60,7 +60,7 @@ class TestContinuousGreedy:
             inst = small_instance(rng)
             obj = small_objective(kind, inst.n_edges, rng)
             sol = continuous_greedy(obj, inst, steps=30, grad_samples=30, seed=2)
-            assert feasible_for_matching(inst, sol.x, tol=1e-9)
+            assert feasible_for_matching(inst, sol.x)
 
     def test_beats_discounted_grid_optimum(self, rng):
         # coarse-grid fractional optimum as an independent floor

@@ -225,9 +225,9 @@ class TestContentionResolution:
         policy = make_policy("contention-resolution", inst, obj, x)
         supports = []
 
-        def recording_sample(x_star, inst, rngs):
-            out = sample_support(x_star, inst, rngs)
-            supports.extend(out)
+        def recording_sample(x_star, inst, rng):
+            out = sample_support(x_star, inst, rng)
+            supports.append(out)
             return out
 
         monkeypatch.setattr(online_mod, "sample_support", recording_sample)
@@ -293,8 +293,8 @@ class TestContentionResolution:
 
         def match_rate(X, n=6000):
             # the support is fixed to X; only the thinning to Y is drawn
-            monkeypatch.setattr(online_mod, "sample_support", lambda x_star, inst, rngs: [
-                SampledSupport(X=X, Y=select_per_star(X, inst, rng_t)) for rng_t in rngs])
+            monkeypatch.setattr(online_mod, "sample_support", lambda x_star, inst, rng:
+                                SampledSupport(X=X, Y=select_per_star(X, inst, rng)))
             hits = 0
             for s in range(n):
                 _, matched = run_trial(policy, inst, obj, sample_arrivals(inst, s),
@@ -781,14 +781,16 @@ def trial_rngs(seeds):
 
 def reference_trials(policy, rngs):
     """Each trial's start for ``reference_replay``: its generator, after
-    contention resolution's sampled support or dependent rounding's rounded
-    edge set, drawn here by the rounding module itself (a batched call, whose
-    rows equal one-trial calls: ``TestBatchedStart``)."""
-    start = {"contention-resolution": sample_support,
-             "dependent-rounding": dependent_round_stars}.get(policy.name)
-    if start is None:
+    contention resolution's sampled support (one call per trial) or dependent
+    rounding's rounded edge set (a batched call, whose rows equal one-trial
+    calls: ``TestBatchedStart``), drawn here by the rounding module itself."""
+    if policy.name == "contention-resolution":
+        starts = [sample_support(policy.x_star, policy.inst, rng) for rng in rngs]
+    elif policy.name == "dependent-rounding":
+        starts = dependent_round_stars(policy.x_star, policy.inst, rngs)
+    else:
         return rngs
-    return list(zip(start(policy.x_star, policy.inst, rngs), rngs))
+    return list(zip(starts, rngs))
 
 
 def assert_engine_matches_reference(policy, seqs, seeds, sizes=(None,)):

@@ -214,8 +214,9 @@ def reference_round_stars(x, inst, rng):
 
 
 class TestBatchedStart:
-    """A list of generators rounds or samples one trial per generator; each
-    row and each generator's state afterwards equal the single call's."""
+    """A list of generators rounds one trial per generator; each row and
+    each generator's state afterwards equal the single call's.  A support
+    is sampled per trial, from that trial's generator."""
 
     @staticmethod
     def recipe_guide(b):
@@ -272,13 +273,13 @@ class TestBatchedStart:
                 "mixed": [1 + u % 2 for u in range(inst.n_offline)]}[capacities]
         inst = inst.with_capacities(caps)
         x = np.random.default_rng(5).random(inst.n_edges) * 0.6
+        # one call per trial draws as its two steps do, X then Y
         batch, single = rngs(30, 200), rngs(30, 200)
-        supports = sample_support(x, inst, batch)
-        assert len(supports) == 30
-        for got, rng in zip(supports, single):
-            want = sample_support(x, inst, rng)
-            assert np.array_equal(got.X, want.X)
-            assert np.array_equal(got.Y, want.Y)
+        for trial, rng in zip(batch, single):
+            got = sample_support(x, inst, trial)
+            X = independent_sample(x, rng)
+            assert np.array_equal(got.X, X)
+            assert np.array_equal(got.Y, select_per_star(X, inst, rng))
             assert not np.any(got.Y & ~got.X)
             load = np.bincount(inst.edge_u[got.Y], minlength=inst.n_offline)
             assert np.all(load <= inst.capacity_array)
@@ -287,7 +288,6 @@ class TestBatchedStart:
     def test_empty_batch(self):
         inst = star_instance(2)
         assert dependent_round_stars(np.array([0.5, 0.5]), inst, []).shape == (0, 2)
-        assert sample_support(np.array([0.5, 0.5]), inst, []) == []
 
 
 class TestDependentRounding:
