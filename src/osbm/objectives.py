@@ -43,9 +43,14 @@ class SubmodularObjective:
         return ids
 
     def _edge_set(self, edges) -> np.ndarray:
-        """The set of ``edges`` as a mask over the ground set."""
+        """The set of ``edges`` as a mask over the ground set.  An int64
+        array of known ids indexes it as it is, with no list in between (read
+        as unsigned, a negative id exceeds every known one)."""
         member = np.zeros(self.n_edges, dtype=bool)
-        member[self._check_edges(edges)] = True
+        if not (isinstance(edges, np.ndarray) and edges.dtype == np.int64
+                and edges.view(np.uint64).max(initial=0) < self.n_edges):
+            edges = self._check_edges(edges)
+        member[edges] = True
         return member
 
     def evaluator(self, rows: int) -> "Evaluator":

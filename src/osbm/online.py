@@ -35,16 +35,19 @@ serves each trial's k-th arrival with one numpy step over the trials for
 each of up to ``eta`` picks, on state held as arrays (remaining capacities,
 trials x offline vertices; greedy's evaluator rows; the rounded edge sets);
 dependent rounding draws each pick from the trial's own generator, and only
-when more than one edge is open.  ``run_trial`` is the one place that
-accepts a trial's matches: it audits them once per trial, recounting each
-offline vertex's load from the matches instead of trusting the policy's own
-capacity bookkeeping, and scores them.  A lone trial is a block of one.
+when more than one edge is open.  A block returns its matches flat, as
+(trial, arrival position, edge) arrays.  ``_replay`` is the one place that
+accepts matches: it audits each block once, in one numpy pass over those
+arrays, recounting each offline vertex's load from the matches instead of
+trusting the policy's own capacity bookkeeping.  ``run_trial`` then scores
+each trial from its int64 edge array.  A lone trial is a block of one.
 
 ``simulate`` replays a policy over independent arrival sequences and reports
 per-trial objective values, their mean and standard error, and the
 empirical ratio against a chosen benchmark upper bound.  Trial ``i`` of a
 run with seed ``s`` draws its arrivals from seed ``s + i`` and its policy
-randomness from ``default_rng((s + i, 1))``; every batched step makes
+randomness from ``default_rng((s + i, 1))`` (greedy draws none, so its
+trials get no generator); every batched step makes
 exactly the draws of the one-trial-at-a-time loop, so values do not depend
 on batching or on the worker count.  The arrivals depend only on the rates,
 the horizon and the seed, so a sweep draws them once (``ArrivalStreams``)
@@ -74,7 +77,8 @@ class OnlinePolicy:
     """Shared immutable preparation and the trial engine.
 
     ``replay_block(rngs, seqs)`` is the engine's one entry: it plays a block
-    of trials, one generator and one arrival sequence each.  A policy adds
+    of trials, one generator and one arrival sequence each, and returns the
+    block's matches flat, as (trial, position, edge) arrays.  A policy adds
     ``_begin``, which prepares the block's state from the generators, and,
     if it steps, ``_choose``.  Stepping advances all trials of the block
     together, arrival by arrival: step k serves each trial's k-th arrival,
@@ -84,11 +88,13 @@ class OnlinePolicy:
     those whose offline vertex has capacity left and has not served this
     arrival.  A policy whose picks depend on no state derives from
     ``PredrawnPolicy`` instead: it is not stepped, and the block resolves
-    its picks by rank.  ``run_trial`` audits and scores the picks.
+    its picks by rank.  ``_replay`` audits the block's picks, and
+    ``run_trial`` scores each trial.
     """
 
     name = "abstract"
     needs_guide = True
+    draws = True  # False: the policy draws nothing, so its trials get None
     _table: np.ndarray
 
     def __init__(self, inst: Instance, objective: SubmodularObjective,
@@ -106,37 +112,43 @@ class OnlinePolicy:
                 raise ValueError(f"infeasible {self.name} guide: not in the b-matching polytope")
 
     def replay_block(self, rngs: list[np.random.Generator],
-                     seqs: list[ArrivalSequence]) -> list:
+                     seqs: list[ArrivalSequence]) -> tuple:
         """Match along each trial's arrival sequence, trial i drawing from
-        ``rngs[i]``: for trial i, the edges matched in commit order and, for
-        each, its position in ``seqs[i].arrival_times`` (two int arrays).  The
-        policy keeps its own remaining capacities."""
+        ``rngs[i]``.  Returns the block's matches as three int arrays,
+        (trial, position, edge): trial by trial, each trial's in commit
+        order, a match of trial i at ``seqs[i].arrival_times[position]``.
+        The policy keeps its own remaining capacities."""
         block = _Block(self.inst, seqs)
         run = self._begin(rngs, block)
         n, steps = len(seqs), int(block.count.max(initial=0))
         # column n_offline is the vertex of the -1 pad: it has no capacity
         remaining = np.zeros((n, self.inst.n_offline + 1), dtype=np.int64)
         remaining[:, :-1] = self.inst.capacity_array
-        matched, position = np.empty((2, n, self.inst.eta * steps), dtype=np.int64)
-        n_matched = np.zeros(n, dtype=np.int64)
+        # round r of step k writes its match to column eta * k + r, so each
+        # row's matches read in commit order, -1 where none was made
+        eta = self.inst.eta
+        matched = np.full((n, eta * steps), -1, dtype=np.int64)
         # a table with no columns: no type has an edge, nothing to match
         for k in range(steps) if self._table.shape[1] else ():
             rows = np.flatnonzero(block.count > k)
             cand = self._table[block.v[block.first[rows] + k]]
             us = self._edge_u[cand]
             open_ = remaining[rows[:, None], us] > 0
-            for _ in range(self.inst.eta):
+            for r in range(eta):
                 hit, col = self._choose(run, rows, cand, open_)
                 if not len(hit):
                     continue
                 t = rows[hit]
                 remaining[t, us[hit, col]] -= 1
                 open_[hit, col] = False
-                slot = n_matched[t]
-                matched[t, slot] = cand[hit, col]
-                position[t, slot] = k
-                n_matched[t] += 1
-        return [(e[:c], at[:c]) for e, at, c in zip(matched, position, n_matched.tolist())]
+                matched[t, eta * k + r] = cand[hit, col]
+        kept = matched >= 0
+        e = matched[kept]
+        del matched
+        at = np.flatnonzero(kept)
+        at %= kept.shape[1]  # each match's column eta * k + r ...
+        at //= eta  # ... and its step k, the position of its arrival
+        return np.repeat(np.arange(n), np.count_nonzero(kept, axis=1)), at, e
 
     def _begin(self, rngs: list[np.random.Generator], block: "_Block"):
         """The policy's own state for a block, from one generator per trial;
@@ -177,9 +189,9 @@ class _Block:
                                 + [np.empty(0, dtype=np.int64)])
         self.first = np.cumsum(self.count) - self.count
 
-    def resolve(self, a: np.ndarray, e: np.ndarray) -> list:
-        """Each trial's (matched edges, their arrival positions) from picks
-        drawn before the block ran: pick i offers edge ``e[i]`` at flat
+    def resolve(self, a: np.ndarray, e: np.ndarray) -> tuple:
+        """The block's (trial, position, edge) matches from picks drawn
+        before the block ran: pick i offers edge ``e[i]`` at flat
         arrival ``a[i]``, in (arrival, round) order, at most ``eta`` per
         arrival.  Within each trial a pick is dropped if its offline vertex
         u took an earlier pick of the same arrival, and is committed iff it
@@ -203,9 +215,8 @@ class _Block:
         rank = np.arange(len(key)) - np.repeat(start, np.diff(start, append=len(key)))
         won = np.empty(len(a), dtype=bool)
         won[order] = rank < inst.capacity_array[u[order]]
-        a, t = a[won], t[won]
-        cut = np.cumsum(np.bincount(t, minlength=len(self.count)))[:-1]
-        return list(zip(np.split(e[won], cut), np.split(a - self.first[t], cut)))
+        t = t[won]
+        return t, a[won] - self.first[t], e[won]
 
 
 class MarginalSamplingPolicy(PredrawnPolicy):
@@ -283,6 +294,7 @@ class ContentionResolutionPolicy(PredrawnPolicy):
 class GreedyPolicy(OnlinePolicy):
     name = "greedy"
     needs_guide = False
+    draws = False
 
     def __init__(self, inst, objective):
         super().__init__(inst, objective, None)
@@ -326,8 +338,8 @@ class DependentRoundingPolicy(OnlinePolicy):
         # open edge needs none (integers(1) draws nothing)
         pick = np.zeros(len(hit), dtype=np.int64)
         need = np.flatnonzero(n[hit] > 1)
-        for i, t, m in zip(need.tolist(), rows[hit[need]].tolist(), n[hit[need]].tolist()):
-            pick[i] = rngs[t].integers(m)
+        pick[need] = [rngs[t].integers(m) for t, m in
+                      zip(rows[hit[need]].tolist(), n[hit[need]].tolist())]
         return hit, (avail[hit].cumsum(axis=1) > pick[:, None]).argmax(axis=1)
 
 
@@ -345,36 +357,83 @@ def make_policy(name: str, inst: Instance, objective: SubmodularObjective,
     raise ValueError(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
 
 
+class _Accepted(tuple):
+    """A trial's (matched edges, arrival positions), as ``_replay`` accepts
+    them: the only picks ``run_trial`` scores."""
+
+
+def _replay(policy: OnlinePolicy, rngs: list[np.random.Generator],
+            seqs: list[ArrivalSequence]) -> list[_Accepted]:
+    """Replay a block of trials and accept its matches: for each trial, its
+    matched edges in commit order and their arrival positions, as int64
+    arrays.
+
+    This is the only code that accepts matches.  It audits the whole block
+    once, over its flat (trial, position, edge) matches, against the online
+    rule, instead of trusting the policy's own bookkeeping: the matches come
+    trial by trial, each position names one of its trial's arrivals and each
+    edge one of the instance's, an arrival takes at most ``eta`` matches,
+    each incident to its type and to distinct offline vertices, and each
+    offline vertex's load in each trial, recounted from the matches, stays
+    within its capacity.  A violation raises RuntimeError naming the first
+    of these rules that any trial of the block breaks.
+    """
+    inst, n_offline = policy.inst, policy.inst.n_offline
+    t, at, e = (np.asarray(p, dtype=np.int64) for p in policy.replay_block(rngs, seqs))
+    block = _Block(inst, seqs)
+    if np.any(np.diff(t, prepend=0, append=len(seqs) - 1) < 0):
+        raise RuntimeError(f"{policy.name} returned matches out of trial order")
+    if np.any((at < 0) | (at >= block.count[t])):
+        raise RuntimeError(f"{policy.name} matched outside its trial's arrivals")
+    if np.any((e < 0) | (e >= inst.n_edges)):
+        raise RuntimeError(f"{policy.name} matched an unknown edge")
+    ends = np.cumsum(np.bincount(t, minlength=len(seqs))).tolist()
+    a = block.first[t]
+    a += at  # flat arrival index
+    if np.bincount(a).max(initial=0) > inst.eta:
+        raise RuntimeError(f"{policy.name} returned more than eta edges")
+    if np.any(inst.edge_v[e] != block.v[a]):
+        raise RuntimeError(f"{policy.name} matched a non-incident edge")
+    del block
+    u = inst.edge_u[e]
+    # with one match per arrival, no arrival repeats a vertex
+    if inst.eta > 1:
+        a *= n_offline
+        a += u
+        a.sort()
+        if np.any(a[1:] == a[:-1]):
+            raise RuntimeError(f"{policy.name} repeated an offline vertex")
+    del a
+    # each (trial, offline vertex) load is its run length in one sort
+    key = t * n_offline
+    del t  # its per-trial ends are counted
+    key += u
+    del u
+    key.sort()
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    if np.any(np.diff(first, append=len(key)) > inst.capacity_array[key[first] % n_offline]):
+        raise RuntimeError("matched into a saturated offline vertex")
+    return [_Accepted((e[i:j], at[i:j])) for i, j in zip([0] + ends[:-1], ends)]
+
+
 def run_trial(policy: OnlinePolicy, inst: Instance,
               objective: SubmodularObjective, seq: ArrivalSequence,
               rng: np.random.Generator | None = None,
-              picks: tuple | None = None) -> tuple[float, list[int]]:
-    """Audit and score one trial; returns (objective value, matched edges).
+              picks: _Accepted | None = None) -> tuple[float, list[int]]:
+    """Score one trial; returns (objective value, matched edges).
 
-    ``picks`` is the trial's (matched edges, arrival positions) from
-    ``policy.replay_block``; without it the trial is replayed alone, as a
-    block of one drawing from ``rng``.  This is the only code that accepts a
-    trial's matches: it audits the whole trial once against the online
-    rule, recounting each offline vertex's load from the matches rather
-    than trusting the policy's own bookkeeping.  ``matched`` keeps repeats
-    of a type-edge; the objective scores the set.
+    ``picks`` is the trial's audited (matched edges, arrival positions), as
+    ``_replay`` accepts them for its block; they are scored as given, and
+    any other picks raise TypeError.  Without them the trial is replayed and
+    audited alone, as a block of one drawing from ``rng``.  ``matched``
+    keeps repeats of a type-edge; the objective scores the set.
     """
     if picks is None:
-        picks = policy.replay_block([rng], [seq])[0]
-    e, at = (np.asarray(p, dtype=np.int64) for p in picks)
-    matched = e.tolist()
-    if matched:
-        if np.bincount(at).max() > inst.eta:
-            raise RuntimeError(f"{policy.name} returned more than eta edges")
-        if np.any(inst.edge_v[e] != seq.slots[seq.arrival_times[at]]):
-            raise RuntimeError(f"{policy.name} matched a non-incident edge")
-        pairs = np.sort(at * inst.n_offline + inst.edge_u[e])
-        if np.any(pairs[1:] == pairs[:-1]):
-            raise RuntimeError(f"{policy.name} repeated an offline vertex")
-        load = np.bincount(inst.edge_u[e], minlength=inst.n_offline)
-        if np.any(load > inst.capacity_array):
-            raise RuntimeError("matched into a saturated offline vertex")
-    return objective.value(matched), matched
+        (picks,) = _replay(policy, [rng], [seq])
+    elif not isinstance(picks, _Accepted):
+        raise TypeError("run_trial scores only picks the block audit accepted")
+    e = picks[0]
+    return objective.value(e), e.tolist()
 
 
 @dataclass
@@ -429,13 +488,14 @@ def compute_benchmark(kind: str, inst: Instance,
 # Trials run together.  A block stays within BLOCK_CELLS 8-byte cells
 # (16 MiB).  Each trial takes one per edge (its dependent-rounding draws,
 # support or membership masks); at most 7 + 6 * eta per round of the horizon
-# for its arrival stream and the engine's arrays (measured with an arrival in
-# every round: the step loop's matched edges and positions, at most
-# 3.4 + 2 * eta; marginal sampling's uniforms and binary search, and the
-# rank resolve's picks, sort keys and ranks, at most 12.4 at eta 1 and 23.2
-# at eta 3); and about 384 (3 KiB, measured) for its generator, start
-# state, sequence object and picks, which bounds the block on small
-# instances too.
+# for its arrival stream and the engine's arrays (measured as the peak over
+# a block's replay, audit and scores, with an arrival and eta matches in
+# every round: the step loop's matched edges, then the block audit's flat
+# matches and sort keys, 9.1, 15.3 and 21.4 at eta 1, 2 and 3; marginal
+# sampling's uniforms and binary search, and the rank resolve's picks, sort
+# keys and ranks, 10.4, 17.8 and 25.1; contention resolution's 13.1, 15.3
+# and 15.3); and about 384 (3 KiB, measured) for its generator, start state,
+# sequence object and picks, which bounds the block on small instances too.
 BLOCK_CELLS = 1 << 21
 
 # An ArrivalStreams set holds its streams within STREAM_CELLS cells (8 MiB):
@@ -474,14 +534,14 @@ class ArrivalStreams:
 
 
 def _trial_block(policy, keep, seeds, held):
-    """One block replay for the block's trials, then the audit and score of
+    """One block replay and audit for the block's trials, then the score of
     each.  ``held`` are the streams of the block's first trials; the others
     are drawn here."""
     inst, objective = policy.inst, policy.objective
-    rngs = [np.random.default_rng((s, 1)) for s in seeds]
+    rngs = [np.random.default_rng((s, 1)) if policy.draws else None for s in seeds]
     seqs = list(held) + [sample_arrivals(inst, s) for s in seeds[len(held):]]
     results = []
-    for seq, picks in zip(seqs, policy.replay_block(rngs, seqs)):
+    for seq, picks in zip(seqs, _replay(policy, rngs, seqs)):
         value, matched = run_trial(policy, inst, objective, seq, picks=picks)
         results.append((value, matched if keep else None))
     return results

@@ -71,6 +71,27 @@ class TestValueOracles:
         with pytest.raises(ValueError, match=f"unknown edge id {bad}$"):
             LinearObjective(np.ones(3)).value(edges)
 
+    @pytest.mark.parametrize("kind", ["linear", "budget_additive", "coverage"])
+    def test_every_container_is_scored_and_checked_alike(self, rng, kind):
+        # run_trial scores an int64 array; callers also pass lists, tuples,
+        # sets and other arrays, and each reads the same
+        obj = small_objective(kind, 6, rng)
+        edges = [4, 1, 4, 0]
+        forms = (list, tuple, set, np.array,
+                 lambda e: np.array(e, dtype=np.int32),
+                 lambda e: np.array(e, dtype=np.uint64))
+        want = obj.value(edges)
+        for form in forms:
+            assert obj.value(form(edges)) == want
+            assert obj.value(form([])) == 0.0
+        assert obj.value(np.array([])) == 0.0  # an empty float array too
+        for bad_edges in ([1, 6, -1], [-3, 9], [2, 5, 7]):
+            for form in (list, tuple, set, np.array):
+                ids = form(bad_edges)
+                first_bad = next(e for e in ids if not 0 <= e < 6)
+                with pytest.raises(ValueError, match=f"^unknown edge id {first_bad}$"):
+                    obj.value(ids)
+
     def test_value_equals_the_per_edge_forms(self, rng):
         # the forms value had before it checked and collected edges as arrays
         for kind in ("linear", "budget_additive", "coverage"):

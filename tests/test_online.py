@@ -393,16 +393,25 @@ class TestSimulator:
                     used[inst.edge_u[e]] += 1
                 assert np.all(used <= inst.capacity_array)
 
-    @pytest.mark.parametrize("picks, arrivals, eta, message", [
-        ([2], [0], 2, "non-incident edge"),
-        ([0, 1], [0], 1, "more than eta edges"),
-        ([0, 0], [0], 2, "repeated an offline vertex"),
-        ([1], [0, 0], 2, "saturated offline vertex"),
-    ], ids=["non_incident", "over_eta", "repeated_vertex", "over_capacity"])
-    def test_faulty_policy_fails_the_trial_audit(self, picks, arrivals, eta,
+    @pytest.mark.parametrize("picks, at, arrivals, eta, message", [
+        ([2], None, [0], 2, "non-incident edge"),
+        ([0, 1], None, [0], 1, "more than eta edges"),
+        ([0, 0], None, [0], 2, "repeated an offline vertex"),
+        ([1], None, [0, 0], 2, "saturated offline vertex"),
+        ([0], [-1], [0, 0], 2, "faulty matched outside its trial's arrivals"),
+        ([0], [5], [0, 0], 2, "faulty matched outside its trial's arrivals"),
+        ([3], [0], [0, 0], 2, "faulty matched an unknown edge"),
+        ([-1], [0], [1, 1], 2, "faulty matched an unknown edge"),
+    ], ids=["non_incident", "over_eta", "repeated_vertex", "over_capacity",
+            "negative_position", "position_past_the_arrivals",
+            "edge_past_the_edges", "negative_edge"])
+    def test_faulty_policy_fails_the_trial_audit(self, picks, at, arrivals, eta,
                                                  message):
         # v0 has e0 -> u0 (capacity 2) and e1 -> u1 (capacity 1); e2 joins
-        # u0 to v1.  Each faulty policy breaks exactly one rule.
+        # u0 to v1.  Each faulty policy breaks exactly one rule.  Without
+        # ``at`` it makes the same picks on every arrival; with it, it makes
+        # them at those positions.  Edge -1 would read e2, incident to these
+        # arrivals of v1.
         inst = build_instance(
             [("u0", 2), ("u1", 1)], [("v0", 1.0), ("v1", 1.0)],
             [("e0", "u0", "v0"), ("e1", "u1", "v0"), ("e2", "u0", "v1")],
@@ -414,14 +423,135 @@ class TestSimulator:
             needs_guide = False
 
             def replay_block(self, rngs, seqs):
-                # the same picks on every arrival
-                return [([e for _ in range(n) for e in picks],
-                         [i for i in range(n) for _ in picks])
-                        for n in (len(seq.arrival_times) for seq in seqs)]
+                (seq,) = seqs
+                n = len(seq.arrival_times)
+                if at is not None:
+                    return [0] * len(picks), at, picks
+                return ([0] * (n * len(picks)), [i for i in range(n) for _ in picks],
+                        picks * n)
 
         with pytest.raises(RuntimeError, match=message):
             run_trial(Faulty(inst, obj), inst, obj,
                       ArrivalSequence(np.array(arrivals)), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("trials", [[2], [-1], [1, 0]],
+                             ids=["past_the_block", "negative", "out_of_order"])
+    def test_matches_out_of_trial_order_fail_the_audit(self, trials):
+        # a two-trial block whose matches are each fine in its own trial
+        inst = build_instance([("u0", 2)], [("v0", 1.0)], [("e0", "u0", "v0")],
+                              horizon=1)
+        obj = LinearObjective(np.ones(1))
+
+        class OutOfOrder(OnlinePolicy):
+            name = "out-of-order"
+            needs_guide = False
+
+            def replay_block(self, rngs, seqs):
+                return trials, [0] * len(trials), [0] * len(trials)
+
+        seq = ArrivalSequence(np.array([0]))
+        with pytest.raises(RuntimeError, match="out-of-order returned matches out of trial order"):
+            online_mod._replay(OutOfOrder(inst, obj), [None, None], [seq, seq])
+
+    def test_run_trial_scores_only_audited_picks(self):
+        # picks straight from a policy skip the audit, so run_trial refuses
+        # them; the block audit's own are scored as given
+        inst = build_instance([("u0", 1)], [("v0", 1.0)], [("e0", "u0", "v0")],
+                              horizon=2)
+        obj = LinearObjective(np.ones(1))
+        policy = make_policy("greedy", inst, obj)
+        seq = ArrivalSequence(np.array([0, 0]))
+        with pytest.raises(TypeError, match="only picks the block audit accepted"):
+            run_trial(policy, inst, obj, seq, picks=(np.array([0, 0]), np.array([0, 1])))
+        (picks,) = online_mod._replay(policy, [np.random.default_rng(0)], [seq])
+        assert run_trial(policy, inst, obj, seq, picks=picks) == (1.0, [0])
+
+    @pytest.mark.parametrize("fault, eta, message", [
+        ("outside", 2, "faulty matched outside its trial's arrivals"),
+        ("over_eta", 1, "more than eta edges"),
+        ("non_incident", 2, "non-incident edge"),
+        ("repeated_vertex", 2, "repeated an offline vertex"),
+        ("over_capacity", 1, "saturated offline vertex"),
+    ], ids=["outside", "over_eta", "non_incident", "repeated_vertex",
+            "over_capacity"])
+    def test_simulate_audits_every_trial_of_a_block(self, monkeypatch, fault, eta,
+                                                    message):
+        # Every round has an arrival; u0 (capacity 1) serves v0 by e0 and v1
+        # by e2.  Only trial 2 of a 4-trial block breaks the rule, so an
+        # audit that skips the block, or reads only its first trial, passes
+        # the block.  A position past trial 2's arrivals would read trial
+        # 3's first arrival.
+        inst = build_instance(
+            [("u0", 1), ("u1", 1)], [("v0", 1.0), ("v1", 1.0)],
+            [("e0", "u0", "v0"), ("e1", "u1", "v0"), ("e2", "u0", "v1")],
+            horizon=2, eta=eta)
+        obj = LinearObjective(np.ones(3))
+        to_u0 = [0, 2]  # the edge joining each type to u0
+
+        class FaultyInOneTrial(OnlinePolicy):
+            name = "faulty"
+            needs_guide = False
+
+            def replay_block(self, rngs, seqs):
+                v = seqs[2].slots[seqs[2].arrival_times].tolist()
+                edges, at = {
+                    "outside": ([to_u0[v[0]]], [len(v)]),
+                    "over_eta": ([to_u0[v[0]]] * 2, [0, 0]),
+                    "non_incident": ([to_u0[1 - v[0]]], [0]),
+                    "repeated_vertex": ([to_u0[v[0]]] * 2, [0, 0]),
+                    "over_capacity": ([to_u0[v[0]], to_u0[v[1]]], [0, 1]),
+                }[fault]
+                return [2] * len(edges), at, edges
+
+        blocks = []
+        trial_block = online_mod._trial_block
+        monkeypatch.setattr(online_mod, "_trial_block",
+                            lambda *a: blocks.append(len(a[2])) or trial_block(*a))
+        monkeypatch.setattr(online_mod, "make_policy",
+                            lambda name, inst, obj, *a, **k: FaultyInOneTrial(inst, obj))
+        with pytest.raises(RuntimeError, match=message):
+            simulate(inst, obj, "faulty", trials=4, seed=0)
+        assert blocks == [4]
+
+    def test_simulate_scores_each_trial_through_one_run_trial_call(self, rng,
+                                                                   monkeypatch):
+        # perfbench's tracer reads (policy, inst, objective, seq) positionally
+        # from one run_trial call per trial
+        inst = small_instance(rng, integral=True).with_eta(2)
+        obj = small_objective("budget_additive", inst.n_edges, rng)
+        x, _, _ = solve_offline_lp(inst, obj)
+        calls = []
+        score = online_mod.run_trial
+        monkeypatch.setattr(online_mod, "run_trial", lambda *a, **k:
+                            calls.append((a, k)) or score(*a, **k))
+        for policy in POLICY_NAMES:
+            del calls[:]
+            m = simulate(inst, obj, policy, x_star=x, trials=30, seed=8,
+                         keep_matches=True)
+            assert len(calls) == 30
+            for i, (args, kwargs) in enumerate(calls):
+                pol, cell, objective, seq = args
+                assert pol.name == policy and cell is inst and objective is obj
+                assert np.array_equal(seq.slots, sample_arrivals(inst, 8 + i).slots)
+                assert list(kwargs) == ["picks"]
+                assert kwargs["picks"][0].tolist() == m.matches[i]
+
+    def test_only_drawing_policies_get_generators(self, rng, monkeypatch):
+        # greedy draws nothing, so its trials get None; every other policy
+        # gets one generator per trial
+        inst = small_instance(rng, integral=True)
+        obj = small_objective("budget_additive", inst.n_edges, rng)
+        x, _, _ = solve_offline_lp(inst, obj)
+        seen = []
+        replay = online_mod._replay
+        monkeypatch.setattr(online_mod, "_replay", lambda policy, rngs, seqs:
+                            seen.append((policy.name, rngs)) or replay(policy, rngs, seqs))
+        for policy in POLICY_NAMES:
+            simulate(inst, obj, policy, x_star=x, trials=5, seed=1)
+        assert sorted(name for name, _ in seen) == sorted(POLICY_NAMES)
+        for name, rngs in seen:
+            assert len(rngs) == 5
+            assert all((g is None) == (name == "greedy") for g in rngs)
 
     def test_load_recount_catches_overcommit_with_consistent_bookkeeping(self):
         # u0 (capacity 1) serves v0 by e0 and v1 by e1.  The faulty policy
@@ -446,7 +576,7 @@ class TestSimulator:
                             self.remaining[e] -= 1
                             matched.append(e)
                             arrival_of.append(i)
-                return [(matched, arrival_of)]
+                return [0] * len(matched), arrival_of, matched
 
         policy = PerEdgeBooking(inst, obj)
         with pytest.raises(RuntimeError, match="saturated offline vertex"):
@@ -805,7 +935,9 @@ def assert_engine_matches_reference(policy, seqs, seeds, sizes=(None,)):
         size = size or len(seqs)
         rngs, got = trial_rngs(seeds), []
         for i in range(0, len(seqs), size):
-            got += policy.replay_block(rngs[i:i + size], seqs[i:i + size])
+            t, at, e = policy.replay_block(rngs[i:i + size], seqs[i:i + size])
+            assert np.all(np.diff(t) >= 0)  # trial by trial
+            got += [(e[t == j], at[t == j]) for j in range(len(seqs[i:i + size]))]
         for (e, at), (ref_e, ref_at) in zip(got, expected):
             assert np.asarray(e).tolist() == ref_e
             assert np.asarray(at).tolist() == ref_at
@@ -882,8 +1014,8 @@ class TestBlockEngine:
         empty = ArrivalSequence(np.full(3, -1))
         seqs = [sample_arrivals(inst, 0), empty, sample_arrivals(inst, 2)]
         assert_engine_matches_reference(pol, seqs, range(3), sizes=(1, None))
-        (e, at), = pol.replay_block([np.random.default_rng(0)], [empty])
-        assert len(e) == len(at) == 0
+        t, at, e = pol.replay_block([np.random.default_rng(0)], [empty])
+        assert len(t) == len(e) == len(at) == 0
         value, matched = run_trial(pol, inst, obj, empty, np.random.default_rng(0))
         assert value == 0.0 and matched == []
 
