@@ -18,25 +18,26 @@ are provided:
 * ``dependent-rounding`` - pre-round the guide star-by-star into a
   semi-matching and serve arrivals uniformly from it.
 
-Trials run in blocks through one entry, ``replay_block(rngs, seqs)``, with
-one generator and one arrival sequence per trial.  A policy's ``_begin``
-prepares the whole block at once (greedy's evaluator rows; one
-``dependent_round_stars`` call over the block's generators; contention
-resolution's ``sample_support`` per trial, in the loop that draws that
-trial's picks), and the block is then matched in one of two ways.  Marginal
-sampling's and contention resolution's picks depend on no state, so each
-draws all of a trial's picks up front (``eta`` uniforms per arrival; one
-index per arrival with candidates) and the block resolves them by rank,
-with one stable sort over (trial, offline vertex): a pick commits iff it is
-among the first b_u picks of its offline vertex u, after dropping a pick
-whose u already served the same arrival.  Greedy's and dependent rounding's
-picks depend on what was matched, so they step through ``_choose``: step k
-serves each trial's k-th arrival with one numpy step over the trials for
-each of up to ``eta`` picks, on state held as arrays (remaining capacities,
-trials x offline vertices; greedy's evaluator rows; the rounded edge sets);
-dependent rounding draws each pick from the trial's own generator, and only
-when more than one edge is open.  A block returns its matches flat, as
-(trial, arrival position, edge) arrays.  ``_replay`` is the one place that
+Trials run in blocks through one entry, ``replay_block(block)``: a
+``_Block`` holds one generator and one arrival sequence per trial, its
+arrivals laid out flat.  A policy's ``_begin`` prepares the whole block at
+once (greedy's evaluator rows; one ``dependent_round_stars`` call over the
+block's generators; contention resolution's ``sample_support`` per trial, in
+the loop that draws that trial's picks), and the block is then matched in
+one of two ways.  Marginal sampling's and contention resolution's picks
+depend on no state, so each draws all of a trial's picks up front (``eta``
+uniforms per arrival; one index per arrival with candidates) and the block
+resolves them by rank, with one stable sort over (trial, offline vertex): a
+pick commits iff it is among the first b_u picks of its offline vertex u,
+after dropping a pick whose u already served the same arrival.  Greedy's and
+dependent rounding's picks depend on what was matched, so they step through
+``_choose``: step k serves each trial's k-th arrival with one numpy step over
+the trials for each of up to ``eta`` picks, on state held as arrays
+(remaining capacities, trials x offline vertices; greedy's evaluator rows;
+the rounded edge sets); dependent rounding draws each pick from the trial's
+own generator, and only when more than one edge is open.  A block returns
+its matches as (arrival, edge) arrays, each arrival a flat index into the
+block's arrivals, which names its trial.  ``_replay`` is the one place that
 accepts matches: it audits each block once, in one numpy pass over those
 arrays, recounting each offline vertex's load from the matches instead of
 trusting the policy's own capacity bookkeeping.  ``run_trial`` then scores
@@ -76,10 +77,10 @@ POLICY_NAMES = ("marginal-sampling", "contention-resolution", "greedy",
 class OnlinePolicy:
     """Shared immutable preparation and the trial engine.
 
-    ``replay_block(rngs, seqs)`` is the engine's one entry: it plays a block
+    ``replay_block(block)`` is the engine's one entry: it plays a ``_Block``
     of trials, one generator and one arrival sequence each, and returns the
-    block's matches flat, as (trial, position, edge) arrays.  A policy adds
-    ``_begin``, which prepares the block's state from the generators, and,
+    block's matches flat, as (arrival, edge) arrays.  A policy adds
+    ``_begin``, which prepares the block's state from its generators, and,
     if it steps, ``_choose``.  Stepping advances all trials of the block
     together, arrival by arrival: step k serves each trial's k-th arrival,
     in up to ``eta`` rounds of one numpy step over the trials.  A stepping
@@ -111,48 +112,44 @@ class OnlinePolicy:
             if not lpmod.feasible_for_matching(inst, self.x_star):
                 raise ValueError(f"infeasible {self.name} guide: not in the b-matching polytope")
 
-    def replay_block(self, rngs: list[np.random.Generator],
-                     seqs: list[ArrivalSequence]) -> tuple:
+    def replay_block(self, block: "_Block") -> tuple:
         """Match along each trial's arrival sequence, trial i drawing from
-        ``rngs[i]``.  Returns the block's matches as three int arrays,
-        (trial, position, edge): trial by trial, each trial's in commit
-        order, a match of trial i at ``seqs[i].arrival_times[position]``.
-        The policy keeps its own remaining capacities."""
-        block = _Block(self.inst, seqs)
-        run = self._begin(rngs, block)
-        n, steps = len(seqs), int(block.count.max(initial=0))
-        # column n_offline is the vertex of the -1 pad: it has no capacity
-        remaining = np.zeros((n, self.inst.n_offline + 1), dtype=np.int64)
-        remaining[:, :-1] = self.inst.capacity_array
-        # round r of step k writes its match to column eta * k + r, so each
-        # row's matches read in commit order, -1 where none was made
+        ``block.rngs[i]``.  Returns the block's matches as two int arrays,
+        (arrival, edge), in commit order: a match at flat arrival a is made
+        on the arrival of type ``block.v[a]``.  The policy keeps its own
+        remaining capacities."""
+        run = self._begin(block)
         eta = self.inst.eta
-        matched = np.full((n, eta * steps), -1, dtype=np.int64)
+        # column n_offline is the vertex of the -1 pad: it has no capacity
+        remaining = np.zeros((len(block.count), self.inst.n_offline + 1), dtype=np.int64)
+        remaining[:, :-1] = self.inst.capacity_array
+        # round r at flat arrival a writes its match to cell (a, r), so the
+        # matches read in commit order, row by row, -1 where none was made
+        matched = np.full((len(block.v), eta), -1, dtype=np.int64)
         # a table with no columns: no type has an edge, nothing to match
-        for k in range(steps) if self._table.shape[1] else ():
+        for k in range(int(block.count.max(initial=0))) if self._table.shape[1] else ():
             rows = np.flatnonzero(block.count > k)
-            cand = self._table[block.v[block.first[rows] + k]]
+            a = block.first[rows] + k
+            cand = self._table[block.v[a]]
             us = self._edge_u[cand]
             open_ = remaining[rows[:, None], us] > 0
             for r in range(eta):
                 hit, col = self._choose(run, rows, cand, open_)
                 if not len(hit):
                     continue
-                t = rows[hit]
-                remaining[t, us[hit, col]] -= 1
+                remaining[rows[hit], us[hit, col]] -= 1
                 open_[hit, col] = False
-                matched[t, eta * k + r] = cand[hit, col]
+                matched[a[hit], r] = cand[hit, col]
         kept = matched >= 0
         e = matched[kept]
         del matched
-        at = np.flatnonzero(kept)
-        at %= kept.shape[1]  # each match's column eta * k + r ...
-        at //= eta  # ... and its step k, the position of its arrival
-        return np.repeat(np.arange(n), np.count_nonzero(kept, axis=1)), at, e
+        a = np.flatnonzero(kept)
+        a //= eta  # cell (a, r) is flat cell eta * a + r
+        return a, e
 
-    def _begin(self, rngs: list[np.random.Generator], block: "_Block"):
-        """The policy's own state for a block, from one generator per trial;
-        a stepping policy's is passed to each round."""
+    def _begin(self, block: "_Block"):
+        """The policy's own state for a block, from its generators, one per
+        trial; a stepping policy's is passed to each round."""
         raise NotImplementedError
 
     def _choose(self, run, rows: np.ndarray, cand: np.ndarray,
@@ -170,27 +167,27 @@ class PredrawnPolicy(OnlinePolicy):
     of stepping.  ``_begin`` returns the picks as (arrival, edge) arrays,
     arrivals indexing ``_Block.v``, in the order the policy makes them."""
 
-    def replay_block(self, rngs, seqs):
-        block = _Block(self.inst, seqs)
-        return block.resolve(*self._begin(rngs, block))
+    def replay_block(self, block):
+        return block.resolve(*self._begin(block))
 
 
 class _Block:
-    """A block of trials replayed together.  Its arrivals are laid out flat,
-    trial by trial and each trial's in time order: ``v`` holds each
+    """A block of trials replayed together: ``rngs`` holds each trial's
+    generator (None if the policy draws nothing), and its arrivals are laid
+    out flat, trial by trial and each trial's in time order: ``v`` holds each
     arrival's type, ``count`` each trial's number of arrivals and ``first``
-    the flat index of its first.
-    """
+    the flat index of its first, so a flat index names its trial."""
 
-    def __init__(self, inst: Instance, seqs: list[ArrivalSequence]):
-        self.inst = inst
+    def __init__(self, inst: Instance, rngs: list[np.random.Generator | None],
+                 seqs: list[ArrivalSequence]):
+        self.inst, self.rngs = inst, rngs
         self.count = np.array([len(seq.arrival_times) for seq in seqs], dtype=np.int64)
         self.v = np.concatenate([seq.slots[seq.arrival_times] for seq in seqs]
                                 + [np.empty(0, dtype=np.int64)])
         self.first = np.cumsum(self.count) - self.count
 
     def resolve(self, a: np.ndarray, e: np.ndarray) -> tuple:
-        """The block's (trial, position, edge) matches from picks drawn
+        """The block's (arrival, edge) matches from picks drawn
         before the block ran: pick i offers edge ``e[i]`` at flat
         arrival ``a[i]``, in (arrival, round) order, at most ``eta`` per
         arrival.  Within each trial a pick is dropped if its offline vertex
@@ -215,8 +212,7 @@ class _Block:
         rank = np.arange(len(key)) - np.repeat(start, np.diff(start, append=len(key)))
         won = np.empty(len(a), dtype=bool)
         won[order] = rank < inst.capacity_array[u[order]]
-        t = t[won]
-        return t, a[won] - self.first[t], e[won]
+        return a[won], e[won]
 
 
 class MarginalSamplingPolicy(PredrawnPolicy):
@@ -231,13 +227,13 @@ class MarginalSamplingPolicy(PredrawnPolicy):
                               / (eta * inst.rate_array[:, None]), axis=1)
         self._degree = (self._table >= 0).sum(axis=1)
 
-    def _begin(self, rngs, block):
+    def _begin(self, block):
         """``eta`` uniforms per arrival, drawn whether or not they match;
         each picks the edge whose slice of its type's mass it falls in, and
         one past the type's mass is skipped."""
         eta = self.inst.eta
         r = np.concatenate([rng.random(m) for rng, m in
-                            zip(rngs, (eta * block.count).tolist())])
+                            zip(block.rngs, (eta * block.count).tolist())])
         v = np.repeat(block.v, eta)  # draw i is made at flat arrival i // eta
         col = self._bisect_right(v, r)
         hit = np.flatnonzero(col < self._degree[v])
@@ -270,13 +266,13 @@ class ContentionResolutionPolicy(PredrawnPolicy):
                 "run it anyway"
             )
 
-    def _begin(self, rngs, block):
+    def _begin(self, block):
         """Per trial, its support (X, Y), then each arrival's pick up front:
         the arrival of v draws one of its k_v X-edges uniformly (an arrival
         with none draws nothing), and offers it if its Y bit is set."""
         inst = self.inst
         arrivals, edges = [], []
-        for start, n, rng in zip(block.first.tolist(), block.count.tolist(), rngs):
+        for start, n, rng in zip(block.first.tolist(), block.count.tolist(), block.rngs):
             support = sample_support(self.x_star, inst, rng)
             # X-edges grouped by type, each type's in index order
             present = inst.edges_by_v[support.X[inst.edges_by_v]]
@@ -303,8 +299,8 @@ class GreedyPolicy(OnlinePolicy):
         order = np.argsort(self._edge_u[table], axis=1, kind="stable")
         self._table = np.take_along_axis(table, order, axis=1)
 
-    def _begin(self, rngs, block):
-        return self.objective.evaluator(len(rngs))
+    def _begin(self, block):
+        return self.objective.evaluator(len(block.count))
 
     def _choose(self, evaluator, rows, cand, open_):
         r, c = np.nonzero(open_)
@@ -325,9 +321,9 @@ class DependentRoundingPolicy(OnlinePolicy):
         super().__init__(inst, objective, x_star)
         self._table = inst.edge_table_v  # serve the rounded edges in index order
 
-    def _begin(self, rngs, block):
+    def _begin(self, block):
         # a -1 pad reads the last edge's bit, but open_ is False there
-        return dependent_round_stars(self.x_star, self.inst, rngs), rngs
+        return dependent_round_stars(self.x_star, self.inst, block.rngs), block.rngs
 
     def _choose(self, run, rows, cand, open_):
         chosen, rngs = run
@@ -358,42 +354,39 @@ def make_policy(name: str, inst: Instance, objective: SubmodularObjective,
 
 
 class _Accepted(tuple):
-    """A trial's (matched edges, arrival positions), as ``_replay`` accepts
-    them: the only picks ``run_trial`` scores."""
+    """A trial's (matched edges,), as ``_replay`` accepts them: the only
+    picks ``run_trial`` scores."""
 
 
-def _replay(policy: OnlinePolicy, rngs: list[np.random.Generator],
-            seqs: list[ArrivalSequence]) -> list[_Accepted]:
+def _replay(policy: OnlinePolicy, block: _Block) -> list[_Accepted]:
     """Replay a block of trials and accept its matches: for each trial, its
-    matched edges in commit order and their arrival positions, as int64
-    arrays.
+    matched edges in commit order, as an int64 array.
 
     This is the only code that accepts matches.  It audits the whole block
-    once, over its flat (trial, position, edge) matches, against the online
-    rule, instead of trusting the policy's own bookkeeping: the matches come
-    trial by trial, each position names one of its trial's arrivals and each
-    edge one of the instance's, an arrival takes at most ``eta`` matches,
-    each incident to its type and to distinct offline vertices, and each
-    offline vertex's load in each trial, recounted from the matches, stays
-    within its capacity.  A violation raises RuntimeError naming the first
-    of these rules that any trial of the block breaks.
+    once, over its flat (arrival, edge) matches, against the online rule,
+    instead of trusting the policy's own bookkeeping: each arrival is one of
+    the block's, arrivals never decrease (so the matches come trial by
+    trial), each edge is one of the instance's, an arrival takes at most
+    ``eta`` matches, each incident to its type and to distinct offline
+    vertices, and each offline vertex's load in each trial, recounted from
+    the matches, stays within its capacity.  A violation raises RuntimeError
+    naming the first of these rules that any trial of the block breaks.
     """
     inst, n_offline = policy.inst, policy.inst.n_offline
-    t, at, e = (np.asarray(p, dtype=np.int64) for p in policy.replay_block(rngs, seqs))
-    block = _Block(inst, seqs)
-    if np.any(np.diff(t, prepend=0, append=len(seqs) - 1) < 0):
-        raise RuntimeError(f"{policy.name} returned matches out of trial order")
-    if np.any((at < 0) | (at >= block.count[t])):
-        raise RuntimeError(f"{policy.name} matched outside its trial's arrivals")
+    a, e = (np.asarray(p, dtype=np.int64) for p in policy.replay_block(block))
+    if np.any((a < 0) | (a >= len(block.v))):
+        raise RuntimeError(f"{policy.name} matched outside the block's arrivals")
+    if np.any(np.diff(a) < 0):
+        raise RuntimeError(f"{policy.name} returned matches out of arrival order")
     if np.any((e < 0) | (e >= inst.n_edges)):
         raise RuntimeError(f"{policy.name} matched an unknown edge")
-    ends = np.cumsum(np.bincount(t, minlength=len(seqs))).tolist()
-    a = block.first[t]
-    a += at  # flat arrival index
     if np.bincount(a).max(initial=0) > inst.eta:
         raise RuntimeError(f"{policy.name} returned more than eta edges")
     if np.any(inst.edge_v[e] != block.v[a]):
         raise RuntimeError(f"{policy.name} matched a non-incident edge")
+    # each match's trial: the last whose first arrival is at or before it
+    t = np.searchsorted(block.first, a, side="right") - 1
+    ends = np.cumsum(np.bincount(t, minlength=len(block.count))).tolist()
     del block
     u = inst.edge_u[e]
     # with one match per arrival, no arrival repeats a vertex
@@ -413,7 +406,7 @@ def _replay(policy: OnlinePolicy, rngs: list[np.random.Generator],
     first = np.flatnonzero(np.diff(key, prepend=-1))
     if np.any(np.diff(first, append=len(key)) > inst.capacity_array[key[first] % n_offline]):
         raise RuntimeError("matched into a saturated offline vertex")
-    return [_Accepted((e[i:j], at[i:j])) for i, j in zip([0] + ends[:-1], ends)]
+    return [_Accepted((e[i:j],)) for i, j in zip([0] + ends[:-1], ends)]
 
 
 def run_trial(policy: OnlinePolicy, inst: Instance,
@@ -422,14 +415,14 @@ def run_trial(policy: OnlinePolicy, inst: Instance,
               picks: _Accepted | None = None) -> tuple[float, list[int]]:
     """Score one trial; returns (objective value, matched edges).
 
-    ``picks`` is the trial's audited (matched edges, arrival positions), as
-    ``_replay`` accepts them for its block; they are scored as given, and
-    any other picks raise TypeError.  Without them the trial is replayed and
-    audited alone, as a block of one drawing from ``rng``.  ``matched``
-    keeps repeats of a type-edge; the objective scores the set.
+    ``picks`` is the trial's audited (matched edges,), as ``_replay``
+    accepts them for its block; they are scored as given, and any other
+    picks raise TypeError.  Without them the trial is replayed and audited
+    alone, as a block of one drawing from ``rng``.  ``matched`` keeps
+    repeats of a type-edge; the objective scores the set.
     """
     if picks is None:
-        (picks,) = _replay(policy, [rng], [seq])
+        (picks,) = _replay(policy, _Block(policy.inst, [rng], [seq]))
     elif not isinstance(picks, _Accepted):
         raise TypeError("run_trial scores only picks the block audit accepted")
     e = picks[0]
@@ -487,15 +480,16 @@ def compute_benchmark(kind: str, inst: Instance,
 
 # Trials run together.  A block stays within BLOCK_CELLS 8-byte cells
 # (16 MiB).  Each trial takes one per edge (its dependent-rounding draws,
-# support or membership masks); at most 7 + 6 * eta per round of the horizon
-# for its arrival stream and the engine's arrays (measured as the peak over
-# a block's replay, audit and scores, with an arrival and eta matches in
-# every round: the step loop's matched edges, then the block audit's flat
-# matches and sort keys, 9.1, 15.3 and 21.4 at eta 1, 2 and 3; marginal
-# sampling's uniforms and binary search, and the rank resolve's picks, sort
-# keys and ranks, 10.4, 17.8 and 25.1; contention resolution's 13.1, 15.3
-# and 15.3); and about 384 (3 KiB, measured) for its generator, start state,
-# sequence object and picks, which bounds the block on small instances too.
+# support or membership masks); at most 6 + 8 * eta per round of the horizon
+# for its arrival stream and the engine's arrays (measured with tracemalloc
+# as the rise of one block's peak over its replay, audit and scores from
+# horizon 200 to 600, with an arrival every round and every draw on an edge:
+# the step loop's (arrival, round) table, then the audit's flat matches and
+# sort keys, 7.1, 11.3 and 15.4 at eta 1, 2 and 3; marginal sampling's
+# uniforms and binary search, and the rank resolve's picks, sort keys and
+# ranks, 12.1, 21.0 and 28.6; contention resolution's 12.1, 14.3 and 14.3);
+# and about 384 (3 KiB, measured) for its generator, start state, sequence
+# object and picks, which bounds the block on small instances too.
 BLOCK_CELLS = 1 << 21
 
 # An ArrivalStreams set holds its streams within STREAM_CELLS cells (8 MiB):
@@ -541,7 +535,7 @@ def _trial_block(policy, keep, seeds, held):
     rngs = [np.random.default_rng((s, 1)) if policy.draws else None for s in seeds]
     seqs = list(held) + [sample_arrivals(inst, s) for s in seeds[len(held):]]
     results = []
-    for seq, picks in zip(seqs, _replay(policy, rngs, seqs)):
+    for seq, picks in zip(seqs, _replay(policy, _Block(inst, rngs, seqs))):
         value, matched = run_trial(policy, inst, objective, seq, picks=picks)
         results.append((value, matched if keep else None))
     return results
@@ -583,7 +577,7 @@ def simulate(
     else:
         benchmark_kind, benchmark_value = benchmark
 
-    block = max(1, BLOCK_CELLS // (inst.n_edges + (7 + 6 * inst.eta) * inst.horizon
+    block = max(1, BLOCK_CELLS // (inst.n_edges + (6 + 8 * inst.eta) * inst.horizon
                                    + 384))
     if workers > 1 and trials > 1:
         block = min(block, math.ceil(trials / (workers * 4)))

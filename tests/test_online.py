@@ -398,8 +398,8 @@ class TestSimulator:
         ([0, 1], None, [0], 1, "more than eta edges"),
         ([0, 0], None, [0], 2, "repeated an offline vertex"),
         ([1], None, [0, 0], 2, "saturated offline vertex"),
-        ([0], [-1], [0, 0], 2, "faulty matched outside its trial's arrivals"),
-        ([0], [5], [0, 0], 2, "faulty matched outside its trial's arrivals"),
+        ([0], [-1], [0, 0], 2, "faulty matched outside the block's arrivals"),
+        ([0], [2], [0, 0], 2, "faulty matched outside the block's arrivals"),
         ([3], [0], [0, 0], 2, "faulty matched an unknown edge"),
         ([-1], [0], [1, 1], 2, "faulty matched an unknown edge"),
     ], ids=["non_incident", "over_eta", "repeated_vertex", "over_capacity",
@@ -410,8 +410,8 @@ class TestSimulator:
         # v0 has e0 -> u0 (capacity 2) and e1 -> u1 (capacity 1); e2 joins
         # u0 to v1.  Each faulty policy breaks exactly one rule.  Without
         # ``at`` it makes the same picks on every arrival; with it, it makes
-        # them at those positions.  Edge -1 would read e2, incident to these
-        # arrivals of v1.
+        # them at those flat arrivals, of which the block has 2.  Edge -1
+        # would read e2, incident to these arrivals of v1.
         inst = build_instance(
             [("u0", 2), ("u1", 1)], [("v0", 1.0), ("v1", 1.0)],
             [("e0", "u0", "v0"), ("e1", "u1", "v0"), ("e2", "u0", "v1")],
@@ -422,36 +422,41 @@ class TestSimulator:
             name = "faulty"
             needs_guide = False
 
-            def replay_block(self, rngs, seqs):
-                (seq,) = seqs
-                n = len(seq.arrival_times)
+            def replay_block(self, block):
                 if at is not None:
-                    return [0] * len(picks), at, picks
-                return ([0] * (n * len(picks)), [i for i in range(n) for _ in picks],
-                        picks * n)
+                    return at, picks
+                n = len(block.v)
+                return [i for i in range(n) for _ in picks], picks * n
 
         with pytest.raises(RuntimeError, match=message):
             run_trial(Faulty(inst, obj), inst, obj,
                       ArrivalSequence(np.array(arrivals)), np.random.default_rng(0))
 
-    @pytest.mark.parametrize("trials", [[2], [-1], [1, 0]],
-                             ids=["past_the_block", "negative", "out_of_order"])
-    def test_matches_out_of_trial_order_fail_the_audit(self, trials):
-        # a two-trial block whose matches are each fine in its own trial
+    @pytest.mark.parametrize("arrivals, message", [
+        ([4], "matched outside the block's arrivals"),
+        ([-1], "matched outside the block's arrivals"),
+        ([2, 0], "returned matches out of arrival order"),
+        ([1, 0], "returned matches out of arrival order"),
+    ], ids=["past_the_block", "negative", "out_of_order", "within_a_trial"])
+    def test_matches_out_of_trial_order_fail_the_audit(self, arrivals, message):
+        # a two-trial block, flat arrivals 0-1 and 2-3, whose matches are
+        # each fine in its own trial; within_a_trial keeps trial order, and
+        # only its arrival order is wrong
         inst = build_instance([("u0", 2)], [("v0", 1.0)], [("e0", "u0", "v0")],
-                              horizon=1)
+                              horizon=2)
         obj = LinearObjective(np.ones(1))
 
         class OutOfOrder(OnlinePolicy):
             name = "out-of-order"
             needs_guide = False
 
-            def replay_block(self, rngs, seqs):
-                return trials, [0] * len(trials), [0] * len(trials)
+            def replay_block(self, block):
+                return arrivals, [0] * len(arrivals)
 
-        seq = ArrivalSequence(np.array([0]))
-        with pytest.raises(RuntimeError, match="out-of-order returned matches out of trial order"):
-            online_mod._replay(OutOfOrder(inst, obj), [None, None], [seq, seq])
+        seq = ArrivalSequence(np.array([0, 0]))
+        with pytest.raises(RuntimeError, match=f"out-of-order {message}"):
+            online_mod._replay(OutOfOrder(inst, obj),
+                               online_mod._Block(inst, [None, None], [seq, seq]))
 
     def test_run_trial_scores_only_audited_picks(self):
         # picks straight from a policy skip the audit, so run_trial refuses
@@ -462,12 +467,12 @@ class TestSimulator:
         policy = make_policy("greedy", inst, obj)
         seq = ArrivalSequence(np.array([0, 0]))
         with pytest.raises(TypeError, match="only picks the block audit accepted"):
-            run_trial(policy, inst, obj, seq, picks=(np.array([0, 0]), np.array([0, 1])))
-        (picks,) = online_mod._replay(policy, [np.random.default_rng(0)], [seq])
+            run_trial(policy, inst, obj, seq, picks=(np.array([0]),))
+        (picks,) = online_mod._replay(policy, online_mod._Block(inst, [None], [seq]))
         assert run_trial(policy, inst, obj, seq, picks=picks) == (1.0, [0])
 
     @pytest.mark.parametrize("fault, eta, message", [
-        ("outside", 2, "faulty matched outside its trial's arrivals"),
+        ("outside", 2, "faulty matched outside the block's arrivals"),
         ("over_eta", 1, "more than eta edges"),
         ("non_incident", 2, "non-incident edge"),
         ("repeated_vertex", 2, "repeated an offline vertex"),
@@ -479,8 +484,8 @@ class TestSimulator:
         # Every round has an arrival; u0 (capacity 1) serves v0 by e0 and v1
         # by e2.  Only trial 2 of a 4-trial block breaks the rule, so an
         # audit that skips the block, or reads only its first trial, passes
-        # the block.  A position past trial 2's arrivals would read trial
-        # 3's first arrival.
+        # the block.  Its matches are at flat arrivals of trial 2, except
+        # outside's, which is one past the block's last arrival.
         inst = build_instance(
             [("u0", 1), ("u1", 1)], [("v0", 1.0), ("v1", 1.0)],
             [("e0", "u0", "v0"), ("e1", "u1", "v0"), ("e2", "u0", "v1")],
@@ -492,16 +497,17 @@ class TestSimulator:
             name = "faulty"
             needs_guide = False
 
-            def replay_block(self, rngs, seqs):
-                v = seqs[2].slots[seqs[2].arrival_times].tolist()
+            def replay_block(self, block):
+                f = int(block.first[2])
+                v = block.v[f:f + block.count[2]].tolist()
                 edges, at = {
-                    "outside": ([to_u0[v[0]]], [len(v)]),
-                    "over_eta": ([to_u0[v[0]]] * 2, [0, 0]),
-                    "non_incident": ([to_u0[1 - v[0]]], [0]),
-                    "repeated_vertex": ([to_u0[v[0]]] * 2, [0, 0]),
-                    "over_capacity": ([to_u0[v[0]], to_u0[v[1]]], [0, 1]),
+                    "outside": ([to_u0[v[0]]], [len(block.v)]),
+                    "over_eta": ([to_u0[v[0]]] * 2, [f, f]),
+                    "non_incident": ([to_u0[1 - v[0]]], [f]),
+                    "repeated_vertex": ([to_u0[v[0]]] * 2, [f, f]),
+                    "over_capacity": ([to_u0[v[0]], to_u0[v[1]]], [f, f + 1]),
                 }[fault]
-                return [2] * len(edges), at, edges
+                return at, edges
 
         blocks = []
         trial_block = online_mod._trial_block
@@ -544,8 +550,8 @@ class TestSimulator:
         x, _, _ = solve_offline_lp(inst, obj)
         seen = []
         replay = online_mod._replay
-        monkeypatch.setattr(online_mod, "_replay", lambda policy, rngs, seqs:
-                            seen.append((policy.name, rngs)) or replay(policy, rngs, seqs))
+        monkeypatch.setattr(online_mod, "_replay", lambda policy, block:
+                            seen.append((policy.name, block.rngs)) or replay(policy, block))
         for policy in POLICY_NAMES:
             simulate(inst, obj, policy, x_star=x, trials=5, seed=1)
         assert sorted(name for name, _ in seen) == sorted(POLICY_NAMES)
@@ -566,17 +572,16 @@ class TestSimulator:
             name = "per-edge-booking"
             needs_guide = False
 
-            def replay_block(self, rngs, seqs):
-                (seq,) = seqs
+            def replay_block(self, block):
                 self.remaining = [inst.capacities[u] for u in inst.edge_u]
                 matched, arrival_of = [], []
-                for i, (_, v) in enumerate(arrival_pairs(seq)):
+                for a, v in enumerate(block.v.tolist()):
                     for e in inst.edges_at_v[v].tolist():
                         if self.remaining[e] > 0:
                             self.remaining[e] -= 1
                             matched.append(e)
-                            arrival_of.append(i)
-                return [0] * len(matched), arrival_of, matched
+                            arrival_of.append(a)
+                return arrival_of, matched
 
         policy = PerEdgeBooking(inst, obj)
         with pytest.raises(RuntimeError, match="saturated offline vertex"):
@@ -935,9 +940,11 @@ def assert_engine_matches_reference(policy, seqs, seeds, sizes=(None,)):
         size = size or len(seqs)
         rngs, got = trial_rngs(seeds), []
         for i in range(0, len(seqs), size):
-            t, at, e = policy.replay_block(rngs[i:i + size], seqs[i:i + size])
-            assert np.all(np.diff(t) >= 0)  # trial by trial
-            got += [(e[t == j], at[t == j]) for j in range(len(seqs[i:i + size]))]
+            block = online_mod._Block(policy.inst, rngs[i:i + size], seqs[i:i + size])
+            a, e = policy.replay_block(block)
+            assert np.all(np.diff(a) >= 0)  # arrival by arrival
+            t = np.repeat(np.arange(len(block.count)), block.count)[a]
+            got += [(e[t == j], a[t == j] - block.first[j]) for j in range(len(block.count))]
         for (e, at), (ref_e, ref_at) in zip(got, expected):
             assert np.asarray(e).tolist() == ref_e
             assert np.asarray(at).tolist() == ref_at
@@ -1014,8 +1021,8 @@ class TestBlockEngine:
         empty = ArrivalSequence(np.full(3, -1))
         seqs = [sample_arrivals(inst, 0), empty, sample_arrivals(inst, 2)]
         assert_engine_matches_reference(pol, seqs, range(3), sizes=(1, None))
-        t, at, e = pol.replay_block([np.random.default_rng(0)], [empty])
-        assert len(t) == len(e) == len(at) == 0
+        a, e = pol.replay_block(online_mod._Block(inst, [np.random.default_rng(0)], [empty]))
+        assert len(a) == len(e) == 0
         value, matched = run_trial(pol, inst, obj, empty, np.random.default_rng(0))
         assert value == 0.0 and matched == []
 
