@@ -152,6 +152,10 @@ def cmd_simulate(args) -> int:
         x_star = sol.x
         if args.benchmark == sol.benchmark_kind and sol.benchmark_value is not None:
             benchmark = (sol.benchmark_kind, sol.benchmark_value)
+    elif args.algorithm != "greedy":  # every other policy is guided
+        raise UsageError(f"{args.algorithm} needs offline edge marginals")
+    elif args.benchmark == "guide-scaled":
+        raise UsageError("guide-scaled benchmark needs edge marginals")
     metrics = simulate(
         inst, objective, args.algorithm, x_star=x_star, trials=args.trials,
         seed=args.seed, benchmark=benchmark, workers=args.workers,

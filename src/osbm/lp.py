@@ -18,6 +18,11 @@ column in place, one row at a time, with the float operations [A | I] would
 perform on its nonbasic entries, so every result is bit for bit the full
 tableau's.
 
+A program holds its constraint matrix as its nonzero entries (see
+`LinearProgram`); `build_matching_lmo` and `build_special_lp` emit entries
+and never a dense matrix, and `solve` scatters them into its tableau, so
+the tableau is the one dense m x n array alive during a solve.
+
 The coverage epigraph program is presolved exactly before it reaches the
 solver (see `build_special_lp`): features with identical covering-edge sets
 share one epigraph row, and features covered by a single edge need none.
@@ -41,25 +46,61 @@ FEAS_TOL = 1e-9
 DEGENERATE_LIMIT = 50
 
 
-@dataclass
 class LinearProgram:
-    """max c.x  s.t.  A x <= b,  0 <= x <= upper (componentwise)."""
+    """max c.x  s.t.  A x <= b,  0 <= x <= upper (componentwise).
 
-    c: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
-    upper: np.ndarray
-    n_edge_vars: int | None = None  # leading columns that map to instance edges
+    The program holds A as its nonzero entries, A[rows[k], cols[k]] =
+    values[k] in row-major order: every entry whose bits are not +0.0, so a
+    -0.0 is kept.  A is given dense here or as entries to `from_entries`;
+    either way, each read of `A` returns a fresh dense array, bit for bit
+    the matrix given.  `solve` reads it once, as its tableau.
+    """
 
-    def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float)
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        self.b = np.asarray(self.b, dtype=float)
-        self.upper = np.asarray(self.upper, dtype=float)
-        if self.A.shape != (len(self.b), len(self.c)):
+    def __init__(self, c, A, b, upper, n_edge_vars: int | None = None):
+        A = np.atleast_2d(np.asarray(A, dtype=float))
+        if A.shape != (np.size(b), np.size(c)):
             raise ValueError("inconsistent LP dimensions")
+        rows, cols = np.nonzero(A.view(np.uint64))  # any bits but +0.0
+        self._hold(c, (rows, cols, A[rows, cols]), b, upper, n_edge_vars)
+
+    @classmethod
+    def from_entries(cls, c, entries, b, upper,
+                     n_edge_vars: int | None = None) -> "LinearProgram":
+        """The program whose A has the entries (rows, cols, values), each
+        (row, column) at most once, and +0.0 everywhere else."""
+        lp = cls.__new__(cls)
+        lp._hold(c, entries, b, upper, n_edge_vars)
+        return lp
+
+    def _hold(self, c, entries, b, upper, n_edge_vars):
+        self.c = np.asarray(c, dtype=float)
+        self.b = np.asarray(b, dtype=float)
+        self.upper = np.asarray(upper, dtype=float)
+        self.n_edge_vars = n_edge_vars  # leading columns that map to instance edges
         if len(self.upper) != len(self.c):
             raise ValueError("upper bound vector length mismatch")
+        m, n = len(self.b), len(self.c)
+        rows, cols, values = (np.asarray(a, dtype=t).ravel()
+                              for a, t in zip(entries, (np.intp, np.intp, float)))
+        if not len(rows) == len(cols) == len(values):
+            raise ValueError("entry arrays of different lengths")
+        if np.any((rows < 0) | (rows >= m) | (cols < 0) | (cols >= n)):
+            raise ValueError("entry outside the constraint matrix")
+        key = rows * n + cols
+        nonzero = np.flatnonzero(values.view(np.uint64))  # +0.0 is all-zero bits
+        order = nonzero[np.argsort(key[nonzero], kind="stable")]
+        if np.any(np.diff(key[order]) == 0):
+            raise ValueError("repeated constraint matrix entry")
+        # int32 indices: an entry takes 16 bytes, not 24
+        self.rows, self.cols = rows[order].astype(np.int32), cols[order].astype(np.int32)
+        self.values = values[order]
+
+    @property
+    def A(self) -> np.ndarray:
+        """The constraint matrix, dense: a fresh m x n array on each read."""
+        A = np.zeros((len(self.b), len(self.c)))
+        A[self.rows, self.cols] = self.values
+        return A
 
 
 @dataclass
@@ -108,10 +149,10 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
     the lowest-index leaving rule break ties by variable index, so the result
     is a deterministic function of the program.
     """
-    m, n = lp.A.shape
+    m, n = len(lp.b), len(lp.c)
     if np.any(lp.b < 0):
         raise ValueError("negative right-hand side; generated programs keep b >= 0")
-    T = lp.A.copy()  # lp is not written
+    T = lp.A  # a fresh dense copy of A: the solve's one dense m x n array
     beta = lp.b.astype(float)
     d = lp.c.copy()
     upper = np.concatenate([lp.upper, np.full(m, np.inf)])
@@ -222,11 +263,12 @@ def reference_solve(lp: LinearProgram) -> Fraction:
 
     Intended for auditing on small programs; cost grows quickly with size.
     """
-    m, n = lp.A.shape
+    A = lp.A  # one dense read
+    m, n = A.shape
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     for i in range(m):
-        rows.append([Fraction(lp.A[i, j]) for j in range(n)])
+        rows.append([Fraction(a) for a in A[i].tolist()])
         rhs.append(Fraction(lp.b[i]))
     for j in range(n):
         if np.isfinite(lp.upper[j]):
@@ -277,16 +319,18 @@ def reference_solve(lp: LinearProgram) -> Fraction:
 
 # -- program builders -------------------------------------------------------
 
-def matching_rows(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
+def matching_rows(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Degree rows of the b-matching polytope over edge variables:
     per offline vertex sum <= capacity, per online type sum <= eta * rate.
+
+    Returns the row and the column of each 1.0 entry (every edge's offline
+    vertex row, then every edge's type row), and the right-hand side.
     """
     m = inst.n_edges
-    A = np.zeros((inst.n_offline + inst.n_online, m))
-    A[inst.edge_u, np.arange(m)] = 1.0
-    A[inst.n_offline + inst.edge_v, np.arange(m)] = 1.0
+    rows = np.concatenate([inst.edge_u, inst.n_offline + inst.edge_v])
+    cols = np.tile(np.arange(m), 2)
     b = np.concatenate([inst.capacity_array, inst.eta * inst.rate_array])
-    return A, b
+    return rows, cols, b
 
 
 def build_matching_lmo(inst: Instance, weights) -> LinearProgram:
@@ -298,10 +342,10 @@ def build_matching_lmo(inst: Instance, weights) -> LinearProgram:
     w = np.asarray(weights, dtype=float)
     if len(w) != inst.n_edges:
         raise ValueError("weight vector length mismatch")
-    A, b = matching_rows(inst)
-    return LinearProgram(
-        c=w, A=A, b=b, upper=np.ones(inst.n_edges),
-        n_edge_vars=inst.n_edges,
+    rows, cols, b = matching_rows(inst)
+    return LinearProgram.from_entries(
+        c=w, entries=(rows, cols, np.ones(len(rows))), b=b,
+        upper=np.ones(inst.n_edges), n_edge_vars=inst.n_edges,
     )
 
 
@@ -335,20 +379,23 @@ def build_special_lp(inst: Instance, objective) -> LinearProgram:
             if len(cover) and w[z] > 0:
                 merged.setdefault(tuple(cover.tolist()), []).append(z)
         links = [(cover, feats) for cover, feats in merged.items() if len(cover) > 1]
-        A_match, b_match = matching_rows(inst)
-        k0, n = A_match.shape[0], m + len(links)
-        A = np.zeros((k0 + len(links), n))
-        A[:k0, :m] = A_match
+        rows, cols, b_match = matching_rows(inst)
+        rows, cols = rows.tolist(), cols.tolist()
+        values = [1.0] * len(rows)
+        k0, n = len(b_match), m + len(links)
         c = np.zeros(n)
         for cover, feats in merged.items():
             if len(cover) == 1:  # gamma_z = min(x_e, 1) = x_e
                 c[cover[0]] = w[feats].sum()
+        # link row k: gamma_k - (sum of the x_e covering it) <= 0
         for k, (cover, feats) in enumerate(links):
-            A[k0 + k, list(cover)] = -1.0
-            A[k0 + k, m + k] = 1.0
+            rows += [k0 + k] * (len(cover) + 1)
+            cols += [*cover, m + k]
+            values += [-1.0] * len(cover) + [1.0]
             c[m + k] = w[feats].sum()
-        return LinearProgram(
-            c=c, A=A, b=np.concatenate([b_match, np.zeros(len(links))]),
+        return LinearProgram.from_entries(
+            c=c, entries=(rows, cols, values),
+            b=np.concatenate([b_match, np.zeros(len(links))]),
             upper=np.ones(n),
             n_edge_vars=m,
         )

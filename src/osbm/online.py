@@ -47,7 +47,8 @@ each trial from its int64 edge array.  A lone trial is a block of one.
 per-trial objective values, their mean and standard error, and the
 empirical ratio against a chosen benchmark upper bound.  Trial ``i`` of a
 run with seed ``s`` draws its arrivals from seed ``s + i`` and its policy
-randomness from ``default_rng((s + i, 1))`` (greedy draws none, so its
+randomness from ``default_rng((s + i, 1))``, built from that seed's
+words, which a sweep makes once per trial (greedy draws none, so its
 trials get no generator); every batched step makes
 exactly the draws of the one-trial-at-a-time loop, so values do not depend
 on batching or on the worker count.  The arrivals depend only on the rates,
@@ -494,8 +495,41 @@ BLOCK_CELLS = 1 << 21
 
 # An ArrivalStreams set holds its streams within STREAM_CELLS cells (8 MiB):
 # a held stream takes one per round for its slots and at most one per round
-# for its arrival times, and 64 (512 bytes, measured) for its objects.
+# for its arrival times, and 68 (544 bytes, measured: 63 for its objects, 4
+# for its trial's seed words) beside them.  The coverage recipe's 500-trial
+# sweep (horizon 1000) holds all 500 streams.
 STREAM_CELLS = 1 << 20
+
+
+class _TrialSeed:
+    """A trial's seed words, ``SeedSequence((s, 1)).generate_state(4,
+    np.uint64)``: a PCG64 built from them holds the state, and makes the
+    draws, of ``default_rng((s, 1))``, without hashing the seed again."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != len(self.words) or np.dtype(dtype) != np.uint64:
+            raise ValueError("a trial seed holds four 64-bit words")
+        return self.words
+
+
+def _trial_words(seeds) -> np.ndarray:
+    """The seed words of each trial in ``seeds``, one row each."""
+    return np.array([np.random.SeedSequence((s, 1)).generate_state(4, np.uint64)
+                     for s in seeds], dtype=np.uint64).reshape(-1, 4)
+
+
+def _trial_rngs(seeds, words: np.ndarray) -> list[np.random.Generator]:
+    """Each trial's generator, ``default_rng((s, 1))`` for trial seed s;
+    ``words`` are the seed words of the first trials, made once."""
+    # registered here, not at import: numpy.random (about 6 MiB resident)
+    # loads when a run first draws, so it does not add to an earlier LP's peak
+    from numpy.random.bit_generator import ISeedSequence
+    ISeedSequence.register(_TrialSeed)
+    words = np.concatenate([words, _trial_words(seeds[len(words):])])
+    return [np.random.Generator(np.random.PCG64(_TrialSeed(w))) for w in words]
 
 
 class ArrivalStreams:
@@ -503,15 +537,17 @@ class ArrivalStreams:
     ``sample_arrivals(inst, seed + i)``.  A stream depends only on the
     rates, the horizon and the seed, so one set serves every cell (b, eta)
     and every policy of a sweep.  The set draws and holds the streams of the
-    first trials, as many as STREAM_CELLS allows; the stream of a later
-    trial is drawn when its block runs, each time it runs.
+    first trials, as many as STREAM_CELLS allows, and beside each the seed
+    words of its trial's generator; the stream and words of a later trial
+    are made when its block runs, each time it runs.
     """
 
     def __init__(self, inst: Instance, seed: int, trials: int):
         self.seed, self.trials = seed, trials
         self.horizon, self.rates = inst.horizon, inst.rates
-        held = min(trials, STREAM_CELLS // (2 * inst.horizon + 64))
+        held = min(trials, STREAM_CELLS // (2 * inst.horizon + 68))
         self._held = [sample_arrivals(inst, seed + i) for i in range(held)]
+        self._words = _trial_words(range(seed, seed + held))
 
     def check(self, inst: Instance, seed: int, trials: int) -> None:
         """Raise ValueError unless the set was built for this run."""
@@ -526,14 +562,19 @@ class ArrivalStreams:
         """The held streams of a block of trials: those of its first trials."""
         return self._held[seeds.start - self.seed:seeds.stop - self.seed]
 
+    def words(self, seeds: range) -> np.ndarray:
+        """The held seed words of a block of trials, one row per held stream."""
+        return self._words[seeds.start - self.seed:seeds.stop - self.seed]
+
 
 def _trial_block(policy, keep, seeds, held):
     """One block replay and audit for the block's trials, then the score of
-    each.  ``held`` are the streams of the block's first trials; the others
-    are drawn here."""
+    each.  ``held`` holds the streams and seed words of the block's first
+    trials; the others are made here."""
     inst, objective = policy.inst, policy.objective
-    rngs = [np.random.default_rng((s, 1)) if policy.draws else None for s in seeds]
-    seqs = list(held) + [sample_arrivals(inst, s) for s in seeds[len(held):]]
+    streams, words = held
+    rngs = _trial_rngs(seeds, words) if policy.draws else [None] * len(seeds)
+    seqs = list(streams) + [sample_arrivals(inst, s) for s in seeds[len(streams):]]
     results = []
     for seq, picks in zip(seqs, _replay(policy, _Block(inst, rngs, seqs))):
         value, matched = run_trial(policy, inst, objective, seq, picks=picks)
@@ -583,8 +624,9 @@ def simulate(
         block = min(block, math.ceil(trials / (workers * 4)))
     seeds = range(seed, seed + trials)
     blocks = [seeds[i:i + block] for i in range(0, trials, block)]
-    # a pool task carries only its own block's streams
-    held = [streams.held(b) if streams is not None else [] for b in blocks]
+    # a pool task carries only its own block's streams and seed words
+    held = [(streams.held(b), streams.words(b)) if streams is not None
+            else ([], _trial_words([])) for b in blocks]
     one = partial(_trial_block, policy, keep_matches)
     if workers > 1 and trials > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -223,6 +223,25 @@ class TestSimulate:
             benchmarks.append(out.split("benchmark=guide-scaled:")[1].split()[0])
         assert benchmarks[0] == benchmarks[1]
 
+    @pytest.mark.parametrize("algorithm,bound,message", [
+        ("marginal-sampling", "lp", "marginal-sampling needs offline edge marginals"),
+        ("contention-resolution", "lp",
+         "contention-resolution needs offline edge marginals"),
+        ("dependent-rounding", "lp", "dependent-rounding needs offline edge marginals"),
+        ("greedy", "guide-scaled", "guide-scaled benchmark needs edge marginals")],
+        ids=["marginal-sampling", "contention-resolution", "dependent-rounding",
+             "guide-scaled"])
+    def test_missing_guide_is_a_usage_error(self, tmp_path, algorithm, bound, message):
+        # a guided policy or a guide-scaled bound without --x-star is a
+        # missing input: exit 2, before any trial runs
+        inst_file = small_problem_file(tmp_path)
+        code, out, err = run_cli(
+            "simulate", "--instance", str(inst_file), "--algorithm", algorithm,
+            "--benchmark", bound, "--trials", "5")
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert out == ""
+
     @pytest.mark.parametrize("corrupt", ["truncated", "non_finite", "infeasible",
                                          "not_utf8", "repeated_x"])
     def test_malformed_artifact_exits_2_naming_file(self, tmp_path, corrupt):
@@ -364,7 +383,7 @@ class TestExperiment:
         assert calls == list(range(5, 35))  # not once per cell and policy
         # a set with room for 10 streams draws the other 20 trials' streams
         # in each of the 4 cells for each of the 4 policies
-        monkeypatch.setattr(online_mod, "STREAM_CELLS", 10 * (2 * horizon + 64))
+        monkeypatch.setattr(online_mod, "STREAM_CELLS", 10 * (2 * horizon + 68))
         del calls[:]
         assert run_cli(*args, "--out", str(held_some))[0] == 0
         assert len(calls) == 10 + 20 * 4 * 4

@@ -15,7 +15,6 @@ from osbm.lp import (
     build_matching_lmo,
     build_special_lp,
     feasible_for_matching,
-    matching_rows,
     reference_solve,
     saturate_marginals,
     solve,
@@ -52,7 +51,8 @@ def reference_covering(objective) -> dict[int, set[int]]:
 def raw_epigraph_lp(inst, objective):
     """The coverage epigraph program without presolve: one epigraph column
     and one link row per positive-weight covered feature."""
-    A_match, b_match = matching_rows(inst)
+    lmo = build_matching_lmo(inst, np.zeros(inst.n_edges))
+    A_match, b_match = lmo.A, lmo.b
     covering = reference_covering(objective)
     active = [z for z in sorted(covering) if objective.feature_weights[z] > 0]
     m, k0 = inst.n_edges, A_match.shape[0]
@@ -385,6 +385,68 @@ class TestCondensedTableau:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * lp.A.nbytes
+
+
+class TestNonzeroProgram:
+    """A program holds A as its nonzero entries; the tableau is the one
+    dense copy."""
+
+    def test_dense_matrix_reads_back_bit_for_bit(self):
+        M = np.array([[0.0, -0.0, 1.5], [-0.0, 0.0, 0.0], [2.0, -3.25, -0.0]])
+        lp = LinearProgram(c=np.ones(3), A=M, b=np.ones(3), upper=np.ones(3))
+        assert len(lp.values) == 6  # the three -0.0 entries are kept, no +0.0
+        A = lp.A
+        assert A.dtype == M.dtype and A.shape == M.shape
+        assert A.tobytes() == M.tobytes()
+        A[0, 2] = 9.0  # each read is a fresh array
+        assert lp.A.tobytes() == M.tobytes()
+
+    @pytest.mark.parametrize("b", [1, 5])
+    def test_entries_and_dense_hold_the_same_program(self, b):
+        problem = generate_synthetic("coverage", 11)
+        lp = build_special_lp(problem.instance.with_capacities(b),
+                              build_objective(problem))
+        dense = LinearProgram(c=lp.c, A=lp.A, b=lp.b, upper=lp.upper)
+        for arr in ("rows", "cols", "values"):
+            assert getattr(dense, arr).tobytes() == getattr(lp, arr).tobytes()
+
+    @pytest.mark.parametrize("entries,match", [
+        (([0, 0], [1, 1], [1.0, 2.0]), "repeated"),
+        (([2], [0], [1.0]), "outside"),
+        (([0], [-1], [1.0]), "outside"),
+        (([0], [0, 1], [1.0]), "lengths")])
+    def test_malformed_entries_rejected(self, entries, match):
+        with pytest.raises(ValueError, match=match):
+            LinearProgram.from_entries(c=[1.0, 1.0], entries=entries, b=[1.0, 1.0],
+                                       upper=[1.0, 1.0])
+
+    def test_offline_solve_peaks_at_one_dense_copy(self):
+        # with a dense A held beside the tableau the peak was 2.02 x A's bytes
+        problem = generate_synthetic("coverage", 11)
+        inst, obj = problem.instance.with_capacities(1), build_objective(problem)
+        tracemalloc.start()
+        try:
+            solve_offline_lp(inst, obj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * build_special_lp(inst, obj).A.nbytes
+
+    @pytest.mark.parametrize("program", ["special", "lmo"])
+    def test_program_holds_its_nonzeros(self, program):
+        problem = generate_synthetic("coverage", 11)
+        inst, obj = problem.instance.with_capacities(1), build_objective(problem)
+        w = np.random.default_rng(3).random(inst.n_edges)
+        build = ((lambda: build_special_lp(inst, obj)) if program == "special"
+                 else (lambda: build_matching_lmo(inst, w)))
+        build()  # the objective's cover sets are built once, not traced
+        tracemalloc.start()
+        try:
+            lp = build()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 0.05 * lp.A.nbytes
 
 
 def highs_value(lp):

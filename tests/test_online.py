@@ -658,10 +658,12 @@ class TestSimulator:
         assert np.array_equal(m.values, simulate(inst, obj, "greedy", trials=40,
                                                  seed=5).values)
         assert len(tasks) == 8  # blocks of ceil(40 / (2 workers * 4))
-        for seeds, held in tasks:
-            assert len(held) == len(seeds) == 5
+        for seeds, (held, words) in tasks:
+            assert len(held) == len(words) == len(seeds) == 5
             assert all(np.array_equal(seq.slots, sample_arrivals(inst, s).slots)
                        for seq, s in zip(held, seeds))
+            assert np.array_equal(words, [np.random.SeedSequence((s, 1)).generate_state(
+                4, np.uint64) for s in seeds])
 
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_shared_streams_do_not_change_results(self, rng, policy):
@@ -700,8 +702,18 @@ class TestSimulator:
         inst = perfect_matching_instance(3)
         streams = ArrivalStreams(inst, 0, 100_000)
         held = len(streams.held(range(0, 100_000)))
-        assert held == online_mod.STREAM_CELLS // (2 * 3 + 64) < 100_000
+        assert held == online_mod.STREAM_CELLS // (2 * 3 + 68) < 100_000
         assert len(streams.held(range(held - 2, held + 5))) == 2
+
+    def test_trial_generators_are_default_rng_of_the_trial_seed(self):
+        # the first three trials' seed words are made once, the rest here
+        rngs = online_mod._trial_rngs(range(5, 12), online_mod._trial_words(range(5, 8)))
+        assert len(rngs) == 7
+        for s, g in zip(range(5, 12), rngs):
+            assert g.bit_generator.state == np.random.default_rng((s, 1)).bit_generator.state
+            assert g.random(3).tobytes() == np.random.default_rng((s, 1)).random(3).tobytes()
+        with pytest.raises(ValueError, match="four 64-bit words"):
+            online_mod._TrialSeed(online_mod._trial_words([5])[0]).generate_state(8)
 
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_blocking_does_not_change_results(self, rng, monkeypatch, policy):
