@@ -56,27 +56,25 @@ class LinearProgram:
     the matrix given.  `solve` reads it once, as its tableau.
     """
 
-    def __init__(self, c, A, b, upper, n_edge_vars: int | None = None):
+    def __init__(self, c, A, b, upper):
         A = np.atleast_2d(np.asarray(A, dtype=float))
         if A.shape != (np.size(b), np.size(c)):
             raise ValueError("inconsistent LP dimensions")
         rows, cols = np.nonzero(A.view(np.uint64))  # any bits but +0.0
-        self._hold(c, (rows, cols, A[rows, cols]), b, upper, n_edge_vars)
+        self._hold(c, (rows, cols, A[rows, cols]), b, upper)
 
     @classmethod
-    def from_entries(cls, c, entries, b, upper,
-                     n_edge_vars: int | None = None) -> "LinearProgram":
+    def from_entries(cls, c, entries, b, upper) -> "LinearProgram":
         """The program whose A has the entries (rows, cols, values), each
         (row, column) at most once, and +0.0 everywhere else."""
         lp = cls.__new__(cls)
-        lp._hold(c, entries, b, upper, n_edge_vars)
+        lp._hold(c, entries, b, upper)
         return lp
 
-    def _hold(self, c, entries, b, upper, n_edge_vars):
+    def _hold(self, c, entries, b, upper):
         self.c = np.asarray(c, dtype=float)
         self.b = np.asarray(b, dtype=float)
         self.upper = np.asarray(upper, dtype=float)
-        self.n_edge_vars = n_edge_vars  # leading columns that map to instance edges
         if len(self.upper) != len(self.c):
             raise ValueError("upper bound vector length mismatch")
         m, n = len(self.b), len(self.c)
@@ -139,7 +137,7 @@ class LpSolution:
         return problems
 
 
-def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
+def solve(lp: LinearProgram) -> LpSolution:
     """Dense bounded-variable primal simplex on the condensed tableau.
 
     Column k of T holds nonbasic variable nb[k], row r the basic variable
@@ -163,8 +161,7 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
     ub_row = np.full(m, np.inf)
     ratio = np.empty(m)
     scratch = np.empty(n)
-    if max_iterations is None:
-        max_iterations = 200 * (n + 2 * m) + 10_000
+    max_iterations = 200 * (n + 2 * m) + 10_000
 
     iterations = 0
     degenerate = 0
@@ -343,10 +340,8 @@ def build_matching_lmo(inst: Instance, weights) -> LinearProgram:
     if len(w) != inst.n_edges:
         raise ValueError("weight vector length mismatch")
     rows, cols, b = matching_rows(inst)
-    return LinearProgram.from_entries(
-        c=w, entries=(rows, cols, np.ones(len(rows))), b=b,
-        upper=np.ones(inst.n_edges), n_edge_vars=inst.n_edges,
-    )
+    return LinearProgram.from_entries(c=w, entries=(rows, cols, np.ones(len(rows))),
+                                      b=b, upper=np.ones(inst.n_edges))
 
 
 def build_special_lp(inst: Instance, objective) -> LinearProgram:
@@ -395,10 +390,7 @@ def build_special_lp(inst: Instance, objective) -> LinearProgram:
             c[m + k] = w[feats].sum()
         return LinearProgram.from_entries(
             c=c, entries=(rows, cols, values),
-            b=np.concatenate([b_match, np.zeros(len(links))]),
-            upper=np.ones(n),
-            n_edge_vars=m,
-        )
+            b=np.concatenate([b_match, np.zeros(len(links))]), upper=np.ones(n))
 
     raise ValueError(f"objective kind {kind!r} has no closed-form program")
 
@@ -446,7 +438,7 @@ def solve_offline_lp(inst: Instance, objective) -> tuple[np.ndarray, float, LpSo
         raise RuntimeError(f"offline program not optimal: {sol.status}")
     value = min(objective.budget, sol.value) if budget_additive else sol.value
     singleton = objective.coordinate_gains(np.zeros(inst.n_edges, dtype=bool))
-    x = saturate_marginals(inst, sol.x[:lp.n_edge_vars], singleton)
+    x = saturate_marginals(inst, sol.x[:inst.n_edges], singleton)
     return x, value, sol
 
 

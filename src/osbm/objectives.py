@@ -53,9 +53,6 @@ class SubmodularObjective:
         member[edges] = True
         return member
 
-    def evaluator(self, rows: int) -> "Evaluator":
-        return Evaluator(self, rows)
-
     def _row_state(self, rows: int):
         return None
 

@@ -67,7 +67,7 @@ import numpy as np
 
 from . import lp as lpmod
 from .instances import ArrivalSequence, Instance, sample_arrivals
-from .objectives import SubmodularObjective, mean_se, multilinear_estimate
+from .objectives import Evaluator, SubmodularObjective, mean_se, multilinear_estimate
 from .offline import expected_opt
 from .rounding import dependent_round_stars, sample_support
 
@@ -301,7 +301,7 @@ class GreedyPolicy(OnlinePolicy):
         self._table = np.take_along_axis(table, order, axis=1)
 
     def _begin(self, block):
-        return self.objective.evaluator(len(block.count))
+        return Evaluator(self.objective, len(block.count))
 
     def _choose(self, evaluator, rows, cand, open_):
         r, c = np.nonzero(open_)
@@ -416,14 +416,21 @@ def run_trial(policy: OnlinePolicy, inst: Instance,
               picks: _Accepted | None = None) -> tuple[float, list[int]]:
     """Score one trial; returns (objective value, matched edges).
 
-    ``picks`` is the trial's audited (matched edges,), as ``_replay``
-    accepts them for its block; they are scored as given, and any other
-    picks raise TypeError.  Without them the trial is replayed and audited
-    alone, as a block of one drawing from ``rng``.  ``matched`` keeps
-    repeats of a type-edge; the objective scores the set.
+    ``inst`` and ``objective`` must be those ``policy`` was built with, else
+    ValueError.  ``picks`` is the trial's audited (matched edges,), as
+    ``_replay`` accepts them for its block; they are scored as given, and
+    any other picks raise TypeError.  Without them the trial is replayed and
+    audited alone, as a block of one drawing from ``rng`` (a policy that
+    draws needs one, else ValueError).  ``matched`` keeps repeats of a
+    type-edge; the objective scores the set.
     """
+    if inst is not policy.inst or objective is not policy.objective:
+        raise ValueError(f"run_trial needs the instance and objective of its "
+                         f"{policy.name} policy")
     if picks is None:
-        (picks,) = _replay(policy, _Block(policy.inst, [rng], [seq]))
+        if policy.draws and rng is None:
+            raise ValueError(f"{policy.name} draws, so run_trial needs its generator")
+        (picks,) = _replay(policy, _Block(inst, [rng], [seq]))
     elif not isinstance(picks, _Accepted):
         raise TypeError("run_trial scores only picks the block audit accepted")
     e = picks[0]
@@ -558,13 +565,11 @@ class ArrivalStreams:
             if mine != theirs:
                 raise ValueError(f"arrival streams built for another {what}")
 
-    def held(self, seeds: range) -> list[ArrivalSequence]:
-        """The held streams of a block of trials: those of its first trials."""
-        return self._held[seeds.start - self.seed:seeds.stop - self.seed]
-
-    def words(self, seeds: range) -> np.ndarray:
-        """The held seed words of a block of trials, one row per held stream."""
-        return self._words[seeds.start - self.seed:seeds.stop - self.seed]
+    def held(self, seeds: range) -> tuple[list[ArrivalSequence], np.ndarray]:
+        """The held streams of a block of trials, those of its first trials,
+        and their seed words, one row per held stream."""
+        cut = slice(seeds.start - self.seed, seeds.stop - self.seed)
+        return self._held[cut], self._words[cut]
 
 
 def _trial_block(policy, keep, seeds, held):
@@ -625,8 +630,8 @@ def simulate(
     seeds = range(seed, seed + trials)
     blocks = [seeds[i:i + block] for i in range(0, trials, block)]
     # a pool task carries only its own block's streams and seed words
-    held = [(streams.held(b), streams.words(b)) if streams is not None
-            else ([], _trial_words([])) for b in blocks]
+    held = [streams.held(b) if streams is not None else ([], _trial_words([]))
+            for b in blocks]
     one = partial(_trial_block, policy, keep_matches)
     if workers > 1 and trials > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

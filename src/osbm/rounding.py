@@ -4,8 +4,8 @@ Four seeded operations: independent per-edge sampling, uniform thinning of
 each offline star to at most its capacity, star-wise dependent rounding,
 and pipage rounding of a whole fractional b-matching.  Each takes a seed or
 a Generator, which ``np.random.default_rng`` passes through unchanged, so
-one generator can feed several operations in turn; dependent rounding also
-takes a list of generators, one per trial of a batch.
+one generator can feed several operations in turn; dependent rounding
+takes a list of generators instead, one per trial of a batch.
 
 The last two share one pairing step, `_shift`: a two-sided mass shift
 along an alternating walk that preserves every edge's marginal.  Dependent
@@ -26,16 +26,6 @@ import numpy as np
 from .instances import Instance
 
 SNAP_TOL = 1e-12
-
-
-def _as_rngs(seed) -> tuple[list[np.random.Generator], bool]:
-    """The trials of a `dependent_round_stars` call: a list of generators is
-    a batch, one generator each; any other seed is a single trial.  Returns
-    the generators and whether the call was batched."""
-    if isinstance(seed, list) and all(isinstance(g, np.random.Generator)
-                                      for g in seed):
-        return seed, True
-    return [np.random.default_rng(seed)], False
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +105,7 @@ def _shift(p: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.where(q <= SNAP_TOL, 0.0, np.where(q >= 1.0 - SNAP_TOL, 1.0, q))
 
 
-def dependent_round_stars(x, inst: Instance, seed) -> np.ndarray:
+def dependent_round_stars(x, inst: Instance, rngs) -> np.ndarray:
     """Round x star-by-star at each offline vertex into an integral edge set.
 
     One pass over each star's edges in index order: every fractional edge
@@ -123,19 +113,22 @@ def dependent_round_stars(x, inst: Instance, seed) -> np.ndarray:
     walk of two edges), and an edge left over at the end of the star is
     settled alone (a walk of one).  Each walk draws one ``random()``.
 
-    A list of generators rounds one trial per generator in one pass with a
-    trials axis and returns a (trials, edges) mask.  Row i and generator
-    i's state afterwards equal those of the call with generator i alone:
-    each trial's draws are taken up front (at most one per fractional
-    edge), and its generator is then rewound to just past the draws it used.
+    `rngs` is a list of generators (else TypeError), one trial each, so a
+    lone rounding is a list of one; all trials are rounded in one pass with
+    a trials axis, and the result is a (trials, edges) mask.  Row i and
+    generator i's state afterwards equal those of the call with generator
+    i alone: each trial's draws are taken up front (at most one per
+    fractional edge), and its generator is then rewound to just past the
+    draws it used.
 
     Requires one entry of x per edge (else ValueError, from
     `Instance.loads`) and the fractional degree of every star to fit its
     capacity.  Every run lands each star's degree in {floor(sum),
     ceil(sum)}; per-edge inclusion probability equals x_e exactly.
     """
+    if not isinstance(rngs, list):
+        raise TypeError("dependent_round_stars takes a list of generators, one per trial")
     x = np.asarray(x, dtype=float)
-    rngs, batched = _as_rngs(seed)
     over = np.flatnonzero(inst.loads(x)[0] > inst.capacity_array + 1e-9)
     if len(over):
         raise ValueError(
@@ -179,7 +172,7 @@ def dependent_round_stars(x, inst: Instance, seed) -> np.ndarray:
     for rng, state, k in zip(rngs, states, used.tolist()):
         rng.bit_generator.state = state
         rng.random(k)
-    return chosen if batched else chosen[0]
+    return chosen
 
 
 def _fractional_walk(adj: dict[int, list[int]], edge_ends) -> list[int]:

@@ -292,7 +292,7 @@ def test_criterion_7_rounding_property_suite():
     counts = np.zeros(5)
     degree_ok = True
     for s in range(n):
-        chosen = dependent_round_stars(x, inst, seed=s)
+        chosen = dependent_round_stars(x, inst, [np.random.default_rng(s)])[0]
         counts += chosen
         degree_ok = degree_ok and chosen.sum() in (1, 2)
     marginal_ok = all(

@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, artifacts, report determinism."""
 
 import csv
+import hashlib
 import inspect
 import io
 import math
@@ -10,10 +11,19 @@ import numpy as np
 import pytest
 
 import osbm
+from conftest import golden_note
 from osbm.cli import main
 from osbm.instances import load_problem, save_problem
 from osbm.offline import load_solution
 from test_instances import write_ratings_fixture
+
+# sha256 of the files the benchmark's two workloads write at seed 7 on the
+# seed-11 recipes (see TestBenchmarkOutputs)
+BENCHMARK_GOLDENS = {
+    "budget report.csv": "59b581efd5dee765aebc21b96d8832e7d52cc728a3c36f730ecdb39fa29d124a",
+    "coverage report.csv": "d09e932b4e5b5a52c9f3237d991923d4babe9e9083449e3495edcb116654648a",
+    "coverage marginals.x": "e639168e45d17f317bd6dcf6775d5934301fa1e7e8c15b901abbaa4b8eeaad50",
+}
 
 
 def run_cli(*argv):
@@ -435,3 +445,31 @@ class TestExperiment:
                                str(tmp_path / "r.csv"))
         assert code == 2
         assert "psychic" in err
+
+
+class TestBenchmarkOutputs:
+    def test_seed_7_workload_outputs(self, tmp_path):
+        # the commands of perfbench's budget-sweep and coverage-sweep-ascent
+        # workloads, run once each: a change that keeps results keeps bytes
+        algorithms = "marginal-sampling,contention-resolution,greedy,dependent-rounding"
+        outputs = {}
+        for name, kind, b, eta, trials in (
+                ("budget", "budget-additive", "1,2,3,5,10,15", "1,2", "170"),
+                ("coverage", "coverage", "1,5,15", "1", "50")):
+            inst_file, report = tmp_path / f"{name}.txt", tmp_path / f"{name}.csv"
+            assert run_cli("generate", "--kind", kind, "--seed", "11",
+                           "--out", str(inst_file))[0] == 0
+            assert run_cli("experiment", "--instance", str(inst_file),
+                           "--algorithms", algorithms, "--b", b, "--eta", eta,
+                           "--trials", trials, "--seed", "7", "--workers", "1",
+                           "--out", str(report))[0] == 0
+            outputs[f"{name} report.csv"] = report
+        marginals = tmp_path / "coverage.x"
+        assert run_cli("offline", "--instance", str(tmp_path / "coverage.txt"),
+                       "--solver", "continuous-greedy", "--steps", "12",
+                       "--grad-samples", "20", "--seed", "7",
+                       "--out", str(marginals))[0] == 0
+        outputs["coverage marginals.x"] = marginals
+        for name, path in outputs.items():
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+                BENCHMARK_GOLDENS[name], golden_note(name)

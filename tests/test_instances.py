@@ -160,7 +160,7 @@ class TestGrouping:
             for check in (inst.loads,
                           lambda x: feasible_for_matching(inst, x),
                           lambda x: saturate_marginals(inst, x, np.ones(len(x))),
-                          lambda x: dependent_round_stars(x, inst, 0)):
+                          lambda x: dependent_round_stars(x, inst, [])):
                 with pytest.raises(ValueError, match=f"for {m} edges"):
                     check(np.full(n, 0.01))
         lonely = tiny_instance(offline=[("u1", 1), ("u2", 2), ("lonely", 1)])

@@ -1,14 +1,18 @@
 """Simplex solver, program builders, rational cross-check."""
 
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import golden_note, small_instance, small_objective
 from osbm import lp as lpmod
-from osbm.instances import build_instance, generate_synthetic
+from osbm.instances import build_instance, generate_synthetic, save_problem
 from osbm.lp import (
     LinearProgram,
     LpSolution,
@@ -64,7 +68,7 @@ def raw_epigraph_lp(inst, objective):
         A[k0 + k, m + k] = 1.0
         c[m + k] = objective.feature_weights[z]
     return LinearProgram(c=c, A=A, b=np.concatenate([b_match, np.zeros(len(active))]),
-                         upper=np.ones(m + len(active)), n_edge_vars=m)
+                         upper=np.ones(m + len(active)))
 
 
 def random_lp(rng, max_vars=6, max_rows=5):
@@ -81,7 +85,7 @@ def random_lp(rng, max_vars=6, max_rows=5):
 LOWER, UPPER, BASIC = 0, 1, 2
 
 
-def reference_tableau_solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
+def reference_tableau_solve(lp: LinearProgram) -> LpSolution:
     """The full-tableau simplex: `solve` on [A | I], every basic column kept.
 
     `solve` keeps only the nonbasic columns and must equal this bit for bit.
@@ -99,8 +103,7 @@ def reference_tableau_solve(lp: LinearProgram, max_iterations: int | None = None
     basis = np.arange(n, N)
     fixed = upper <= 0.0  # zero-width box: never eligible to enter
     scratch = np.empty(N)
-    if max_iterations is None:
-        max_iterations = 200 * (N + m) + 10_000
+    max_iterations = 200 * (N + m) + 10_000
 
     iterations = 0
     degenerate = 0
@@ -305,7 +308,7 @@ class TestAntiCycling:
     def test_beale_cycles_without_the_bland_fallback(self, monkeypatch):
         monkeypatch.setattr(lpmod, "DEGENERATE_LIMIT", 10**9)
         with pytest.raises(RuntimeError, match="iteration limit"):
-            solve(beale_lp(), max_iterations=500)
+            solve(beale_lp())
 
     def test_degenerate_pivots_counted_on_beale(self):
         s = solve(beale_lp())
@@ -592,7 +595,7 @@ class TestSpecialPrograms:
         assert raw_epigraph_lp(inst, obj).A.shape == (976, 1802)
         lp = build_special_lp(inst, obj)
         assert lp.A.shape == (784, 1610)
-        assert lp.n_edge_vars == inst.n_edges == 1066
+        assert inst.n_edges == 1066
 
     def test_presolve_golden_digest(self):
         problem = generate_synthetic("coverage", 11)
@@ -709,3 +712,21 @@ class TestGuideMarginals:
         x = saturate_marginals(inst, np.zeros(2), priority=[1.0, 9.0])
         np.testing.assert_allclose(x, [0.0, 1.0])
 
+
+def test_lp_solve_leaves_numpy_random_unloaded(tmp_path):
+    # numpy.random and numpy.ma (about 6 MiB resident) load only when a run
+    # first draws, so they add nothing to the peak of an LP solved before
+    path = tmp_path / "coverage.txt"
+    save_problem(generate_synthetic("coverage", 11), path)
+    script = (
+        "import sys, osbm\n"
+        "from osbm.instances import load_problem\n"
+        "from osbm.objectives import build_objective\n"
+        f"problem = load_problem({str(path)!r})\n"
+        "osbm.solve_offline_lp(problem.instance, build_objective(problem))\n"
+        "print(sorted({'numpy.random', 'numpy.ma'} & set(sys.modules)))\n")
+    src = str(Path(lpmod.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

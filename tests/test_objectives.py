@@ -10,6 +10,7 @@ from osbm.instances import EdgeFeatures, Problem, generate_synthetic
 from osbm.objectives import (
     BudgetAdditiveObjective,
     CoverageObjective,
+    Evaluator,
     LinearObjective,
     PerUserCoverageObjective,
     SubmodularObjective,
@@ -294,7 +295,7 @@ class TestEvaluators:
         # (row, edge) gain equals the value difference over that row's set
         for kind in ("linear", "coverage", "budget_additive", "per_user_coverage"):
             obj = small_objective(kind, 8, rng)
-            ev = obj.evaluator(2)
+            ev = Evaluator(obj, 2)
             orders = [rng.permutation(8).tolist() for _ in range(2)]
             sets = [set(), set()]
             rows, edges = all_pairs(2, 8)
@@ -311,7 +312,7 @@ class TestEvaluators:
     def test_re_adding_member_gains_nothing(self, rng):
         for kind in ("linear", "coverage", "budget_additive", "per_user_coverage"):
             obj = small_objective(kind, 4, rng)
-            ev = obj.evaluator(2)
+            ev = Evaluator(obj, 2)
             ev.row_add(np.array([0, 1]), np.array([2, 1]))
             assert ev.row_gains(np.array([0]), np.array([2]))[0] == 0.0
             rows, edges = all_pairs(2, 4)
@@ -327,7 +328,7 @@ class TestEvaluators:
                      "per_user_coverage"):
             obj = (_ValueOnlyLinear(rng.random(6)) if kind == "generic"
                    else small_objective(kind, 6, rng))
-            ev = obj.evaluator(3)
+            ev = Evaluator(obj, 3)
             calls = []
 
             def counted(self, ev, r, e, real=type(obj)._gains):
@@ -349,7 +350,7 @@ class TestEvaluators:
         sets = [frozenset(rng.choice(60, size=k, replace=False).tolist())
                 for k in range(41)]
         obj = CoverageObjective(sets, rng.random(60) * 10.0 ** rng.integers(-3, 4, 60))
-        ev = obj.evaluator(rows=3)
+        ev = Evaluator(obj, rows=3)
         ev.row_add(np.array([1, 2]), np.array([5, 17]))
         rows, edges = all_pairs(3, 41)
         for r, e, g in zip(rows, edges, ev.row_gains(rows, edges)):
@@ -393,7 +394,7 @@ class TestGenericValueOracle:
         # gain agrees at each step, and so does the value of each row's set
         _, generic, linear = pair
         m = generic.n_edges
-        evs = generic.evaluator(3), linear.evaluator(3)
+        evs = Evaluator(generic, 3), Evaluator(linear, 3)
         rows, edges = all_pairs(3, m)
         orders = np.array([rng.permutation(m) for _ in range(3)])
         for step in range(m):

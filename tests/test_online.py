@@ -471,6 +471,34 @@ class TestSimulator:
         (picks,) = online_mod._replay(policy, online_mod._Block(inst, [None], [seq]))
         assert run_trial(policy, inst, obj, seq, picks=picks) == (1.0, [0])
 
+    @staticmethod
+    def two_edge_instance():
+        return build_instance([("u0", 1), ("u1", 1)], [("v0", 1.0), ("v1", 1.0)],
+                              [("e0", "u0", "v0"), ("e1", "u1", "v1")], horizon=2)
+
+    @pytest.mark.parametrize("policy", ["marginal-sampling", "contention-resolution",
+                                        "dependent-rounding"])
+    def test_run_trial_needs_a_generator_for_a_drawing_policy(self, policy):
+        inst = self.two_edge_instance()
+        obj = LinearObjective(np.ones(2))
+        pol = make_policy(policy, inst, obj, np.full(2, 0.5))
+        with pytest.raises(ValueError, match=f"{policy} draws"):
+            run_trial(pol, inst, obj, sample_arrivals(inst, 0))
+
+    def test_run_trial_rejects_another_instance_or_objective(self):
+        # equal weights or an equal instance are not enough: the policy's
+        # own objects, or the trial would be scored against another problem
+        inst = self.two_edge_instance()
+        obj = LinearObjective(np.ones(2))
+        policy = make_policy("greedy", inst, obj)
+        seq = sample_arrivals(inst, 0)
+        for other_inst, other_obj in ((inst, LinearObjective([5.0, 7.0])),
+                                      (inst, LinearObjective(np.ones(2))),
+                                      (inst.with_capacities(1), obj)):
+            with pytest.raises(ValueError, match="instance and objective of its greedy"):
+                run_trial(policy, other_inst, other_obj, seq)
+        assert run_trial(policy, inst, obj, seq) == (2.0, [1, 0])
+
     @pytest.mark.parametrize("fault, eta, message", [
         ("outside", 2, "faulty matched outside the block's arrivals"),
         ("over_eta", 1, "more than eta edges"),
@@ -701,9 +729,9 @@ class TestSimulator:
         # rest are drawn when their block runs
         inst = perfect_matching_instance(3)
         streams = ArrivalStreams(inst, 0, 100_000)
-        held = len(streams.held(range(0, 100_000)))
+        held = len(streams.held(range(0, 100_000))[0])
         assert held == online_mod.STREAM_CELLS // (2 * 3 + 68) < 100_000
-        assert len(streams.held(range(held - 2, held + 5))) == 2
+        assert len(streams.held(range(held - 2, held + 5))[0]) == 2
 
     def test_trial_generators_are_default_rng_of_the_trial_seed(self):
         # the first three trials' seed words are made once, the rest here

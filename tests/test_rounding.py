@@ -35,8 +35,7 @@ def binom_sigma(p, n):
 
 
 def rngs(n, start=0):
-    """One generator per trial, seeded like a single call with seed=s; a
-    batched call returns the masks of the single calls, row by row."""
+    """One generator per trial s, seeded with s."""
     return [np.random.default_rng(s) for s in range(start, start + n)]
 
 
@@ -244,7 +243,7 @@ class TestBatchedStart:
         chosen = dependent_round_stars(x, inst, batch)
         assert chosen.shape == (30, inst.n_edges)
         for row, rng, ref_rng in zip(chosen, single, ref):
-            assert np.array_equal(row, dependent_round_stars(x, inst, rng))
+            assert np.array_equal(row, dependent_round_stars(x, inst, [rng])[0])
             assert np.array_equal(row, reference_round_stars(x, inst, ref_rng))
         self.assert_same_states(batch, single, ref)
 
@@ -339,7 +338,13 @@ class TestDependentRounding:
     def test_capacity_precondition_enforced(self):
         inst = star_instance(2, capacity=1)
         with pytest.raises(ValueError, match="capacity"):
-            dependent_round_stars(np.array([0.9, 0.9]), inst, seed=0)
+            dependent_round_stars(np.array([0.9, 0.9]), inst, rngs(1))
+
+    @pytest.mark.parametrize("seed", [0, np.random.default_rng(0)])
+    def test_a_lone_seed_or_generator_is_refused(self, seed):
+        # the list is the one call shape: a lone trial is a list of one
+        with pytest.raises(TypeError, match="list of generators"):
+            dependent_round_stars(np.array([0.5, 0.5]), star_instance(2), seed)
 
     def test_stars_rounded_independently(self, rng):
         for _ in range(10):
@@ -351,7 +356,7 @@ class TestDependentRounding:
                 s = x[edges].sum()
                 if s > 1.0:
                     x[edges] *= 0.99 / s
-            chosen = dependent_round_stars(x, inst, rng)
+            chosen = dependent_round_stars(x, inst, [rng])[0]
             for ui in range(inst.n_offline):
                 deg = chosen[inst.edges_at_u[ui]].sum()
                 frac = x[inst.edges_at_u[ui]].sum()
@@ -360,8 +365,8 @@ class TestDependentRounding:
     def test_deterministic_given_seed(self):
         inst = star_instance(4, capacity=2)
         x = np.array([0.4, 0.3, 0.5, 0.3])
-        a = dependent_round_stars(x, inst, seed=123)
-        b = dependent_round_stars(x, inst, seed=123)
+        a = dependent_round_stars(x, inst, rngs(1, 123))
+        b = dependent_round_stars(x, inst, rngs(1, 123))
         assert np.array_equal(a, b)
 
 
@@ -379,7 +384,7 @@ class TestPairingStep:
                 x *= cap / x.sum()
             seed = int(g.integers(1 << 30))
             a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert np.array_equal(dependent_round_stars(x, inst, a),
+            assert np.array_equal(dependent_round_stars(x, inst, [a])[0],
                                   pipage_round(x, inst, b))
             assert a.bit_generator.state == b.bit_generator.state
 
