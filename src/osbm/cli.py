@@ -47,11 +47,22 @@ class UsageError(Exception):
     pass
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+def _int_at_least(low: int, what: str, text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(1, "a positive integer", text)
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int_at_least(0, "a non-negative integer", text)
 
 
 def _positive_int_list(text: str) -> list[int]:
@@ -270,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="write a synthetic instance file")
     p.add_argument("--kind", required=True,
                    choices=["coverage", "budget-additive"])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -282,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=_positive_int, default=None)
     p.add_argument("--rates", choices=["normalized", "integral"],
                    default="normalized")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ingest)
 
@@ -292,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto")
     p.add_argument("--steps", type=_positive_int, default=100)
     p.add_argument("--grad-samples", type=_positive_int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_offline)
 
@@ -302,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="marginals artifact from the offline step")
     p.add_argument("--algorithm", required=True, choices=list(POLICY_NAMES))
     p.add_argument("--trials", type=_positive_int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--benchmark", choices=["lp", "brute", "guide-scaled"],
                    default="lp")
     p.add_argument("--workers", type=_positive_int, default=1)
@@ -317,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=_positive_int_list, default="1,2,3,5,10,15")
     p.add_argument("--eta", type=_positive_int_list, default="1")
     p.add_argument("--trials", type=_positive_int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--coverage-hist", default=None,
                    help="also write per-user coverage histogram CSV here")

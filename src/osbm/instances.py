@@ -551,8 +551,11 @@ def ingest_ratings(
     uniformly and rescales them to sum to one (this can push individual
     rates above 1 when the horizon is large; ``validate`` reports those).
     ``rates_mode="integral"`` gives every user rate exactly 1 with
-    ``horizon = num_users``.
+    ``horizon = num_users``; a ``horizon`` given with it raises IngestError.
     """
+    if rates_mode == "integral" and horizon is not None:
+        raise IngestError("a horizon applies only to normalized rates (integral "
+                          "rates set it to the user count)")
     rating_rows = _read_delimited(ratings_path, 3, "ratings")
     genre_rows = _read_delimited(genres_path, 2, "genres")
 
@@ -643,37 +646,6 @@ def ingest_ratings(
 
 # -- serialization ---------------------------------------------------------
 
-def read_records(path, header: str, error: type, what: str) -> list[tuple[int, str]]:
-    """(line number, line) for each non-blank line of a UTF-8 record file
-    after its `header`; raises `error` on non-UTF-8 text or no header."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise error(f"{path}: not {what} (not UTF-8 text)") from None
-    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1)
-             if ln.strip()]
-    if not lines or lines[0][1] != header:
-        raise error(f"{path}: not {what} (missing {header!r})")
-    return lines[1:]
-
-
-class RepeatedRecord(ValueError):
-    """A record that sets what an earlier record of the file already set."""
-
-
-def put_once(table: dict, key, value) -> None:
-    """``table[key] = value``; raises RepeatedRecord if ``key`` is set."""
-    if key in table:
-        raise RepeatedRecord(key)
-    table[key] = value
-
-
-def record_error(error: type, path, lineno: int, line: str, exc: Exception) -> Exception:
-    """``error`` naming the file, line and record at which ``exc`` was raised."""
-    what = "repeated" if isinstance(exc, RepeatedRecord) else "bad"
-    return error(f"{path}: {what} record at line {lineno}: {line!r}")
-
-
 def _feature_count(tokens: list[str]) -> tuple[int]:
     if (n := int(tokens[0])) < 0:
         raise ValueError("negative feature count")
@@ -687,9 +659,10 @@ def the_one(found: dict, default=None):
 
 # One row of README's record table: `parse` turns the tokens after the tag
 # into fields (too few raise IndexError; tokens it does not read are ignored),
-# the first `key` of which name what the record sets, for `put_once` (0: once
-# per file, None: a list); `needs` is "one", "feature", "edge" or None; and
-# `write(*objects)` yields each record's text after the tag (None: left out).
+# the first `key` of which name what the record sets, which `read_table`
+# takes once (0: once per file, None: a list); `needs` is "one", "feature",
+# "edge" or None; and `write(*objects)` yields each record's text after the
+# tag (None: left out).
 Record = namedtuple("Record", "parse key needs write")
 
 
@@ -701,18 +674,29 @@ def write_table(path, header: str, records: dict, *objects) -> None:
 
 
 def read_table(path, header: str, error: type, what: str, records: dict) -> dict:
-    """Each tag's records of a file written by `write_table`, parsed by its
-    `Record`: tag -> {key: fields}, in file order.  Raises `error`, naming the
-    file, on an unknown tag, a short, unparsable or repeated or missing record."""
+    """Each tag's records of a UTF-8 file written by `write_table`, parsed by
+    its `Record`: tag -> {key: fields}, in file order.  Raises `error`, naming
+    the file, on non-UTF-8 text, a missing header, an unknown tag, a short,
+    unparsable or repeated record, or a missing required one."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise error(f"{path}: not {what} (not UTF-8 text)") from None
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1] != header:
+        raise error(f"{path}: not {what} (missing {header!r})")
     found = {tag: {} for tag in records}
-    for lineno, line in read_records(path, header, error, what):
+    for lineno, line in lines[1:]:
         tok = line.split()
         try:
             rec = records[tok[0]]
             fields = rec.parse(tok[1:])
-            put_once(found[tok[0]], lineno if rec.key is None else fields[:rec.key], fields)
-        except (LookupError, ValueError) as exc:
-            raise record_error(error, path, lineno, line, exc) from None
+        except (LookupError, ValueError):
+            raise error(f"{path}: bad record at line {lineno}: {line!r}") from None
+        key = lineno if rec.key is None else fields[:rec.key]
+        if key in found[tok[0]]:
+            raise error(f"{path}: repeated record at line {lineno}: {line!r}")
+        found[tok[0]][key] = fields
     required = [tag for tag, rec in records.items() if rec.needs == "one"]
     if not all(found[tag] for tag in required):
         raise error(f"{path}: missing {' or '.join(required)} record")

@@ -26,15 +26,11 @@ the tableau is the one dense m x n array alive during a solve.
 The coverage epigraph program is presolved exactly before it reaches the
 solver (see `build_special_lp`): features with identical covering-edge sets
 share one epigraph row, and features covered by a single edge need none.
-
-A separate rational-arithmetic tableau (`reference_solve`) provides an
-independent exact optimum for auditing the float path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -49,29 +45,14 @@ DEGENERATE_LIMIT = 50
 class LinearProgram:
     """max c.x  s.t.  A x <= b,  0 <= x <= upper (componentwise).
 
-    The program holds A as its nonzero entries, A[rows[k], cols[k]] =
-    values[k] in row-major order: every entry whose bits are not +0.0, so a
-    -0.0 is kept.  A is given dense here or as entries to `from_entries`;
-    either way, each read of `A` returns a fresh dense array, bit for bit
-    the matrix given.  `solve` reads it once, as its tableau.
+    A is given as its entries (rows, cols, values), A[rows[k], cols[k]] =
+    values[k], each (row, column) at most once and +0.0 everywhere else.
+    The program holds those whose bits are not +0.0 (a -0.0 is kept), in
+    row-major order; each read of `A` returns a fresh dense array.  `solve`
+    reads it once, as its tableau.
     """
 
-    def __init__(self, c, A, b, upper):
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        if A.shape != (np.size(b), np.size(c)):
-            raise ValueError("inconsistent LP dimensions")
-        rows, cols = np.nonzero(A.view(np.uint64))  # any bits but +0.0
-        self._hold(c, (rows, cols, A[rows, cols]), b, upper)
-
-    @classmethod
-    def from_entries(cls, c, entries, b, upper) -> "LinearProgram":
-        """The program whose A has the entries (rows, cols, values), each
-        (row, column) at most once, and +0.0 everywhere else."""
-        lp = cls.__new__(cls)
-        lp._hold(c, entries, b, upper)
-        return lp
-
-    def _hold(self, c, entries, b, upper):
+    def __init__(self, c, entries, b, upper):
         self.c = np.asarray(c, dtype=float)
         self.b = np.asarray(b, dtype=float)
         self.upper = np.asarray(upper, dtype=float)
@@ -110,31 +91,6 @@ class LpSolution:
     reduced_costs: np.ndarray | None = None
     iterations: int = 0
     degenerate_pivots: int = 0   # pivots whose step length is zero
-
-    def audit(self, lp: LinearProgram) -> list[str]:
-        """Primal feasibility, dual sign, and complementary slackness checks,
-        each to FEAS_TOL relative to the program's scale."""
-        problems: list[str] = []
-        if self.status != "optimal":
-            return [f"status {self.status}"]
-        scale = 1.0 + max(1.0, float(np.abs(lp.b).max(initial=0.0)),
-                          float(np.abs(lp.upper[np.isfinite(lp.upper)]).max(initial=0.0)))
-        x, tol = self.x, FEAS_TOL * scale
-        if np.any(x < -tol):
-            problems.append("negative variable value")
-        finite = np.isfinite(lp.upper)
-        if np.any(x[finite] > lp.upper[finite] + tol):
-            problems.append("variable above upper bound")
-        slack = lp.b - lp.A @ x
-        if np.any(slack < -tol):
-            problems.append("row violated")
-        if self.duals is not None:
-            if np.any(self.duals < -tol):
-                problems.append("negative dual on a <= row")
-            comp = np.abs(self.duals * slack)
-            if comp.size and comp.max() > tol * 10:
-                problems.append("complementary slackness violated")
-        return problems
 
 
 def solve(lp: LinearProgram) -> LpSolution:
@@ -254,66 +210,6 @@ def solve(lp: LinearProgram) -> LpSolution:
                       degenerate_pivots=degenerate)
 
 
-def reference_solve(lp: LinearProgram) -> Fraction:
-    """Exact optimum via a rational standard-form tableau (independent of
-    the float path: explicit bound rows, no implicit-bound bookkeeping).
-
-    Intended for auditing on small programs; cost grows quickly with size.
-    """
-    A = lp.A  # one dense read
-    m, n = A.shape
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for i in range(m):
-        rows.append([Fraction(a) for a in A[i].tolist()])
-        rhs.append(Fraction(lp.b[i]))
-    for j in range(n):
-        if np.isfinite(lp.upper[j]):
-            row = [Fraction(0)] * n
-            row[j] = Fraction(1)
-            rows.append(row)
-            rhs.append(Fraction(lp.upper[j]))
-    mm = len(rows)
-    if any(r < 0 for r in rhs):
-        raise ValueError("negative right-hand side")
-    # tableau columns: n structural + mm slacks
-    T = [row + [Fraction(1) if k == i else Fraction(0) for k in range(mm)]
-         for i, row in enumerate(rows)]
-    beta = rhs[:]
-    d = [Fraction(lp.c[j]) for j in range(n)] + [Fraction(0)] * mm
-    basis = list(range(n, n + mm))
-    guard = 0
-    while True:
-        j = next((k for k, dk in enumerate(d) if dk > 0), None)
-        if j is None:
-            break
-        ratios = [(beta[i] / T[i][j], basis[i], i)
-                  for i in range(mm) if T[i][j] > 0]
-        if not ratios:
-            raise RuntimeError("reference LP unbounded")
-        t_min = min(r[0] for r in ratios)
-        leave = min((var, i) for t, var, i in ratios if t == t_min)
-        r = leave[1]
-        piv = T[r][j]
-        T[r] = [val / piv for val in T[r]]
-        beta[r] /= piv
-        for i in range(mm):
-            if i != r and T[i][j] != 0:
-                factor = T[i][j]
-                T[i] = [a - factor * b for a, b in zip(T[i], T[r])]
-                beta[i] -= factor * beta[r]
-        dj = d[j]
-        d = [a - dj * b for a, b in zip(d, T[r])]
-        basis[r] = j
-        guard += 1
-        if guard > 10_000:
-            raise RuntimeError("reference simplex iteration limit exceeded")
-    x = [Fraction(0)] * (n + mm)
-    for i, var in enumerate(basis):
-        x[var] = beta[i]
-    return sum(Fraction(lp.c[j]) * x[j] for j in range(n))
-
-
 # -- program builders -------------------------------------------------------
 
 def matching_rows(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -340,8 +236,8 @@ def build_matching_lmo(inst: Instance, weights) -> LinearProgram:
     if len(w) != inst.n_edges:
         raise ValueError("weight vector length mismatch")
     rows, cols, b = matching_rows(inst)
-    return LinearProgram.from_entries(c=w, entries=(rows, cols, np.ones(len(rows))),
-                                      b=b, upper=np.ones(inst.n_edges))
+    return LinearProgram(c=w, entries=(rows, cols, np.ones(len(rows))),
+                         b=b, upper=np.ones(inst.n_edges))
 
 
 def build_special_lp(inst: Instance, objective) -> LinearProgram:
@@ -388,7 +284,7 @@ def build_special_lp(inst: Instance, objective) -> LinearProgram:
             cols += [*cover, m + k]
             values += [-1.0] * len(cover) + [1.0]
             c[m + k] = w[feats].sum()
-        return LinearProgram.from_entries(
+        return LinearProgram(
             c=c, entries=(rows, cols, values),
             b=np.concatenate([b_match, np.zeros(len(links))]), upper=np.ones(n))
 

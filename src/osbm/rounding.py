@@ -105,6 +105,19 @@ def _shift(p: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.where(q <= SNAP_TOL, 0.0, np.where(q >= 1.0 - SNAP_TOL, 1.0, q))
 
 
+def _star_feasible(x, inst: Instance) -> np.ndarray:
+    """x as a float copy; raises ValueError unless x has one entry per edge
+    (from `Instance.loads`) and every star's fractional degree fits its
+    capacity."""
+    x = np.array(x, dtype=float)
+    over = np.flatnonzero(inst.loads(x)[0] > inst.capacity_array + 1e-9)
+    if len(over):
+        raise ValueError(
+            f"fractional degree exceeds capacity at {inst.offline_ids[over[0]]!r}"
+        )
+    return x
+
+
 def dependent_round_stars(x, inst: Instance, rngs) -> np.ndarray:
     """Round x star-by-star at each offline vertex into an integral edge set.
 
@@ -121,19 +134,14 @@ def dependent_round_stars(x, inst: Instance, rngs) -> np.ndarray:
     fractional edge), and its generator is then rewound to just past the
     draws it used.
 
-    Requires one entry of x per edge (else ValueError, from
-    `Instance.loads`) and the fractional degree of every star to fit its
-    capacity.  Every run lands each star's degree in {floor(sum),
-    ceil(sum)}; per-edge inclusion probability equals x_e exactly.
+    Requires one entry of x per edge and the fractional degree of every
+    star to fit its capacity (else ValueError).  Every run lands each
+    star's degree in {floor(sum), ceil(sum)}; per-edge inclusion
+    probability equals x_e exactly.
     """
     if not isinstance(rngs, list):
         raise TypeError("dependent_round_stars takes a list of generators, one per trial")
-    x = np.asarray(x, dtype=float)
-    over = np.flatnonzero(inst.loads(x)[0] > inst.capacity_array + 1e-9)
-    if len(over):
-        raise ValueError(
-            f"fractional degree exceeds capacity at {inst.offline_ids[over[0]]!r}"
-        )
+    x = _star_feasible(x, inst)
     stars = [[e for e in star.tolist() if _fractional(x[e])]
              for star in inst.edges_at_u]
     n, n_frac = len(rngs), sum(map(len, stars))
@@ -216,9 +224,10 @@ def pipage_round(x, inst: Instance, seed) -> np.ndarray:
     matching: apply the pairing step along alternating paths/cycles of the
     fractional support until integral.  Offline degrees never exceed
     capacities; online degrees never exceed the ceiling of their fractional
-    bound.
+    bound.  Requires one entry of x per edge and the fractional degree of
+    every star to fit its capacity (else ValueError).
     """
-    x = np.array(x, dtype=float)
+    x = _star_feasible(x, inst)
     rng = np.random.default_rng(seed)
     n_u = inst.n_offline
     edge_ends = [(int(u), n_u + int(v)) for u, v in zip(inst.edge_u, inst.edge_v)]

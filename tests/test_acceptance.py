@@ -26,19 +26,14 @@ import tempfile
 
 import numpy as np
 
-from conftest import small_instance, small_objective
+from conftest import dense_program, reference_solve, small_instance, small_objective
 from osbm.instances import (
     build_instance,
     generate_synthetic,
     ingest_ratings,
     sample_arrivals,
 )
-from osbm.lp import (
-    LinearProgram,
-    reference_solve,
-    solve,
-    solve_offline_lp,
-)
+from osbm.lp import solve, solve_offline_lp
 from osbm.objectives import (
     LinearObjective,
     build_objective,
@@ -375,7 +370,7 @@ def test_criterion_9_solver_exactness():
     for _ in range(1000):
         n = int(rng.integers(1, 7))
         m = int(rng.integers(1, 6))
-        lp = LinearProgram(
+        lp = dense_program(
             c=np.round(rng.uniform(-1, 1, n), 3),
             A=np.round(rng.uniform(-1, 1, (m, n)), 3),
             b=np.round(rng.uniform(0, 2, m), 3),

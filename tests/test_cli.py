@@ -253,7 +253,7 @@ class TestSimulate:
         assert out == ""
 
     @pytest.mark.parametrize("corrupt", ["truncated", "non_finite", "infeasible",
-                                         "not_utf8", "repeated_x"])
+                                         "not_utf8", "repeated_x", "missing_header"])
     def test_malformed_artifact_exits_2_naming_file(self, tmp_path, corrupt):
         inst_file = small_problem_file(tmp_path)
         x_file = tmp_path / "x.txt"
@@ -270,9 +270,13 @@ class TestSimulate:
                      else ln for ln in lines]
         elif corrupt == "repeated_x":
             lines.append(" ".join(lines[first_x].split()[:2] + ["0.25"]))
+        elif corrupt == "missing_header":
+            del lines[0]
         x_file.write_text("\n".join(lines) + "\n")
         if corrupt == "not_utf8":
             x_file.write_bytes(x_file.read_bytes() + b"\xff\xfe\n")
+        message = {"not_utf8": "not a solution file (not UTF-8 text)",
+                   "missing_header": "not a solution file (missing 'osbm-solution/1')"}
         for algorithm in ("greedy", "dependent-rounding"):
             code, _, err = run_cli(
                 "simulate", "--instance", str(inst_file), "--x-star",
@@ -280,6 +284,8 @@ class TestSimulate:
             assert code == 2
             assert str(x_file) in err
             assert "Traceback" not in err
+            if corrupt in message:
+                assert err == f"error: {x_file}: {message[corrupt]}\n"
 
     @pytest.mark.parametrize("corrupt", [
         "missing_header", "truncated_edge", "missing_eta", "negative_features",
@@ -340,12 +346,44 @@ class TestSimulate:
         assert code == 2
         assert str(inst_file) in err
         assert "Traceback" not in err
+        message = {"not_utf8": "not an instance file (not UTF-8 text)",
+                   "missing_header": "not an instance file (missing 'osbm-instance/1')",
+                   "missing_eta": "missing T or eta record"}
+        if corrupt in message:
+            assert err == f"error: {inst_file}: {message[corrupt]}\n"
 
     def test_zero_trials_rejected_at_parse_time(self, tmp_path):
         inst_file = small_problem_file(tmp_path)
         code, _, _ = run_cli("simulate", "--instance", str(inst_file),
                              "--algorithm", "greedy", "--trials", "0")
         assert code == 2
+
+
+@pytest.mark.parametrize("seed", ["-1", "x"])
+@pytest.mark.parametrize("command", ["generate", "ingest", "offline", "simulate",
+                                     "experiment"])
+def test_bad_seed_rejected_at_parse_time(tmp_path, command, seed):
+    # a generator seed is an integer >= 0: numpy refuses a negative one, and a
+    # run should not get as far as asking it
+    inst_file = small_problem_file(tmp_path)
+    ratings, genres = write_ratings_fixture(tmp_path, n_users=4, n_movies=3,
+                                            leave_out={("user0", "m1")})
+    out_file = tmp_path / "out.txt"
+    argv = {
+        "generate": ["--kind", "coverage", "--out", str(out_file)],
+        "ingest": ["--ratings", str(ratings), "--genres", str(genres), "--users", "4",
+                   "--movies", "3", "--out", str(out_file)],
+        "offline": ["--instance", str(inst_file), "--solver", "continuous-greedy",
+                    "--out", str(out_file)],
+        "simulate": ["--instance", str(inst_file), "--algorithm", "greedy"],
+        "experiment": ["--instance", str(inst_file), "--b", "1", "--trials", "3",
+                       "--out", str(out_file)],
+    }[command]
+    code, out, err = run_cli(command, *argv, "--seed", seed)
+    assert code == 2
+    assert f"argument --seed: expected a non-negative integer, got {seed!r}" in err
+    assert out == ""
+    assert not out_file.exists()
 
 
 class TestExperiment:

@@ -313,6 +313,23 @@ class TestIngest:
         assert all(r == 1.0 for r in prob.instance.rates)
         assert prob.validate() == []
 
+    def test_integral_rates_refuse_a_horizon(self, tmp_path):
+        # integral rates fix T at the user count, so a given horizon would be
+        # dropped without a word
+        ratings, genres = write_ratings_fixture(tmp_path, n_users=3, n_movies=2)
+        with pytest.raises(IngestError, match="horizon applies only to normalized"):
+            ingest_ratings(ratings, genres, num_users=3, num_movies=2,
+                           horizon=500, rates_mode="integral")
+        out = tmp_path / "inst.txt"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["ingest", "--ratings", str(ratings), "--genres", str(genres),
+                             "--users", "3", "--movies", "2", "--rates", "integral",
+                             "--horizon", "500", "--out", str(out)])
+        assert code == 2
+        assert "horizon applies only to normalized" in err.getvalue()
+        assert not out.exists()
+
     def test_normalized_probabilities_sum_to_one(self, tmp_path):
         ratings, genres = write_ratings_fixture(
             tmp_path, leave_out={("user0", "m0")})

@@ -10,7 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import golden_note, small_instance, small_objective
+from conftest import (
+    dense_program,
+    golden_note,
+    lp_audit,
+    reference_solve,
+    small_instance,
+    small_objective,
+)
 from osbm import lp as lpmod
 from osbm.instances import build_instance, generate_synthetic, save_problem
 from osbm.lp import (
@@ -19,7 +26,6 @@ from osbm.lp import (
     build_matching_lmo,
     build_special_lp,
     feasible_for_matching,
-    reference_solve,
     saturate_marginals,
     solve,
     solve_offline_lp,
@@ -67,14 +73,14 @@ def raw_epigraph_lp(inst, objective):
         A[k0 + k, sorted(covering[z])] = -1.0
         A[k0 + k, m + k] = 1.0
         c[m + k] = objective.feature_weights[z]
-    return LinearProgram(c=c, A=A, b=np.concatenate([b_match, np.zeros(len(active))]),
+    return dense_program(c=c, A=A, b=np.concatenate([b_match, np.zeros(len(active))]),
                          upper=np.ones(m + len(active)))
 
 
 def random_lp(rng, max_vars=6, max_rows=5):
     n = int(rng.integers(1, max_vars + 1))
     m = int(rng.integers(1, max_rows + 1))
-    return LinearProgram(
+    return dense_program(
         c=np.round(rng.uniform(-1, 1, n), 3),
         A=np.round(rng.uniform(-1, 1, (m, n)), 3),
         b=np.round(rng.uniform(0, 2, m), 3),
@@ -214,19 +220,19 @@ def assert_same_solution(got: LpSolution, want: LpSolution):
 
 class TestSolve:
     def test_box_maximum(self):
-        lp = LinearProgram(c=[1.0, 1.0], A=np.zeros((1, 2)), b=[5.0],
+        lp = dense_program(c=[1.0, 1.0], A=np.zeros((1, 2)), b=[5.0],
                            upper=[1.0, 1.0])
         s = solve(lp)
         assert s.status == "optimal"
         assert s.value == pytest.approx(2.0)
 
     def test_negative_rhs_rejected(self):
-        lp = LinearProgram(c=[1.0], A=[[1.0]], b=[-1.0], upper=[1.0])
+        lp = dense_program(c=[1.0], A=[[1.0]], b=[-1.0], upper=[1.0])
         with pytest.raises(ValueError, match="right-hand side"):
             solve(lp)
 
     def test_unbounded_detected(self):
-        lp = LinearProgram(c=[1.0], A=[[-1.0]], b=[1.0], upper=[np.inf])
+        lp = dense_program(c=[1.0], A=[[-1.0]], b=[1.0], upper=[np.inf])
         assert solve(lp).status == "unbounded"
 
     def test_deterministic_given_input(self, rng):
@@ -243,13 +249,13 @@ class TestSolve:
             assert s.status == "optimal"
             ref = float(reference_solve(lp))
             assert abs(s.value - ref) <= 1e-9 * max(1.0, abs(ref))
-            assert s.audit(lp) == []
+            assert lp_audit(s, lp) == []
 
     def test_degenerate_ties_are_stable(self):
         # identical rows and costs: tied reduced costs enter by lowest index,
         # every pivot after the first is degenerate, and the solve must
         # terminate on the rational optimum
-        lp = LinearProgram(
+        lp = dense_program(
             c=[1.0, 1.0, 1.0],
             A=[[1.0, 1.0, 1.0]] * 3,
             b=[1.0, 1.0, 1.0],
@@ -285,7 +291,7 @@ class TestSolve:
 
 def beale_lp():
     """Beale's (1955) program, on which largest-coefficient pricing cycles."""
-    return LinearProgram(
+    return dense_program(
         c=[0.75, -20.0, 0.5, -6.0],
         A=[[0.25, -8.0, -1.0, 9.0],
            [0.5, -12.0, -0.5, 3.0],
@@ -302,7 +308,7 @@ class TestAntiCycling:
         assert a.status == "optimal"
         assert a.value == pytest.approx(1.25, rel=1e-12)
         assert abs(a.value - float(reference_solve(lp))) <= 1e-9
-        assert a.audit(lp) == []
+        assert lp_audit(a, lp) == []
         assert np.array_equal(a.x, b.x)
 
     def test_beale_cycles_without_the_bland_fallback(self, monkeypatch):
@@ -315,7 +321,7 @@ class TestAntiCycling:
         assert 0 < s.degenerate_pivots <= s.iterations
 
     def test_nondegenerate_box_has_no_degenerate_pivots(self):
-        lp = LinearProgram(c=[1.0, 2.0, 3.0], A=[[1.0, 1.0, 1.0]], b=[10.0],
+        lp = dense_program(c=[1.0, 2.0, 3.0], A=[[1.0, 1.0, 1.0]], b=[10.0],
                            upper=[1.0, 1.0, 1.0])
         s = solve(lp)
         assert s.value == pytest.approx(6.0)
@@ -332,7 +338,7 @@ class TestCondensedTableau:
         """Entries from small grids, so that ties, degenerate right-hand
         sides, zero-width and infinite boxes and unbounded programs are all
         common; 0.37 makes some pivots inexact."""
-        return LinearProgram(
+        return dense_program(
             c=rng.choice([-1.0, -0.3, -0.0, 0.0, 0.5, 0.7, 1.0, 2.0], n),
             A=rng.choice([-2.0, -1.0, -0.5, 0.0, 0.0, 0.37, 0.5, 1.0, 3.0], (m, n)),
             b=rng.choice([0.0, 0.0, 0.5, 1.0, 2.0], m),
@@ -396,7 +402,7 @@ class TestNonzeroProgram:
 
     def test_dense_matrix_reads_back_bit_for_bit(self):
         M = np.array([[0.0, -0.0, 1.5], [-0.0, 0.0, 0.0], [2.0, -3.25, -0.0]])
-        lp = LinearProgram(c=np.ones(3), A=M, b=np.ones(3), upper=np.ones(3))
+        lp = dense_program(c=np.ones(3), A=M, b=np.ones(3), upper=np.ones(3))
         assert len(lp.values) == 6  # the three -0.0 entries are kept, no +0.0
         A = lp.A
         assert A.dtype == M.dtype and A.shape == M.shape
@@ -409,7 +415,7 @@ class TestNonzeroProgram:
         problem = generate_synthetic("coverage", 11)
         lp = build_special_lp(problem.instance.with_capacities(b),
                               build_objective(problem))
-        dense = LinearProgram(c=lp.c, A=lp.A, b=lp.b, upper=lp.upper)
+        dense = dense_program(c=lp.c, A=lp.A, b=lp.b, upper=lp.upper)
         for arr in ("rows", "cols", "values"):
             assert getattr(dense, arr).tobytes() == getattr(lp, arr).tobytes()
 
@@ -420,8 +426,8 @@ class TestNonzeroProgram:
         (([0], [0, 1], [1.0]), "lengths")])
     def test_malformed_entries_rejected(self, entries, match):
         with pytest.raises(ValueError, match=match):
-            LinearProgram.from_entries(c=[1.0, 1.0], entries=entries, b=[1.0, 1.0],
-                                       upper=[1.0, 1.0])
+            LinearProgram(c=[1.0, 1.0], entries=entries, b=[1.0, 1.0],
+                          upper=[1.0, 1.0])
 
     def test_offline_solve_peaks_at_one_dense_copy(self):
         # with a dense A held beside the tableau the peak was 2.02 x A's bytes
@@ -474,7 +480,7 @@ class TestHighsCrossCheck:
         assert s.value == pytest.approx(highs_value(lp), rel=1e-7)
         if raw is not None:
             assert s.value == pytest.approx(highs_value(raw), rel=1e-7)
-        assert s.audit(lp) == []
+        assert lp_audit(s, lp) == []
 
     @pytest.mark.parametrize("b", [1, 5])
     def test_coverage_epigraph_lp(self, b):
@@ -630,7 +636,7 @@ class TestSpecialPrograms:
             lp = build_special_lp(inst, obj)
             assert lp.A.shape[0] < raw.A.shape[0]
             s = solve(lp)
-            assert s.audit(lp) == []
+            assert lp_audit(s, lp) == []
             ref = float(reference_solve(raw))
             assert s.value == pytest.approx(ref, rel=1e-9)
             assert float(reference_solve(lp)) == pytest.approx(ref, rel=1e-12)
@@ -715,7 +721,8 @@ class TestGuideMarginals:
 
 def test_lp_solve_leaves_numpy_random_unloaded(tmp_path):
     # numpy.random and numpy.ma (about 6 MiB resident) load only when a run
-    # first draws, so they add nothing to the peak of an LP solved before
+    # first draws, so they add nothing to the peak of an LP solved before;
+    # the exact rational arithmetic (fractions, decimal) is the tests' alone
     path = tmp_path / "coverage.txt"
     save_problem(generate_synthetic("coverage", 11), path)
     script = (
@@ -724,7 +731,8 @@ def test_lp_solve_leaves_numpy_random_unloaded(tmp_path):
         "from osbm.objectives import build_objective\n"
         f"problem = load_problem({str(path)!r})\n"
         "osbm.solve_offline_lp(problem.instance, build_objective(problem))\n"
-        "print(sorted({'numpy.random', 'numpy.ma'} & set(sys.modules)))\n")
+        "print(sorted({'numpy.random', 'numpy.ma', 'fractions', 'decimal'}\n"
+        "             & set(sys.modules)))\n")
     src = str(Path(lpmod.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": src})

@@ -370,6 +370,24 @@ class TestDependentRounding:
         assert np.array_equal(a, b)
 
 
+class TestUnroundableGuide:
+    """Both roundings refuse an x they cannot round."""
+
+    @pytest.mark.parametrize("round_x", [
+        lambda x, inst: pipage_round(x, inst, 0),
+        lambda x, inst: dependent_round_stars(x, inst, rngs(1))],
+        ids=["pipage", "dependent"])
+    @pytest.mark.parametrize("x, match", [
+        ([0.5, 0.5, 0.5, 0.5], "edge vector of shape"),  # one entry too many
+        ([0.9, 0.9, 0.9], "capacity at 'u1'")])  # u1 carries 1.8
+    def test_rejected(self, round_x, x, match):
+        inst = build_instance([("u0", 1), ("u1", 1)], [("v0", 1.0), ("v1", 1.0)],
+                              [("e0", "u0", "v0"), ("e1", "u1", "v0"),
+                               ("e2", "u1", "v1")], horizon=2)
+        with pytest.raises(ValueError, match=match):
+            round_x(np.array(x), inst)
+
+
 class TestPairingStep:
     """Dependent rounding and pipage rounding make the same pairing step."""
 
