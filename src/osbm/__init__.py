@@ -2,10 +2,10 @@
 
 Offline phase: maximize the multilinear extension of a monotone submodular
 edge objective over the bipartite b-matching polytope (fractional ascent
-with a built-in simplex oracle, or exact epigraph programs for the
-closed-form objective kinds).  Online phase: guided and heuristic policies
-replayed over seeded arrival streams, with empirical competitive ratios
-against certified benchmark upper bounds.
+with a built-in simplex oracle, or, for the closed-form objective kinds,
+an epigraph program of a concave relaxation).  Online phase: guided and
+heuristic policies replayed over seeded arrival streams, with empirical
+competitive ratios against certified benchmark upper bounds.
 """
 
 from .instances import (
@@ -42,6 +42,7 @@ from .lp import (
 )
 from .offline import (
     OfflineSolution,
+    compute_benchmark,
     continuous_greedy,
     expected_opt,
     hindsight_optimal,
@@ -56,7 +57,6 @@ from .rounding import (
 )
 from .online import (
     RunMetrics,
-    compute_benchmark,
     make_policy,
     run_trial,
     simulate,

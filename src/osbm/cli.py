@@ -27,15 +27,16 @@ from .instances import (
     num,
     save_problem,
 )
-from .objectives import build_objective, multilinear_estimate
+from .objectives import build_objective
 from .offline import (
-    OfflineSolution,
     SolutionError,
+    compute_benchmark,
     continuous_greedy,
     load_solution,
+    lp_guide,
     save_solution,
 )
-from .online import POLICY_NAMES, ArrivalStreams, guide_scaled, simulate
+from .online import POLICY_NAMES, ArrivalStreams, simulate
 
 # reference lines echoed in experiment reports: online-phase guarantee
 # factors of the guided policies relative to the offline guide value
@@ -121,31 +122,15 @@ def cmd_ingest(args) -> int:
     return _save(problem, args.out)
 
 
-def _solve_offline(problem: Problem, solver: str, steps: int, grad_samples: int,
-                   seed: int) -> OfflineSolution:
-    inst = problem.instance
-    objective = build_objective(problem)
-    if solver in ("auto", "lp"):
-        x, value, _ = lpmod.solve_offline_lp(inst, objective)
-        est, se = multilinear_estimate(
-            objective, x, samples=min(2000, 200 + inst.n_edges), seed=seed)
-        return OfflineSolution(
-            x=x, objective_estimate=est, estimate_std_error=se, solver="lp",
-            seed=seed, benchmark_kind="lp", benchmark_value=value,
-        )
-    # argparse's choices leave continuous-greedy
-    sol = continuous_greedy(objective, inst, steps=steps,
-                            grad_samples=grad_samples, seed=seed)
-    sol.benchmark_kind = "guide-scaled"
-    sol.benchmark_value = guide_scaled(sol.objective_estimate)
-    return sol
-
-
 def cmd_offline(args) -> int:
     problem = _load(args.instance)
-    sol = _solve_offline(problem, args.solver, args.steps, args.grad_samples,
-                         args.seed)
-    save_solution(args.out, problem.instance, sol)
+    inst, objective = problem.instance, build_objective(problem)
+    # the guide and its bound, as `offline` makes them; argparse's choices
+    # leave continuous-greedy beside auto and lp
+    sol = (lp_guide(objective, inst, seed=args.seed) if args.solver in ("auto", "lp")
+           else continuous_greedy(objective, inst, steps=args.steps,
+                                  grad_samples=args.grad_samples, seed=args.seed))
+    save_solution(args.out, inst, sol)
     print(f"wrote {args.out}: solver={sol.solver} "
           f"objective-estimate={num(sol.objective_estimate)} "
           f"benchmark={sol.benchmark_kind}:{num(sol.benchmark_value)}")
@@ -154,19 +139,20 @@ def cmd_offline(args) -> int:
 
 def cmd_simulate(args) -> int:
     problem = _load(args.instance)
-    inst = problem.instance
-    objective = build_objective(problem)
-    x_star = None
-    benchmark: str | tuple[str, float] = args.benchmark
+    inst, objective = problem.instance, build_objective(problem)
+    x_star, benchmark = None, None
     if args.x_star is not None:
         sol = load_solution(_existing_file(args.x_star), inst)
         x_star = sol.x
-        if args.benchmark == sol.benchmark_kind and sol.benchmark_value is not None:
+        if args.benchmark == sol.benchmark_kind:  # the guide's own bound
             benchmark = (sol.benchmark_kind, sol.benchmark_value)
     elif args.algorithm != "greedy":  # every other policy is guided
         raise UsageError(f"{args.algorithm} needs offline edge marginals")
     elif args.benchmark == "guide-scaled":
         raise UsageError("guide-scaled benchmark needs edge marginals")
+    if benchmark is None:
+        benchmark = compute_benchmark(args.benchmark, inst, objective, x_star=x_star,
+                                      seed=args.seed)
     metrics = simulate(
         inst, objective, args.algorithm, x_star=x_star, trials=args.trials,
         seed=args.seed, benchmark=benchmark, workers=args.workers,
@@ -201,6 +187,8 @@ def cmd_experiment(args) -> int:
     rows: list[dict] = []
     hist_rows: list[dict] = []
     streams = None  # the trials' arrival streams, drawn once for the sweep
+    # matches are kept only for the histogram rows an objective can give
+    hist = args.coverage_hist is not None and hasattr(objective, "user_cover_fractions")
     for eta in args.eta:
         for b in args.b:
             inst = problem.instance.with_capacities(b).with_eta(eta)
@@ -218,13 +206,11 @@ def cmd_experiment(args) -> int:
                         inst, objective, name, x_star=x_star, trials=args.trials,
                         seed=args.seed, benchmark=("lp", benchmark_value),
                         workers=args.workers, allow_fractional_cr=True,
-                        keep_matches=args.coverage_hist is not None,
-                        streams=streams,
+                        keep_matches=hist, streams=streams,
                     )
                     rows.append(_report_row(name, problem.kind, b, eta, args.trials,
                                             num(benchmark_value), metrics))
-                    if args.coverage_hist is not None and hasattr(
-                            objective, "user_cover_fractions"):
+                    if hist:
                         hist_rows.extend(_coverage_histogram_rows(
                             objective, metrics, name, b, eta))
                 except Exception as exc:

@@ -1,12 +1,14 @@
-"""Offline phase: fractional ascent over the matching polytope and
-brute-force optima for tiny instances.
+"""Offline phase: the guides that steer the online policies and the upper
+bounds that judge them.
 
-`continuous_greedy` maximizes the multilinear extension over the b-matching
-polytope by repeatedly estimating its gradient and stepping toward the best
-vertex (linear maximization oracle); the resulting marginals guide the
-online policies.  `expected_opt` computes or estimates the expectation of
-the hindsight optimum over arrival sequences, the denominator of empirical
-competitive ratios on small instances.
+`lp_guide` solves the epigraph program of a closed-form objective, whose
+optimum, the ``lp`` bound, maximizes a concave relaxation L(x) >= F(x);
+`continuous_greedy` ascends the multilinear extension F toward the best
+vertex of a Monte Carlo gradient and records the ``guide-scaled`` bound
+F(x) * e/(e-1).  Each returns an `OfflineSolution`, marginals with their
+bound.  `expected_opt` is the ``brute`` bound, E[hindsight optimum], on tiny
+instances; `compute_benchmark` makes any of the three as the ``(kind,
+value)`` pair `online.simulate` takes.
 """
 
 from __future__ import annotations
@@ -65,7 +67,8 @@ def continuous_greedy(
     """Fractional ascent on the multilinear extension over the matching
     polytope: x accumulates `steps` equal-weight LMO vertices, each chosen
     against a Monte Carlo gradient estimate sharing one batch of subset
-    draws across coordinates.
+    draws across coordinates.  The solution carries its ``guide-scaled``
+    bound, from a 2000-sample estimate of F(x).
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -83,8 +86,18 @@ def continuous_greedy(
     return OfflineSolution(
         x=x, objective_estimate=est, estimate_std_error=se,
         solver="continuous-greedy", seed=seed, steps=steps,
-        grad_samples=grad_samples,
+        grad_samples=grad_samples, benchmark_kind="guide-scaled",
+        benchmark_value=guide_scaled(est),
     )
+
+
+def lp_guide(objective: SubmodularObjective, inst: Instance, seed: int = 0) -> OfflineSolution:
+    """The epigraph program's optimizer with its ``lp`` bound, and F
+    estimated with ``min(2000, 200 + m)`` samples drawn from ``seed``."""
+    x, value, _ = lpmod.solve_offline_lp(inst, objective)
+    est, se = multilinear_estimate(objective, x, min(2000, 200 + inst.n_edges), seed)
+    return OfflineSolution(x=x, objective_estimate=est, estimate_std_error=se, solver="lp",
+                           seed=seed, benchmark_kind="lp", benchmark_value=value)
 
 
 # -- hindsight optimum -------------------------------------------------------
@@ -202,6 +215,40 @@ def expected_opt(
                         for i in range(trials)])
 
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def guide_scaled(f_value: float) -> float:
+    """The ``guide-scaled`` bound F(x*) * e/(e-1) from an estimate of F(x*)."""
+    return f_value * math.e / (math.e - 1.0)
+
+
+def compute_benchmark(kind: str, inst: Instance,
+                      objective: SubmodularObjective,
+                      x_star: np.ndarray | None = None,
+                      seed: int = 0) -> tuple[str, float]:
+    """Upper bounds on the expected hindsight optimum, as the ``(kind,
+    value)`` pair `online.simulate` takes.
+
+    ``lp``: optimum of the closed-form offline program (valid by concavity
+    of the epigraph relaxation).  ``brute``: exact expectation, tiny
+    instances only.  ``guide-scaled``: estimated F(x_star) * e/(e-1), valid
+    for marginals produced by the fractional ascent, so x_star must lie in
+    the b-matching polytope, as a guided policy's must.
+    """
+    if kind == "lp":
+        _, value, _ = lpmod.solve_offline_lp(inst, objective)
+        return "lp", value
+    if kind == "brute":
+        value, _ = expected_opt(inst, objective, mode="exact")
+        return "brute", value
+    if kind == "guide-scaled":
+        if x_star is None or len(x_star) != inst.n_edges:
+            raise ValueError("guide-scaled benchmark needs edge marginals")
+        if not lpmod.feasible_for_matching(inst, x_star):
+            raise ValueError("infeasible guide-scaled guide: not in the b-matching polytope")
+        est, _ = multilinear_estimate(objective, x_star, samples=4000, seed=seed)
+        return "guide-scaled", guide_scaled(est)
+    raise ValueError(f"unknown benchmark kind {kind!r}")
 
 
 # -- solution artifact --------------------------------------------------------

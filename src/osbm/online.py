@@ -45,7 +45,9 @@ each trial from its int64 edge array.  A lone trial is a block of one.
 
 ``simulate`` replays a policy over independent arrival sequences and reports
 per-trial objective values, their mean and standard error, and the
-empirical ratio against a chosen benchmark upper bound.  Trial ``i`` of a
+empirical ratio against the upper bound it is given as ``(kind, value)``.
+Guides and bounds are made in `offline` (`offline.compute_benchmark`, or a
+guide's own bound), never here.  Trial ``i`` of a
 run with seed ``s`` draws its arrivals from seed ``s + i`` and its policy
 randomness from ``default_rng((s + i, 1))``, built from that seed's
 words, which a sweep makes once per trial (greedy draws none, so its
@@ -67,8 +69,7 @@ import numpy as np
 
 from . import lp as lpmod
 from .instances import ArrivalSequence, Instance, sample_arrivals
-from .objectives import Evaluator, SubmodularObjective, mean_se, multilinear_estimate
-from .offline import expected_opt
+from .objectives import Evaluator, SubmodularObjective, mean_se
 from .rounding import dependent_round_stars, sample_support
 
 POLICY_NAMES = ("marginal-sampling", "contention-resolution", "greedy",
@@ -453,39 +454,6 @@ class RunMetrics:
     matches: list[list[int]] | None = None
 
 
-def guide_scaled(f_value: float) -> float:
-    """The ``guide-scaled`` bound F(x*) * e/(e-1) from an estimate of F(x*)."""
-    return f_value * math.e / (math.e - 1.0)
-
-
-def compute_benchmark(kind: str, inst: Instance,
-                      objective: SubmodularObjective,
-                      x_star: np.ndarray | None = None,
-                      seed: int = 0) -> tuple[str, float]:
-    """Upper bounds on the expected hindsight optimum.
-
-    ``lp``: optimum of the closed-form offline program (valid by concavity
-    of the epigraph relaxation).  ``brute``: exact expectation, tiny
-    instances only.  ``guide-scaled``: estimated F(x_star) * e/(e-1), valid
-    for marginals produced by the fractional ascent, so x_star must lie in
-    the b-matching polytope, as a guided policy's must.
-    """
-    if kind == "lp":
-        _, value, _ = lpmod.solve_offline_lp(inst, objective)
-        return "lp", value
-    if kind == "brute":
-        value, _ = expected_opt(inst, objective, mode="exact")
-        return "brute", value
-    if kind == "guide-scaled":
-        if x_star is None or len(x_star) != inst.n_edges:
-            raise ValueError("guide-scaled benchmark needs edge marginals")
-        if not lpmod.feasible_for_matching(inst, x_star):
-            raise ValueError("infeasible guide-scaled guide: not in the b-matching polytope")
-        est, _ = multilinear_estimate(objective, x_star, samples=4000, seed=seed)
-        return "guide-scaled", guide_scaled(est)
-    raise ValueError(f"unknown benchmark kind {kind!r}")
-
-
 # Trials run together.  A block stays within BLOCK_CELLS 8-byte cells
 # (16 MiB).  Each trial takes one per edge (its dependent-rounding draws,
 # support or membership masks); at most 6 + 8 * eta per round of the horizon
@@ -594,7 +562,7 @@ def simulate(
     x_star: np.ndarray | None = None,
     trials: int = 100,
     seed: int = 0,
-    benchmark: str | tuple[str, float] | None = None,
+    benchmark: tuple[str, float] | None = None,
     workers: int = 1,
     allow_fractional_cr: bool = False,
     keep_matches: bool = False,
@@ -608,20 +576,18 @@ def simulate(
     trial count, horizon and rates, shares the arrival streams of a sweep.
     Without it every block draws its own streams: a run alone draws each
     stream once either way, so holding them would only add memory.
+    ``benchmark`` is the run's upper bound as ``(kind, value)``, as
+    `offline.compute_benchmark` or an offline solution makes it, or None.
     """
+    if isinstance(benchmark, str):
+        raise TypeError("simulate takes a (kind, value) benchmark; make it with compute_benchmark")
+    benchmark_kind, benchmark_value = benchmark or (None, None)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     policy = make_policy(policy, inst, objective, x_star,
                          allow_fractional_cr=allow_fractional_cr)
     if streams is not None:
         streams.check(inst, seed, trials)
-    if isinstance(benchmark, str):
-        benchmark_kind, benchmark_value = compute_benchmark(
-            benchmark, inst, objective, x_star=x_star, seed=seed)
-    elif benchmark is None:
-        benchmark_kind, benchmark_value = None, None
-    else:
-        benchmark_kind, benchmark_value = benchmark
 
     block = max(1, BLOCK_CELLS // (inst.n_edges + (6 + 8 * inst.eta) * inst.horizon
                                    + 384))

@@ -1,11 +1,13 @@
 """Command-line contract: exit codes, artifacts, report determinism."""
 
+import ast
 import csv
 import hashlib
 import inspect
 import io
 import math
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,6 +71,22 @@ class TestPublicNames:
             "pipage_round", "run_trial", "sample_arrivals", "sample_support",
             "saturate_marginals", "save_problem", "select_per_star", "simulate",
             "solve", "solve_offline_lp", "validate"}
+
+    def test_bounds_and_guides_are_made_in_offline_only(self):
+        # online replays a run against the bound it is given, and the cli
+        # picks which bound that is; neither makes a bound or a guide
+        def imported(module):
+            tree = ast.parse(Path(inspect.getfile(module)).read_text(encoding="utf-8"))
+            return {(node.module, alias.name) for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+        online = imported(osbm.online)
+        assert not {name for module, name in online
+                    if "offline" in (name, (module or "").rpartition(".")[2])}
+        assert "multilinear_estimate" not in {name for _, name in online}
+        assert not {name for _, name in imported(osbm.cli)} & {
+            "multilinear_estimate", "guide_scaled", "OfflineSolution"}
+        assert osbm.compute_benchmark is osbm.offline.compute_benchmark
 
 
 class TestGenerate:
@@ -352,6 +370,18 @@ class TestSimulate:
         if corrupt in message:
             assert err == f"error: {inst_file}: {message[corrupt]}\n"
 
+    def test_a_bound_that_cannot_be_made_exits_1(self, tmp_path):
+        # the budget recipe's 201 branches over T=200 are past the exact
+        # expectation's enumeration budget: a runtime failure, not a usage one
+        inst_file = tmp_path / "budget.txt"
+        assert run_cli("generate", "--kind", "budget-additive", "--seed", "11",
+                       "--out", str(inst_file))[0] == 0
+        code, out, err = run_cli("simulate", "--instance", str(inst_file), "--algorithm",
+                                 "greedy", "--benchmark", "brute", "--trials", "5")
+        assert code == 1
+        assert err == "error: exact mode exceeds the sequence enumeration budget\n"
+        assert out == ""
+
     def test_zero_trials_rejected_at_parse_time(self, tmp_path):
         inst_file = small_problem_file(tmp_path)
         code, _, _ = run_cli("simulate", "--instance", str(inst_file),
@@ -462,6 +492,64 @@ class TestExperiment:
         assert len(hist_rows) == 10
         total_users = sum(float(r["mean_user_count"]) for r in hist_rows)
         assert total_users == pytest.approx(8.0)
+
+    def test_matches_are_kept_only_for_histogram_rows(self, tmp_path, monkeypatch):
+        # a budget-additive objective has no per-user coverage: its histogram
+        # is the header alone, so no run keeps its trials' matches
+        from osbm import cli
+
+        keeps = []
+        run = cli.simulate
+        monkeypatch.setattr(cli, "simulate", lambda *a, **kw: keeps.append(
+            kw["keep_matches"]) or run(*a, **kw))
+        inst_file = small_problem_file(tmp_path)
+        args = ["experiment", "--instance", str(inst_file), "--algorithms",
+                "greedy,marginal-sampling", "--b", "1,2", "--trials", "10"]
+        plain, report, hist = (tmp_path / name for name in ("r0.csv", "r1.csv", "h.csv"))
+        assert run_cli(*args, "--out", str(plain))[0] == 0
+        assert run_cli(*args, "--out", str(report), "--coverage-hist", str(hist))[0] == 0
+        assert keeps == [False] * 8
+        assert report.read_bytes() == plain.read_bytes()
+        assert hist.read_text() == "algorithm,b,eta,bucket_lo,bucket_hi,mean_user_count\n"
+
+    def test_failed_cells_write_error_rows(self, tmp_path, monkeypatch):
+        # a failing offline solve costs its cell, a failing run its row; the
+        # sweep goes on and every other row keeps its bytes
+        from osbm import cli, lp
+
+        inst_file = small_problem_file(tmp_path)
+        args = ["experiment", "--instance", str(inst_file), "--algorithms",
+                "greedy,marginal-sampling", "--b", "1,2,3", "--trials", "10"]
+        clean, failed = tmp_path / "clean.csv", tmp_path / "failed.csv"
+        assert run_cli(*args, "--out", str(clean))[0] == 0
+        solve, run = lp.solve_offline_lp, cli.simulate
+
+        def solve_but_b2(inst, objective):
+            if inst.capacities[0] == 2:
+                raise RuntimeError("offline program not optimal: iteration_limit")
+            return solve(inst, objective)
+
+        def run_but_greedy(inst, objective, name, **kw):
+            if name == "greedy":
+                raise ValueError("greedy is down")
+            return run(inst, objective, name, **kw)
+
+        monkeypatch.setattr(lp, "solve_offline_lp", solve_but_b2)
+        monkeypatch.setattr(cli, "simulate", run_but_greedy)
+        code, out, _ = run_cli(*args, "--out", str(failed))
+        assert code == 0
+        assert out == f"wrote {failed}: 6 rows\n"
+        want = []
+        for line in clean.read_text().splitlines():
+            row = line.split(",")
+            if row[2:4] == ["2", "1"]:
+                row[4:] = ["0", "", "", "lp", "", "", "offline program not optimal: "
+                           "iteration_limit"]
+            elif row[0] == "greedy":
+                row[5:7], row[9:] = ["", ""], ["", "greedy is down"]
+            want.append(",".join(row))
+        assert failed.read_text().splitlines() == want
+        assert sum(line.endswith(",") for line in want) == 2  # marginal sampling, b 1 and 3
 
     @pytest.mark.parametrize("flag, value", [
         ("--b", "1,x"), ("--b", "1,,2"), ("--b", "2.5"), ("--eta", "0"),

@@ -1,6 +1,7 @@
 """Instance model: validation, arrival sampling, generators, ingestion, I/O."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import math
@@ -60,6 +61,9 @@ class TestValidate:
         )
         msgs = validate(inst)
         assert any("rates exceed horizon" in m for m in msgs)
+        with pytest.raises(ValueError, match=re.escape(
+                "arrival probabilities exceed 1; instance is invalid")):
+            sample_arrivals(inst, 0)
 
     def test_empty_edge_list_is_legal(self):
         inst = tiny_instance(edges=[])
@@ -95,6 +99,25 @@ class TestValidate:
         msgs = validate(inst)
         assert any("duplicate (u, v) pair" in m for m in msgs)
         assert any("capacity" in m for m in msgs)
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(offline_ids=("u1", "u1")), "duplicate offline vertex id"),
+        (dict(online_ids=("v1", "v1")), "duplicate online type id"),
+        (dict(edge_ids=("e1", "e1", "e3")), "duplicate edge id"),
+        (dict(edge_ids=("e1", "", "e3")), "edge id '' is empty or has whitespace"),
+        (dict(online_ids=("v1", "v 2")), "online type id 'v 2' is empty or has whitespace"),
+        (dict(capacities=(1,)), "capacity list length mismatch"),
+        (dict(rates=(0.5,)), "rate list length mismatch"),
+        (dict(horizon=0), "horizon must be >= 1"),
+        (dict(eta=0), "eta must be >= 1")],
+        ids=["offline-id", "type-id", "edge-id", "empty-id", "space-id", "capacities",
+             "rates", "horizon", "eta"])
+    def test_each_violation_is_listed(self, change, message):
+        assert message in validate(dataclasses.replace(tiny_instance(), **change))
+
+    def test_with_capacities_takes_one_per_offline_vertex(self):
+        with pytest.raises(ValueError, match="^capacity vector length mismatch$"):
+            tiny_instance().with_capacities([1, 2, 3])
 
     def test_structural_check_runs_once_per_instance(self, monkeypatch, tmp_path):
         calls = []
@@ -296,6 +319,10 @@ class TestIngest:
         (z,) = range(len(prob.features.feature_names))
         vi = prob.instance.online_index["alice"]
         assert prob.features.user_weights[vi, z] == pytest.approx(3.0)
+        # a blank or all-space row is skipped, not malformed
+        ratings.write_text("alice,m1,4\n\n   \nalice,m2,2\nbob,m1,5\nbob,m2,5\n")
+        assert_same_problem(ingest_ratings(ratings, genres, num_users=2, num_movies=2,
+                                           seed=0), prob)
 
     def test_requested_counts_respected(self, tmp_path):
         ratings, genres = write_ratings_fixture(
@@ -312,6 +339,8 @@ class TestIngest:
         assert prob.instance.horizon == 6
         assert all(r == 1.0 for r in prob.instance.rates)
         assert prob.validate() == []
+        with pytest.raises(IngestError, match="^unknown rates mode 'uniform'$"):
+            ingest_ratings(ratings, genres, num_users=6, num_movies=5, rates_mode="uniform")
 
     def test_integral_rates_refuse_a_horizon(self, tmp_path):
         # integral rates fix T at the user count, so a given horizon would be
@@ -385,6 +414,10 @@ class TestIngest:
         ratings, genres = write_ratings_fixture(tmp_path, n_users=3)
         with pytest.raises(IngestError, match="users"):
             ingest_ratings(ratings, genres, num_users=10, num_movies=3)
+        # and too few movies
+        with pytest.raises(IngestError, match=re.escape(
+                "requested 9 movies but ratings file has only 5")):
+            ingest_ratings(ratings, genres, num_users=3, num_movies=9)
 
 
 class TestRoundTrip:
@@ -476,6 +509,20 @@ class TestRoundTrip:
         for shape in ((2, 1), (3, 2)):  # two types, two features
             assert problem("per_user_coverage", user_weights=np.ones(shape)).validate() \
                 == ["user weight matrix shape mismatch"]
+        finite = "weights must be finite and >= 0"
+        assert problem("coverage", feature_weights=np.array([1.0, np.inf])).validate() == [
+            f"feature {finite}"]
+        assert problem("per_user_coverage",
+                       user_weights=np.array([[1.0, np.nan], [0.0, 0.0]])).validate() == [
+            f"user {finite}"]
+        # the edge payloads hold one entry per edge (tiny_instance has 3)
+        for weights, message in (([1.0, 1.0], "edge weight vector length mismatch"),
+                                 ([1.0, np.nan, 1.0], f"edge {finite}")):
+            assert Problem(instance=tiny_instance(), kind="linear", features=EdgeFeatures(
+                edge_weights=np.array(weights))).validate() == [message]
+        assert Problem(instance=tiny_instance(), kind="coverage", features=EdgeFeatures(
+            n_features=1, feature_sets=(frozenset(),) * 2,
+            feature_weights=np.ones(1))).validate() == ["feature set list length mismatch"]
 
 
 def problem_strategy(st):

@@ -429,6 +429,11 @@ class TestNonzeroProgram:
             LinearProgram(c=[1.0, 1.0], entries=entries, b=[1.0, 1.0],
                           upper=[1.0, 1.0])
 
+    def test_one_upper_bound_per_variable(self):
+        with pytest.raises(ValueError, match="^upper bound vector length mismatch$"):
+            LinearProgram(c=[1.0, 1.0], entries=([0], [0], [1.0]), b=[1.0, 1.0],
+                          upper=[1.0])
+
     def test_offline_solve_peaks_at_one_dense_copy(self):
         # with a dense A held beside the tableau the peak was 2.02 x A's bytes
         problem = generate_synthetic("coverage", 11)
@@ -654,6 +659,8 @@ class TestSpecialPrograms:
         obj = LinearObjective(np.ones(inst.n_edges + 1))
         with pytest.raises(ValueError, match="ground set"):
             build_special_lp(inst, obj)
+        with pytest.raises(ValueError, match="^weight vector length mismatch$"):
+            build_matching_lmo(inst, obj.weights)
 
     def test_lp_value_dominates_expected_opt(self, rng):
         # the epigraph optimum upper-bounds the expected hindsight optimum

@@ -437,6 +437,9 @@ class TestBuildObjective:
                           features=EdgeFeatures(edge_weights=np.ones(inst.n_edges)))
         with pytest.raises(ValueError, match="budget_additive objective needs budget$"):
             build_objective(problem)
+        # a kind that reads no payload has none missing, and is still unknown
+        with pytest.raises(ValueError, match="^unknown objective kind 'mystery'$"):
+            build_objective(Problem(instance=inst, kind="mystery", features=EdgeFeatures()))
 
 
 class TestEmptyIncidence:

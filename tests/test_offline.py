@@ -2,13 +2,15 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from conftest import small_instance, small_objective
 from osbm.instances import ArrivalSequence, build_instance, generate_synthetic
-from osbm.lp import build_matching_lmo, feasible_for_matching, solve
+from osbm import offline as offline_mod
+from osbm.lp import build_matching_lmo, feasible_for_matching, solve, solve_offline_lp
 from osbm.objectives import (
     LinearObjective,
     build_objective,
@@ -17,10 +19,13 @@ from osbm.objectives import (
 from osbm.offline import (
     OfflineSolution,
     SolutionError,
+    _project_into_polytope,
     continuous_greedy,
     expected_opt,
+    guide_scaled,
     hindsight_optimal,
     load_solution,
+    lp_guide,
     save_solution,
 )
 from osbm.rounding import pipage_round
@@ -90,6 +95,37 @@ class TestContinuousGreedy:
         obj = small_objective("budget_additive", inst.n_edges, rng)
         with pytest.raises(ValueError, match="samples must be >= 1"):
             continuous_greedy(obj, inst, steps=2, grad_samples=0)
+        # and an ascent of no steps
+        with pytest.raises(ValueError, match="^steps must be >= 1$"):
+            continuous_greedy(obj, inst, steps=0)
+
+    def test_records_its_guide_scaled_bound(self, rng):
+        inst = small_instance(rng)
+        obj = small_objective("coverage", inst.n_edges, rng)
+        sol = continuous_greedy(obj, inst, steps=5, grad_samples=5, seed=0)
+        assert sol.benchmark_kind == "guide-scaled"
+        assert sol.benchmark_value == guide_scaled(sol.objective_estimate)
+        assert guide_scaled(1.0) == math.e / (math.e - 1.0)
+
+    @pytest.mark.parametrize("x, outside", [([0.7, 0.3, 0.4], 1),   # star u0 at 1.1
+                                            ([0.3, 0.7, 0.4], 0)],  # type v1 at 1.1
+                             ids=["star", "type"])
+    def test_projection_rescales_a_violated_row(self, x, outside):
+        # a row over its bound by more than the 1e-9 shrink is scaled down
+        # onto it; the edges outside it keep the shrunk value
+        inst = build_instance([("u0", 1), ("u1", 1)], [("v0", 1.0), ("v1", 1.0)],
+                              [("e0", "u0", "v0"), ("e1", "u1", "v1"),
+                               ("x0", "u0", "v1")], horizon=2)
+        x = np.array(x)
+        shrunk = np.clip(x * (1.0 - 1e-9), 0.0, 1.0)
+        assert not feasible_for_matching(inst, shrunk)
+        y = _project_into_polytope(x, inst)
+        assert feasible_for_matching(inst, y)
+        assert np.all(y <= shrunk)
+        assert y[outside] == shrunk[outside]
+        # the violated row now sits at its bound
+        assert max(load.max() for load in inst.loads(y)) == pytest.approx(1.0, abs=1e-12)
+
 
     def test_estimate_is_exact_on_small_ground_sets(self, rng):
         # F(x) over at most 20 edges is enumerated, not sampled
@@ -105,6 +141,24 @@ class TestContinuousGreedy:
             else:
                 assert sol.objective_estimate == multilinear_exact(obj, sol.x)
             assert sol.estimate_std_error == 0.0
+
+
+class TestLpGuide:
+    def test_carries_the_lp_bound_and_an_estimate_at_its_guide(self, rng, monkeypatch):
+        inst = small_instance(rng)
+        obj = small_objective("coverage", inst.n_edges, rng)
+        calls = []
+        estimate = offline_mod.multilinear_estimate
+        monkeypatch.setattr(offline_mod, "multilinear_estimate",
+                            lambda *a: calls.append(a[2:]) or estimate(*a))
+        sol = lp_guide(obj, inst, seed=4)
+        x, value, _ = solve_offline_lp(inst, obj)
+        assert sol.x.tobytes() == x.tobytes()
+        assert (sol.solver, sol.seed, sol.benchmark_kind, sol.benchmark_value) == (
+            "lp", 4, "lp", value)
+        assert calls == [(200 + inst.n_edges, 4)]  # min(2000, 200 + m) samples
+        assert (sol.objective_estimate, sol.estimate_std_error) == estimate(
+            obj, x, 200 + inst.n_edges, 4)
 
 
 class TestPipage:
@@ -260,6 +314,15 @@ class TestHindsight:
         value, _ = hindsight_optimal(inst, seq, obj)
         assert value == pytest.approx(ordered_brute(), rel=1e-12)
 
+    def test_search_space_budget(self):
+        # one type with 30 edges arriving 5 times: 31 ** 5 > 10 ** 7 choices
+        inst = build_instance([(f"u{i}", 1) for i in range(30)], [("v0", 1.0)],
+                              [(f"e{i}", f"u{i}", "v0") for i in range(30)], horizon=5)
+        with pytest.raises(ValueError, match=(
+                "^hindsight search space exceeds the enumeration budget$")):
+            hindsight_optimal(inst, ArrivalSequence(np.zeros(5, dtype=np.int64)),
+                              LinearObjective(np.ones(30)))
+
 
 class TestExpectedOpt:
     def test_deterministic_single_arrival(self):
@@ -292,6 +355,12 @@ class TestExpectedOpt:
         with pytest.raises(ValueError, match="at least one value"):
             expected_opt(inst, obj, mode="mc", trials=0)
 
+    def test_unknown_mode_is_rejected(self, rng):
+        inst = small_instance(rng, n_offline=3, n_online=2, horizon=3)
+        obj = small_objective("coverage", inst.n_edges, rng)
+        with pytest.raises(ValueError, match="^unknown mode 'x'$"):
+            expected_opt(inst, obj, mode="x")
+
     def test_exact_budget_gate(self):
         inst = build_instance(
             [("u0", 1)],
@@ -322,6 +391,11 @@ class TestSolutionArtifact:
         np.testing.assert_array_equal(back.x, sol.x)
         assert back.solver == sol.solver
         assert back.benchmark_value == 1.25
+        # a bound divides every ratio, so a non-finite one is not written
+        sol.benchmark_value = math.inf
+        with pytest.raises(SolutionError, match=re.escape(
+                f"{path}: benchmark value inf is not finite")):
+            save_solution(path, inst, sol)
 
     def test_mismatched_instance_rejected(self, tmp_path, rng):
         inst = small_instance(rng)

@@ -21,7 +21,7 @@ from osbm.instances import (
 from osbm.lp import solve_offline_lp
 from osbm.objectives import (BudgetAdditiveObjective, CoverageObjective,
                              LinearObjective, build_objective)
-from osbm.offline import expected_opt
+from osbm.offline import compute_benchmark, expected_opt
 from osbm.online import (
     POLICY_NAMES,
     ArrivalStreams,
@@ -780,21 +780,45 @@ class TestSimulator:
         obj = small_objective("coverage", inst.n_edges, rng)
         x, lp_value, _ = solve_offline_lp(inst, obj)
         by_lp = simulate(inst, obj, "greedy", trials=400, seed=15,
-                         benchmark="lp")
+                         benchmark=compute_benchmark("lp", inst, obj, seed=15))
         assert by_lp.benchmark_value == pytest.approx(lp_value)
         by_brute = simulate(inst, obj, "greedy", trials=400, seed=15,
-                            benchmark="brute")
+                            benchmark=compute_benchmark("brute", inst, obj, seed=15))
         assert by_brute.benchmark_value <= lp_value + 1e-9
-        scaled = simulate(inst, obj, "marginal-sampling", x_star=x, trials=50,
-                          seed=15, benchmark="guide-scaled")
+        scaled = simulate(inst, obj, "marginal-sampling", x_star=x, trials=50, seed=15,
+                          benchmark=compute_benchmark("guide-scaled", inst, obj,
+                                                      x_star=x, seed=15))
         assert scaled.benchmark_value > 0
         # greedy ignores the guide, but the benchmark still scales the caller's x
-        by_greedy = simulate(inst, obj, "greedy", x_star=x, trials=50,
-                             seed=15, benchmark="guide-scaled")
+        by_greedy = simulate(inst, obj, "greedy", x_star=x, trials=50, seed=15,
+                             benchmark=compute_benchmark("guide-scaled", inst, obj,
+                                                         x_star=x, seed=15))
         assert by_greedy.benchmark_value == scaled.benchmark_value
         with pytest.raises(ValueError, match="needs edge marginals"):
-            simulate(inst, obj, "greedy", x_star=x[:-1], trials=5,
-                     benchmark="guide-scaled")
+            compute_benchmark("guide-scaled", inst, obj, x_star=x[:-1])
+        with pytest.raises(ValueError, match=re.escape("unknown benchmark kind 'hindsight'")):
+            compute_benchmark("hindsight", inst, obj)
+
+    def test_simulate_takes_the_bound_not_its_kind(self, rng):
+        # a bound is made in offline and passed as (kind, value); a kind
+        # string names a bound simulate no longer makes
+        inst = small_instance(rng, n_offline=3, n_online=2, horizon=3)
+        obj = small_objective("coverage", inst.n_edges, rng)
+        with pytest.raises(TypeError, match=re.escape(
+                "simulate takes a (kind, value) benchmark; make it with compute_benchmark")):
+            simulate(inst, obj, "greedy", trials=5, benchmark="lp")
+        bare = simulate(inst, obj, "greedy", trials=5)
+        assert (bare.benchmark_kind, bare.benchmark_value) == (None, None)
+        assert math.isnan(bare.ratio)
+
+    def test_unknown_policy_and_no_trials_are_rejected(self, rng):
+        inst = small_instance(rng, n_offline=3, n_online=2, horizon=3)
+        obj = small_objective("coverage", inst.n_edges, rng)
+        with pytest.raises(ValueError, match=re.escape(
+                f"unknown policy 'psychic'; choose from {POLICY_NAMES}")):
+            make_policy("psychic", inst, obj)
+        with pytest.raises(ValueError, match="^trials must be >= 1$"):
+            simulate(inst, obj, "greedy", trials=0)
 
     def test_guide_scaled_rejects_a_guide_outside_the_polytope(self, rng):
         # greedy takes no guide, so only the benchmark can check it:
@@ -803,8 +827,7 @@ class TestSimulator:
         obj = small_objective("budget_additive", inst.n_edges, rng)
         with pytest.raises(ValueError, match=re.escape(
                 "infeasible guide-scaled guide: not in the b-matching polytope")):
-            simulate(inst, obj, "greedy", x_star=np.full(inst.n_edges, 5.0),
-                     trials=5, benchmark="guide-scaled")
+            compute_benchmark("guide-scaled", inst, obj, x_star=np.full(inst.n_edges, 5.0))
 
     @pytest.mark.parametrize("name", ["marginal-sampling", "contention-resolution",
                                       "dependent-rounding"])
@@ -822,13 +845,16 @@ class TestSimulator:
         with pytest.raises(ValueError, match=re.escape(
                 f"infeasible {name} guide: not in the b-matching polytope")):
             make_policy(name, inst, obj, np.array(x))
+        # and a guided policy with no guide at all
+        with pytest.raises(ValueError, match=f"^{name} needs offline edge marginals$"):
+            make_policy(name, inst, obj)
 
     def test_ratio_never_exceeds_one_plus_noise(self, rng):
         for _ in range(5):
             inst = small_instance(rng, n_offline=3, n_online=2, horizon=3)
             obj = small_objective("linear", inst.n_edges, rng)
             m = simulate(inst, obj, "greedy", trials=500, seed=16,
-                         benchmark="brute")
+                         benchmark=compute_benchmark("brute", inst, obj, seed=16))
             assert m.ratio <= 1.0 + 3 * m.ratio_std_error / max(m.ratio, 1e-9)
 
 
