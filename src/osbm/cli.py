@@ -36,7 +36,7 @@ from .offline import (
     lp_guide,
     save_solution,
 )
-from .online import POLICY_NAMES, ArrivalStreams, simulate
+from .online import POLICY_NAMES, ArrivalStreams, make_policy, simulate
 
 # reference lines echoed in experiment reports: online-phase guarantee
 # factors of the guided policies relative to the offline guide value
@@ -150,6 +150,10 @@ def cmd_simulate(args) -> int:
         raise UsageError(f"{args.algorithm} needs offline edge marginals")
     elif args.benchmark == "guide-scaled":
         raise UsageError("guide-scaled benchmark needs edge marginals")
+    # a policy that refuses the instance fails before any bound is made;
+    # simulate builds it again, at the cost of its checks
+    make_policy(args.algorithm, inst, objective, x_star,
+                allow_fractional_cr=args.allow_fractional_cr)
     if benchmark is None:
         benchmark = compute_benchmark(args.benchmark, inst, objective, x_star=x_star,
                                       seed=args.seed)
@@ -288,7 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", choices=["auto", "lp", "continuous-greedy"],
                    default="auto")
     p.add_argument("--steps", type=_positive_int, default=100)
-    p.add_argument("--grad-samples", type=_positive_int, default=100)
+    p.add_argument("--grad-samples", type=_positive_int, default=100,
+                   help="subset draws per continuous-greedy gradient; used only where "
+                        "F has no closed form (budget-additive), coverage's is exact")
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_offline)

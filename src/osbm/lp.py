@@ -18,6 +18,11 @@ column in place, one row at a time, with the float operations [A | I] would
 perform on its nonbasic entries, so every result is bit for bit the full
 tableau's.
 
+A solve may start from the optimal dictionary of an earlier solve of a
+program with the same constraints and another objective: only the reduced
+costs are re-priced, and the same loop and rules run from there.  The
+fractional ascent re-solves its one LMO this way from step to step.
+
 A program holds its constraint matrix as its nonzero entries (see
 `LinearProgram`); `build_matching_lmo` and `build_special_lp` emit entries
 and never a dense matrix, and `solve` scatters them into its tableau, so
@@ -30,7 +35,7 @@ share one epigraph row, and features covered by a single edge need none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,6 +87,37 @@ class LinearProgram:
         return A
 
 
+class _Dictionary:
+    """A simplex dictionary over one program's constraints: the condensed
+    tableau T (column k for nonbasic variable nb[k], row r for basic
+    variable basis[r]), the basic values beta, each nonbasic variable's
+    side and each row's basic upper bound.  It holds the constraint arrays
+    of the program it was built over, so a start over others is refused."""
+
+    def __init__(self, lp: LinearProgram):
+        m, n = len(lp.b), len(lp.c)
+        self.T = lp.A  # a fresh dense copy of A: the solve's one dense m x n array
+        self.beta = lp.b.astype(float)
+        self.nb = np.arange(n)
+        self.basis = np.arange(n, n + m)
+        # +1 at the lower bound, -1 at the upper, 0 for a zero-width box (never enters)
+        self.side = np.where(lp.upper <= 0.0, 0.0, 1.0)
+        self.ub_row = np.full(m, np.inf)
+        self.constraints = (lp.rows, lp.cols, lp.values, lp.b, lp.upper)
+
+    def over(self, lp: LinearProgram) -> bool:
+        """Whether ``lp`` has the constraints this dictionary was built over."""
+        return len(lp.c) == len(self.nb) and all(
+            np.array_equal(mine, theirs) for mine, theirs in
+            zip(self.constraints, (lp.rows, lp.cols, lp.values, lp.b, lp.upper)))
+
+    def prices(self, c: np.ndarray) -> np.ndarray:
+        """The reduced costs d = c_N - c_B T of objective c here (a slack
+        costs 0), summed by einsum's own loop, the same on any BLAS."""
+        c_full = np.concatenate([c, np.zeros(len(self.basis))])
+        return c_full[self.nb] - np.einsum("r,rk->k", c_full[self.basis], self.T)
+
+
 @dataclass
 class LpSolution:
     status: str                  # optimal | unbounded | infeasible
@@ -91,9 +127,12 @@ class LpSolution:
     reduced_costs: np.ndarray | None = None
     iterations: int = 0
     degenerate_pivots: int = 0   # pivots whose step length is zero
+    # an optimal solve's final dictionary, until a solve started from this
+    # solution takes it
+    dictionary: _Dictionary | None = field(default=None, repr=False, compare=False)
 
 
-def solve(lp: LinearProgram) -> LpSolution:
+def solve(lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
     """Dense bounded-variable primal simplex on the condensed tableau.
 
     Column k of T holds nonbasic variable nb[k], row r the basic variable
@@ -101,20 +140,33 @@ def solve(lp: LinearProgram) -> LpSolution:
     |d_j|; a run of DEGENERATE_LIMIT degenerate pivots switches entering to
     Bland's lowest index until a pivot moves the objective.  Both rules and
     the lowest-index leaving rule break ties by variable index, so the result
-    is a deterministic function of the program.
+    is a deterministic function of the program and the start.
+
+    Without ``start`` the solve starts from the all-slack basis.  With it,
+    the optimal solution of an earlier solve of a program with the same
+    constraints (A, b and bounds; c may differ), it starts from that
+    solve's optimal dictionary, which stays primal feasible, re-priced for
+    ``lp.c``, and takes the dictionary over: the result holds it, ``start``
+    no longer does.  A start over other constraints, or one whose
+    dictionary is gone, raises ValueError.
     """
     m, n = len(lp.b), len(lp.c)
     if np.any(lp.b < 0):
         raise ValueError("negative right-hand side; generated programs keep b >= 0")
-    T = lp.A  # a fresh dense copy of A: the solve's one dense m x n array
-    beta = lp.b.astype(float)
-    d = lp.c.copy()
+    if start is None:
+        state = _Dictionary(lp)
+        d = lp.c.copy()
+    else:
+        state = start.dictionary
+        if state is None:
+            raise ValueError("start holds no optimal dictionary")
+        if not state.over(lp):
+            raise ValueError("start is a dictionary over other constraints")
+        start.dictionary = None
+        d = state.prices(lp.c)
+    T, beta, nb, basis = state.T, state.beta, state.nb, state.basis
+    side, ub_row = state.side, state.ub_row
     upper = np.concatenate([lp.upper, np.full(m, np.inf)])
-    nb = np.arange(n)
-    basis = np.arange(n, n + m)
-    # +1 at the lower bound, -1 at the upper, 0 for a zero-width box (never enters)
-    side = np.where(lp.upper <= 0.0, 0.0, 1.0)
-    ub_row = np.full(m, np.inf)
     ratio = np.empty(m)
     scratch = np.empty(n)
     max_iterations = 200 * (n + 2 * m) + 10_000
@@ -207,7 +259,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     d_full[nb] = d
     return LpSolution(status="optimal", x=x, value=value, duals=-d_full[n:],
                       reduced_costs=d_full[:n], iterations=iterations,
-                      degenerate_pivots=degenerate)
+                      degenerate_pivots=degenerate, dictionary=state)
 
 
 # -- program builders -------------------------------------------------------
@@ -330,6 +382,7 @@ def solve_offline_lp(inst: Instance, objective) -> tuple[np.ndarray, float, LpSo
     lp = (build_matching_lmo(inst, objective.weights) if budget_additive
           else build_special_lp(inst, objective))
     sol = solve(lp)
+    sol.dictionary = None  # nothing re-solves the epigraph program: free its tableau
     if sol.status != "optimal":
         raise RuntimeError(f"offline program not optimal: {sol.status}")
     value = min(objective.budget, sol.value) if budget_additive else sol.value

@@ -7,7 +7,9 @@ probability ``x_e``, and its marginal-gain hooks over many edge sets at once,
 as greedy runs them.  The hooks are ``_row_state(rows)``, the per-set state,
 ``_gains(ev, rows, edges)``, the gains of edges not yet in their sets, and
 ``_absorb(ev, rows, edges)``, the state update when they join; the one
-`Evaluator` calls them behind ``row_gains`` and ``row_add``.
+`Evaluator` calls them behind ``row_gains`` and ``row_add``.  Coverage also
+has F and its gradient in closed form, which `multilinear_estimate` and
+`batch_gradient` use in place of draws.
 """
 
 from __future__ import annotations
@@ -231,6 +233,27 @@ class CoverageObjective(SubmodularObjective):
         owner, feat = self._incidence(edges)
         ev.state[rows[owner], feat] = True
 
+    def _multilinear(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """The exact F(x) = sum_z w_z (1 - prod_{e covers z} (1 - x_e)) and
+        its gradient dF/dx_e = sum_{z in q_e} w_z prod_{e' != e covers z}
+        (1 - x_e'), in one pass over the (edge, feature) pairs.  A factor
+        1 - x_e = 0 is counted per feature, not multiplied in, so each
+        leave-one-out product divides by nothing."""
+        feat = self._flat_feat
+        miss = 1.0 - x[self._flat_edge]
+        zero = miss == 0.0
+        n_zero = np.bincount(feat[zero], minlength=self.n_features)
+        prod = np.ones(self.n_features)  # each feature's nonzero factors
+        np.multiply.at(prod, feat[~zero], miss[~zero])
+        uncovered = np.where(n_zero == 0, prod, 0.0)
+        value = float((self.feature_weights * (1.0 - uncovered)).sum())
+        rest = prod[feat]
+        np.divide(rest, miss, out=rest, where=~zero)  # all factors but the pair's own
+        rest[n_zero[feat] > zero] = 0.0  # another of the feature's factors is zero
+        grad = np.bincount(self._flat_edge, weights=self.feature_weights[feat] * rest,
+                           minlength=self.n_edges)
+        return value, grad.astype(float, copy=False)  # int64 when there are no pairs
+
 
 class PerUserCoverageObjective(CoverageObjective):
     """Sum over online types of that type's weighted genre coverage.
@@ -343,20 +366,29 @@ def multilinear_mc(objective: SubmodularObjective, x, samples: int, seed) -> tup
 def multilinear_estimate(objective: SubmodularObjective, x, samples: int,
                          seed) -> tuple[float, float]:
     """(F(x), standard error): exact, with error 0, for a linear objective
-    (w . x) and on ground sets of up to EXACT_ENUMERATION_LIMIT edges, else
-    `multilinear_mc` with ``samples``."""
+    (w . x), on ground sets of up to EXACT_ENUMERATION_LIMIT edges and for
+    (per-user) coverage (its closed form), else `multilinear_mc` with
+    ``samples``."""
     if isinstance(objective, LinearObjective):
         return float(objective.weights @ _point(objective, x)), 0.0
     if objective.n_edges <= EXACT_ENUMERATION_LIMIT:
         return multilinear_exact(objective, x), 0.0
+    if isinstance(objective, CoverageObjective):
+        return objective._multilinear(_point(objective, x))[0], 0.0
     return multilinear_mc(objective, x, samples, seed)
 
 
 def batch_gradient(objective: SubmodularObjective, x, samples: int,
                    rng: np.random.Generator) -> np.ndarray:
-    """Estimate the full multilinear gradient, sharing one batch of subset
-    draws across all coordinates (unbiased; cuts oracle calls by a factor m).
+    """The full multilinear gradient: exact for (per-user) coverage, which
+    draws nothing, else estimated from one batch of subset draws shared
+    across all coordinates (unbiased; cuts oracle calls by a factor m).
+    ``samples`` must be at least 1 either way.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if isinstance(objective, CoverageObjective):
+        return objective._multilinear(_point(objective, x))[1]
     acc = np.zeros(objective.n_edges)
     for mask in _draws(objective, x, samples, rng):
         acc += objective.coordinate_gains(mask)

@@ -4,9 +4,9 @@ bounds that judge them.
 `lp_guide` solves the epigraph program of a closed-form objective, whose
 optimum, the ``lp`` bound, maximizes a concave relaxation L(x) >= F(x);
 `continuous_greedy` ascends the multilinear extension F toward the best
-vertex of a Monte Carlo gradient and records the ``guide-scaled`` bound
-F(x) * e/(e-1).  Each returns an `OfflineSolution`, marginals with their
-bound.  `expected_opt` is the ``brute`` bound, E[hindsight optimum], on tiny
+vertex of its gradient (exact on coverage, Monte Carlo elsewhere) and
+records the ``guide-scaled`` bound F(x) * e/(e-1).  Each returns an
+`OfflineSolution`, marginals with their bound.  `expected_opt` is the ``brute`` bound, E[hindsight optimum], on tiny
 instances; `compute_benchmark` makes any of the three as the ``(kind,
 value)`` pair `online.simulate` takes.
 """
@@ -66,18 +66,23 @@ def continuous_greedy(
 ) -> OfflineSolution:
     """Fractional ascent on the multilinear extension over the matching
     polytope: x accumulates `steps` equal-weight LMO vertices, each chosen
-    against a Monte Carlo gradient estimate sharing one batch of subset
-    draws across coordinates.  The solution carries its ``guide-scaled``
-    bound, from a 2000-sample estimate of F(x).
+    against the gradient of F at x (`batch_gradient`: exact for coverage,
+    else ``grad_samples`` shared subset draws).  The LMO is built once; each
+    step re-prices it for the new gradient and solves from the previous
+    step's optimal dictionary.  The solution carries its ``guide-scaled``
+    bound, from `multilinear_estimate` of F(x) (2000 samples where F has no
+    closed form).
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     rng = np.random.default_rng(seed)
     m = inst.n_edges
     x = np.zeros(m)
+    lmo = lpmod.build_matching_lmo(inst, np.zeros(m))
+    sol = None
     for _ in range(steps):
-        grad = batch_gradient(objective, x, grad_samples, rng)
-        sol = lpmod.solve(lpmod.build_matching_lmo(inst, grad))
+        lmo.c = batch_gradient(objective, x, grad_samples, rng)
+        sol = lpmod.solve(lmo, start=sol)
         if sol.status != "optimal":
             raise RuntimeError(f"linear oracle returned {sol.status}")
         x = x + sol.x / steps

@@ -20,11 +20,13 @@ from osbm.offline import load_solution
 from test_instances import write_ratings_fixture
 
 # sha256 of the files the benchmark's two workloads write at seed 7 on the
-# seed-11 recipes (see TestBenchmarkOutputs)
+# seed-11 recipes (see TestBenchmarkOutputs).  The marginals were re-recorded
+# (from e639168e...) when the coverage ascent took the exact gradient and F
+# in place of Monte Carlo estimates.
 BENCHMARK_GOLDENS = {
     "budget report.csv": "59b581efd5dee765aebc21b96d8832e7d52cc728a3c36f730ecdb39fa29d124a",
     "coverage report.csv": "d09e932b4e5b5a52c9f3237d991923d4babe9e9083449e3495edcb116654648a",
-    "coverage marginals.x": "e639168e45d17f317bd6dcf6775d5934301fa1e7e8c15b901abbaa4b8eeaad50",
+    "coverage marginals.x": "06eda073d60010391fd1c8e992807d1c1ed8e41e8acadd2a96227ef87fa1a7ad",
 }
 
 
@@ -250,6 +252,38 @@ class TestSimulate:
             assert code == 0, err
             benchmarks.append(out.split("benchmark=guide-scaled:")[1].split()[0])
         assert benchmarks[0] == benchmarks[1]
+
+    def test_refused_policy_exits_before_the_bound(self, tmp_path, monkeypatch):
+        # contention resolution refuses fractional rates; it says so before
+        # `guide-scaled` is made from the LP artifact, not after
+        from conftest import small_instance
+        from osbm import cli
+        from osbm.instances import EdgeFeatures, Problem
+
+        rng = np.random.default_rng(5)
+        inst = small_instance(rng)
+        assert any(r != 1.0 for r in inst.rates)
+        problem = Problem(instance=inst, kind="budget_additive", budget=1.0,
+                          features=EdgeFeatures(edge_weights=0.2 + rng.random(inst.n_edges)))
+        inst_file, x_file = tmp_path / "frac.txt", tmp_path / "x.txt"
+        save_problem(problem, inst_file)
+        assert run_cli("offline", "--instance", str(inst_file), "--out", str(x_file))[0] == 0
+        made = []
+        make = cli.compute_benchmark
+        monkeypatch.setattr(cli, "compute_benchmark",
+                            lambda *a, **kw: made.append(a[0]) or make(*a, **kw))
+        args = ["simulate", "--instance", str(inst_file), "--x-star", str(x_file),
+                "--algorithm", "contention-resolution", "--benchmark", "guide-scaled",
+                "--trials", "5"]
+        code, out, err = run_cli(*args)
+        assert code == 1 and out == ""
+        assert err == ("error: contention-resolution assumes integral rates (rate 1 "
+                       "per type, one type per round); enable the fractional-rate "
+                       "override to run it anyway\n")
+        assert made == []
+        code, out, err = run_cli(*args, "--allow-fractional-cr")
+        assert code == 0, err
+        assert made == ["guide-scaled"]
 
     @pytest.mark.parametrize("algorithm,bound,message", [
         ("marginal-sampling", "lp", "marginal-sampling needs offline edge marginals"),

@@ -329,6 +329,69 @@ class TestAntiCycling:
         assert s.degenerate_pivots == 0
 
 
+def with_objective(lp: LinearProgram, c) -> LinearProgram:
+    """A program with lp's constraints and objective c."""
+    return LinearProgram(c, (lp.rows, lp.cols, lp.values), lp.b, lp.upper)
+
+
+class TestRepricedStart:
+    """`solve(lp, start=sol)` starts from sol's optimal dictionary,
+    re-priced for lp.c; it reaches the cold solve's optimum."""
+
+    def test_chains_match_the_cold_optimum(self, rng):
+        for _ in range(150):
+            lp = random_lp(rng)
+            sol = solve(lp)
+            for _ in range(4):
+                nxt = with_objective(lp, np.round(rng.uniform(-1, 1, len(lp.c)), 3))
+                warm, cold = solve(nxt, start=sol), solve(nxt)
+                assert warm.status == "optimal"
+                assert warm.value == pytest.approx(cold.value, rel=1e-9, abs=1e-9)
+                assert abs(warm.value - float(reference_solve(nxt))) <= 1e-9
+                assert lp_audit(warm, nxt) == []
+                sol = warm
+
+    def test_restart_at_an_optimum_pivots_nowhere(self, rng):
+        lp = random_lp(rng, max_vars=8, max_rows=6)
+        cold = solve(lp)
+        warm = solve(lp, start=solve(lp))
+        assert warm.iterations == 0
+        assert warm.x.tobytes() == cold.x.tobytes()
+
+    def test_start_moves_its_dictionary(self, rng):
+        lp = random_lp(rng)
+        sol = solve(lp)
+        again = solve(lp, start=sol)
+        assert sol.dictionary is None and again.dictionary is not None
+        with pytest.raises(ValueError, match="no optimal dictionary"):
+            solve(lp, start=sol)
+
+    def test_start_over_other_constraints_is_refused(self):
+        inst = generate_synthetic("coverage", 11).instance
+        w = np.random.default_rng(1).random(inst.n_edges)
+        lmo = build_matching_lmo(inst, w)
+        others = [build_matching_lmo(inst.with_capacities(2), w),      # b
+                  LinearProgram(w, (lmo.rows, lmo.cols, 2 * lmo.values), lmo.b,
+                                lmo.upper),                           # A's values
+                  LinearProgram(w, (lmo.rows, lmo.cols, lmo.values), lmo.b,
+                                np.full(len(w), 2.0))]                # bounds
+        for other in others:
+            sol = solve(lmo)
+            with pytest.raises(ValueError, match="over other constraints"):
+                solve(other, start=sol)
+            assert sol.dictionary is not None  # a refused start keeps it
+        sol = solve(lmo)
+        lmo.c = np.append(w, 1.0)  # one variable more
+        with pytest.raises(ValueError, match="over other constraints"):
+            solve(lmo, start=sol)
+
+    def test_epigraph_path_keeps_no_tableau(self, rng):
+        inst = small_instance(rng)
+        obj = small_objective("coverage", inst.n_edges, rng)
+        assert solve_offline_lp(inst, obj)[2].dictionary is None
+        assert solve(build_special_lp(inst, obj)).dictionary is not None
+
+
 class TestCondensedTableau:
     """`solve` keeps only the nonbasic columns; the full tableau is the
     reference it must equal byte for byte."""

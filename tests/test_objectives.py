@@ -16,9 +16,11 @@ from osbm.objectives import (
     SubmodularObjective,
     batch_gradient,
     build_objective,
+    multilinear_estimate,
     multilinear_exact,
     multilinear_mc,
 )
+from osbm.lp import solve_offline_lp
 from osbm.offline import continuous_greedy
 from osbm.online import simulate
 
@@ -282,6 +284,84 @@ class TestBatchGradient:
         obj = BudgetAdditiveObjective([3.0, 4.0], budget=10.0)
         grad = batch_gradient(obj, [0.0, 0.0], 32, np.random.default_rng(5))
         assert grad.tolist() == [3.0, 4.0]
+
+
+class TestCoverageClosedForm:
+    """Coverage's F and gradient in closed form (Calinescu et al., SICOMP
+    2011): F(x) = sum_z w_z (1 - prod_{e covers z} (1 - x_e))."""
+
+    @staticmethod
+    def points(rng, m):
+        """Random points with coordinates at 0 and at 1 among the rest."""
+        for _ in range(6):
+            x = rng.random(m)
+            x[rng.random(m) < 0.3] = 1.0
+            x[rng.random(m) < 0.2] = 0.0
+            yield x
+        yield np.ones(m)
+        yield np.zeros(m)
+
+    @pytest.mark.parametrize("kind", ["coverage", "per_user_coverage"])
+    def test_value_and_gradient_match_enumeration(self, rng, kind):
+        for _ in range(8):
+            m = int(rng.integers(1, 11))
+            obj = small_objective(kind, m, rng)
+            for x in self.points(rng, m):
+                value, grad = obj._multilinear(x)
+                exact = multilinear_exact(obj, x)
+                assert value == pytest.approx(exact, rel=1e-12, abs=1e-12)
+                # F is multilinear: dF/dx_e = F(x | x_e=1) - F(x | x_e=0)
+                diff = []
+                for e in range(m):
+                    hi, lo = x.copy(), x.copy()
+                    hi[e], lo[e] = 1.0, 0.0
+                    diff.append(multilinear_exact(obj, hi) - multilinear_exact(obj, lo))
+                np.testing.assert_allclose(grad, diff, rtol=1e-12, atol=1e-12)
+
+    def test_estimate_and_gradient_are_exact_past_enumeration(self):
+        # on the 1066-edge recipe: se 0, no draws, seed and samples ignored
+        obj = build_objective(generate_synthetic("coverage", 11))
+        x = np.random.default_rng(3).random(obj.n_edges) * 0.3
+        x[::7] = 1.0
+        value, grad = obj._multilinear(x)
+        assert multilinear_estimate(obj, x, 5, 1) == (value, 0.0)
+        assert multilinear_estimate(obj, x, 50, 2) == (value, 0.0)
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        assert batch_gradient(obj, x, 20, rng).tobytes() == grad.tobytes()
+        assert rng.bit_generator.state == state
+        mc, se = multilinear_mc(obj, x, 400, 5)
+        assert abs(mc - value) <= 4 * se
+
+    def test_enumeration_stays_first_on_small_ground_sets(self, rng):
+        obj = small_objective("coverage", 8, rng)
+        x = rng.random(8)
+        assert multilinear_estimate(obj, x, 5, 0) == (multilinear_exact(obj, x), 0.0)
+
+    def test_no_features_and_no_edges(self):
+        obj = CoverageObjective([frozenset()] * 3, [1.0, 2.0])
+        value, grad = obj._multilinear(np.full(3, 0.5))
+        assert value == 0.0 and grad.dtype == float and grad.tolist() == [0.0] * 3
+        value, grad = CoverageObjective([], [1.0])._multilinear(np.zeros(0))
+        assert value == 0.0 and grad.dtype == float and len(grad) == 0
+
+    @pytest.mark.parametrize("b, ratio", [(1, 0.842), (5, 0.934)])
+    def test_lp_guide_is_within_ageev_sviridenko(self, b, ratio):
+        # F(x) >= (1 - 1/e) L(x) for coverage (Ageev-Sviridenko, J. Comb.
+        # Optim. 2004), so the LP guide keeps that share of the LP optimum
+        problem = generate_synthetic("coverage", 11)
+        obj = build_objective(problem)
+        x, value, _ = solve_offline_lp(problem.instance.with_capacities(b), obj)
+        f, _ = obj._multilinear(x)
+        assert f >= (1.0 - 1.0 / np.e) * value
+        assert f / value == pytest.approx(ratio, abs=5e-4)
+
+    @pytest.mark.parametrize("kind", ["linear", "budget_additive", "coverage",
+                                      "per_user_coverage"])
+    def test_zero_samples_rejected_for_every_kind(self, rng, kind):
+        obj = small_objective(kind, 4, rng)
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            batch_gradient(obj, np.full(4, 0.5), 0, rng)
 
 
 def all_pairs(rows, n_edges):

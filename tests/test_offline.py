@@ -7,10 +7,12 @@ import re
 import numpy as np
 import pytest
 
-from conftest import small_instance, small_objective
+from conftest import lp_audit, small_instance, small_objective
 from osbm.instances import ArrivalSequence, build_instance, generate_synthetic
+from osbm import lp as lpmod
 from osbm import offline as offline_mod
-from osbm.lp import build_matching_lmo, feasible_for_matching, solve, solve_offline_lp
+from osbm.lp import (LinearProgram, build_matching_lmo, feasible_for_matching, solve,
+                     solve_offline_lp)
 from osbm.objectives import (
     LinearObjective,
     build_objective,
@@ -20,6 +22,7 @@ from osbm.offline import (
     OfflineSolution,
     SolutionError,
     _project_into_polytope,
+    compute_benchmark,
     continuous_greedy,
     expected_opt,
     guide_scaled,
@@ -99,6 +102,14 @@ class TestContinuousGreedy:
         with pytest.raises(ValueError, match="^steps must be >= 1$"):
             continuous_greedy(obj, inst, steps=0)
 
+    @pytest.mark.parametrize("kind", ["linear", "coverage", "per_user_coverage"])
+    def test_zero_grad_samples_is_rejected_for_every_kind(self, rng, kind):
+        # coverage's exact gradient draws nothing; it keeps the contract
+        inst = small_instance(rng)
+        obj = small_objective(kind, inst.n_edges, rng)
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            continuous_greedy(obj, inst, steps=2, grad_samples=0)
+
     def test_records_its_guide_scaled_bound(self, rng):
         inst = small_instance(rng)
         obj = small_objective("coverage", inst.n_edges, rng)
@@ -106,6 +117,50 @@ class TestContinuousGreedy:
         assert sol.benchmark_kind == "guide-scaled"
         assert sol.benchmark_value == guide_scaled(sol.objective_estimate)
         assert guide_scaled(1.0) == math.e / (math.e - 1.0)
+
+    @pytest.mark.parametrize("kind, steps", [("coverage", 100), ("budget_additive", 12)])
+    def test_every_repriced_lmo_is_a_cold_optimum(self, monkeypatch, kind, steps):
+        # each step re-solves the one LMO from the last step's dictionary;
+        # its value is the cold solve's and it passes the optimality audit
+        problem = generate_synthetic(kind, 11)
+        solve_lp, steps_seen = lpmod.solve, []
+
+        def checked(lp, start=None):
+            sol = solve_lp(lp, start=start)
+            cold = solve_lp(LinearProgram(lp.c, (lp.rows, lp.cols, lp.values), lp.b,
+                                          lp.upper))
+            assert sol.value == pytest.approx(cold.value, rel=1e-9)
+            assert lp_audit(sol, lp) == []
+            steps_seen.append(start is not None)
+            return sol
+
+        monkeypatch.setattr(lpmod, "solve", checked)
+        continuous_greedy(build_objective(problem), problem.instance, steps=steps,
+                          grad_samples=20, seed=7)
+        assert steps_seen == [False] + [True] * (steps - 1)
+
+    def test_coverage_ascent_draws_nothing(self, rng):
+        # the gradient and the final F are exact: the seed and the sample
+        # count change nothing, and the estimate's error is 0
+        problem = generate_synthetic("coverage", 11)
+        obj = build_objective(problem)
+        a = continuous_greedy(obj, problem.instance, steps=4, grad_samples=3, seed=1)
+        b = continuous_greedy(obj, problem.instance, steps=4, grad_samples=9, seed=2)
+        assert a.x.tobytes() == b.x.tobytes()
+        assert a.objective_estimate == b.objective_estimate
+        assert a.estimate_std_error == 0.0
+
+    def test_coverage_guide_scaled_is_one_value(self, tmp_path):
+        # the artifact's bound and compute_benchmark's are both exact F(x)
+        # scaled, so they agree bit for bit
+        problem = generate_synthetic("coverage", 11)
+        inst, obj = problem.instance, build_objective(problem)
+        path = tmp_path / "x.txt"
+        save_solution(path, inst, continuous_greedy(obj, inst, steps=3, grad_samples=3,
+                                                    seed=5))
+        sol = load_solution(path, inst)
+        assert compute_benchmark("guide-scaled", inst, obj, x_star=sol.x, seed=5) == (
+            "guide-scaled", sol.benchmark_value)
 
     @pytest.mark.parametrize("x, outside", [([0.7, 0.3, 0.4], 1),   # star u0 at 1.1
                                             ([0.3, 0.7, 0.4], 0)],  # type v1 at 1.1
