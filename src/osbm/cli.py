@@ -90,10 +90,6 @@ def _load(path: str) -> Problem:
     return load_problem(_existing_file(path))
 
 
-def _kind_token(kind: str) -> str:
-    return kind.replace("-", "_")
-
-
 def _save(problem: Problem, out: str) -> int:
     save_problem(problem, out)
     inst = problem.instance
@@ -103,7 +99,7 @@ def _save(problem: Problem, out: str) -> int:
 
 
 def cmd_generate(args) -> int:
-    return _save(generate_synthetic(_kind_token(args.kind), args.seed), args.out)
+    return _save(generate_synthetic(args.kind.replace("-", "_"), args.seed), args.out)
 
 
 def cmd_ingest(args) -> int:
@@ -125,9 +121,7 @@ def cmd_ingest(args) -> int:
 def cmd_offline(args) -> int:
     problem = _load(args.instance)
     inst, objective = problem.instance, build_objective(problem)
-    # the guide and its bound, as `offline` makes them; argparse's choices
-    # leave continuous-greedy beside auto and lp
-    sol = (lp_guide(objective, inst, seed=args.seed) if args.solver in ("auto", "lp")
+    sol = (lp_guide(objective, inst, seed=args.seed) if args.solver == "lp"
            else continuous_greedy(objective, inst, steps=args.steps,
                                   grad_samples=args.grad_samples, seed=args.seed))
     save_solution(args.out, inst, sol)
@@ -289,12 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("offline", help="solve the offline phase into a marginals artifact")
     p.add_argument("--instance", required=True)
-    p.add_argument("--solver", choices=["auto", "lp", "continuous-greedy"],
-                   default="auto")
+    p.add_argument("--solver", choices=["lp", "continuous-greedy"], default="lp")
     p.add_argument("--steps", type=_positive_int, default=100)
     p.add_argument("--grad-samples", type=_positive_int, default=100,
                    help="subset draws per continuous-greedy gradient; used only where "
-                        "F has no closed form (budget-additive), coverage's is exact")
+                        "F has no closed form (budget-additive): linear and coverage "
+                        "gradients are exact and draw nothing")
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_offline)

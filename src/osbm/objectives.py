@@ -7,9 +7,10 @@ probability ``x_e``, and its marginal-gain hooks over many edge sets at once,
 as greedy runs them.  The hooks are ``_row_state(rows)``, the per-set state,
 ``_gains(ev, rows, edges)``, the gains of edges not yet in their sets, and
 ``_absorb(ev, rows, edges)``, the state update when they join; the one
-`Evaluator` calls them behind ``row_gains`` and ``row_add``.  Coverage also
-has F and its gradient in closed form, which `multilinear_estimate` and
-`batch_gradient` use in place of draws.
+`Evaluator` calls them behind ``row_gains`` and ``row_add``.  One hook,
+``_multilinear(x)``, gives (F(x), its gradient) in closed form, or None (as
+for budget-additive); `batch_gradient` and `multilinear_estimate`, every F(x*)
+a guide or bound reports, draw only without it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 from .instances import Problem, group_sums, split_groups
 
 EXACT_ENUMERATION_LIMIT = 20
+F_SAMPLES = 2000  # the draws of every Monte Carlo F(x*)
 
 
 class SubmodularObjective:
@@ -35,6 +37,10 @@ class SubmodularObjective:
 
     def value(self, edges) -> float:
         raise NotImplementedError
+
+    def _multilinear(self, x: np.ndarray) -> tuple[float, np.ndarray] | None:
+        """(F(x), the gradient of F at x) in closed form, or None."""
+        return None
 
     def _check_edges(self, edges) -> list[int]:
         """The edge ids as a list; raises on the first unknown id."""
@@ -118,6 +124,9 @@ class LinearObjective(SubmodularObjective):
 
     def coordinate_gains(self, member) -> np.ndarray:
         return self.weights.copy()
+
+    def _multilinear(self, x):
+        return float(self.weights @ x), self.weights.copy()
 
     def _gains(self, ev, rows, edges):
         return self.weights[edges]
@@ -363,33 +372,28 @@ def multilinear_mc(objective: SubmodularObjective, x, samples: int, seed) -> tup
     return mean_se([objective.value(np.flatnonzero(mask)) for mask in draws])
 
 
-def multilinear_estimate(objective: SubmodularObjective, x, samples: int,
-                         seed) -> tuple[float, float]:
-    """(F(x), standard error): exact, with error 0, for a linear objective
-    (w . x), on ground sets of up to EXACT_ENUMERATION_LIMIT edges and for
-    (per-user) coverage (its closed form), else `multilinear_mc` with
-    ``samples``."""
-    if isinstance(objective, LinearObjective):
-        return float(objective.weights @ _point(objective, x)), 0.0
+def multilinear_estimate(objective: SubmodularObjective, x, seed) -> tuple[float, float]:
+    """(F(x), standard error): the objective's closed form, else enumeration
+    on ground sets of up to EXACT_ENUMERATION_LIMIT edges, both with error 0,
+    else `multilinear_mc` with F_SAMPLES draws from ``(seed, 2)``, a stream
+    no gradient and no trial draws from."""
+    if (closed := objective._multilinear(_point(objective, x))) is not None:
+        return closed[0], 0.0
     if objective.n_edges <= EXACT_ENUMERATION_LIMIT:
         return multilinear_exact(objective, x), 0.0
-    if isinstance(objective, CoverageObjective):
-        return objective._multilinear(_point(objective, x))[0], 0.0
-    return multilinear_mc(objective, x, samples, seed)
+    return multilinear_mc(objective, x, F_SAMPLES, (seed, 2))
 
 
 def batch_gradient(objective: SubmodularObjective, x, samples: int,
                    rng: np.random.Generator) -> np.ndarray:
-    """The full multilinear gradient: exact for (per-user) coverage, which
+    """The full multilinear gradient: the objective's closed form, which
     draws nothing, else estimated from one batch of subset draws shared
     across all coordinates (unbiased; cuts oracle calls by a factor m).
     ``samples`` must be at least 1 either way.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if isinstance(objective, CoverageObjective):
-        return objective._multilinear(_point(objective, x))[1]
-    acc = np.zeros(objective.n_edges)
-    for mask in _draws(objective, x, samples, rng):
-        acc += objective.coordinate_gains(mask)
-    return acc / samples
+    if (closed := objective._multilinear(_point(objective, x))) is not None:
+        return closed[1]
+    return sum(objective.coordinate_gains(mask)
+               for mask in _draws(objective, x, samples, rng)) / samples

@@ -4,11 +4,12 @@ bounds that judge them.
 `lp_guide` solves the epigraph program of a closed-form objective, whose
 optimum, the ``lp`` bound, maximizes a concave relaxation L(x) >= F(x);
 `continuous_greedy` ascends the multilinear extension F toward the best
-vertex of its gradient (exact on coverage, Monte Carlo elsewhere) and
-records the ``guide-scaled`` bound F(x) * e/(e-1).  Each returns an
-`OfflineSolution`, marginals with their bound.  `expected_opt` is the ``brute`` bound, E[hindsight optimum], on tiny
+vertex of its gradient and records the ``guide-scaled`` bound F(x) *
+e/(e-1).  Each returns an `OfflineSolution`, marginals with their bound.
+`expected_opt` is the ``brute`` bound, E[hindsight optimum], on tiny
 instances; `compute_benchmark` makes any of the three as the ``(kind,
-value)`` pair `online.simulate` takes.
+value)`` pair `online.simulate` takes.  Every F(x*) is
+``multilinear_estimate(objective, x*, seed)``: one guide and seed, one value.
 """
 
 from __future__ import annotations
@@ -66,12 +67,12 @@ def continuous_greedy(
 ) -> OfflineSolution:
     """Fractional ascent on the multilinear extension over the matching
     polytope: x accumulates `steps` equal-weight LMO vertices, each chosen
-    against the gradient of F at x (`batch_gradient`: exact for coverage,
-    else ``grad_samples`` shared subset draws).  The LMO is built once; each
-    step re-prices it for the new gradient and solves from the previous
-    step's optimal dictionary.  The solution carries its ``guide-scaled``
-    bound, from `multilinear_estimate` of F(x) (2000 samples where F has no
-    closed form).
+    against the gradient of F at x (`batch_gradient`: the closed form for
+    linear and coverage objectives, else ``grad_samples`` shared subset draws
+    from ``seed``).  The LMO is built once; each step re-prices it for the
+    new gradient and solves from the previous step's optimal dictionary.  The
+    solution carries its ``guide-scaled`` bound, from
+    ``multilinear_estimate(objective, x, seed)``.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -87,7 +88,7 @@ def continuous_greedy(
             raise RuntimeError(f"linear oracle returned {sol.status}")
         x = x + sol.x / steps
     x = _project_into_polytope(x, inst)
-    est, se = multilinear_estimate(objective, x, 2000, rng)
+    est, se = multilinear_estimate(objective, x, seed)
     return OfflineSolution(
         x=x, objective_estimate=est, estimate_std_error=se,
         solver="continuous-greedy", seed=seed, steps=steps,
@@ -97,10 +98,10 @@ def continuous_greedy(
 
 
 def lp_guide(objective: SubmodularObjective, inst: Instance, seed: int = 0) -> OfflineSolution:
-    """The epigraph program's optimizer with its ``lp`` bound, and F
-    estimated with ``min(2000, 200 + m)`` samples drawn from ``seed``."""
+    """The epigraph program's optimizer with its ``lp`` bound, and F from
+    ``multilinear_estimate(objective, x, seed)``."""
     x, value, _ = lpmod.solve_offline_lp(inst, objective)
-    est, se = multilinear_estimate(objective, x, min(2000, 200 + inst.n_edges), seed)
+    est, se = multilinear_estimate(objective, x, seed)
     return OfflineSolution(x=x, objective_estimate=est, estimate_std_error=se, solver="lp",
                            seed=seed, benchmark_kind="lp", benchmark_value=value)
 
@@ -236,9 +237,9 @@ def compute_benchmark(kind: str, inst: Instance,
 
     ``lp``: optimum of the closed-form offline program (valid by concavity
     of the epigraph relaxation).  ``brute``: exact expectation, tiny
-    instances only.  ``guide-scaled``: estimated F(x_star) * e/(e-1), valid
-    for marginals produced by the fractional ascent, so x_star must lie in
-    the b-matching polytope, as a guided policy's must.
+    instances only.  ``guide-scaled``: F(x_star) * e/(e-1), valid for
+    marginals produced by the fractional ascent, so x_star must lie in the
+    b-matching polytope, as a guided policy's must.
     """
     if kind == "lp":
         _, value, _ = lpmod.solve_offline_lp(inst, objective)
@@ -251,7 +252,7 @@ def compute_benchmark(kind: str, inst: Instance,
             raise ValueError("guide-scaled benchmark needs edge marginals")
         if not lpmod.feasible_for_matching(inst, x_star):
             raise ValueError("infeasible guide-scaled guide: not in the b-matching polytope")
-        est, _ = multilinear_estimate(objective, x_star, samples=4000, seed=seed)
+        est, _ = multilinear_estimate(objective, x_star, seed)
         return "guide-scaled", guide_scaled(est)
     raise ValueError(f"unknown benchmark kind {kind!r}")
 

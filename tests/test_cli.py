@@ -195,6 +195,18 @@ class TestOffline:
                        "--out", str(f2))[0] == 0
         assert f1.read_bytes() == f2.read_bytes()
 
+    def test_lp_is_the_default_solver(self, tmp_path):
+        # the default writes --solver lp's bytes; there is no auto solver
+        inst_file = small_problem_file(tmp_path)
+        f1, f2 = tmp_path / "x1.txt", tmp_path / "x2.txt"
+        assert run_cli("offline", "--instance", str(inst_file), "--out", str(f1))[0] == 0
+        assert run_cli("offline", "--instance", str(inst_file), "--solver", "lp",
+                       "--out", str(f2))[0] == 0
+        assert f1.read_bytes() == f2.read_bytes()
+        code, _, err = run_cli("offline", "--instance", str(inst_file), "--solver", "auto",
+                               "--out", str(f1))
+        assert code == 2 and "invalid choice: 'auto'" in err
+
     def test_linear_objective_estimate_equals_lp_value(self, tmp_path):
         from conftest import small_instance
         from osbm.instances import EdgeFeatures, Problem

@@ -16,6 +16,7 @@ from osbm.objectives import (
     SubmodularObjective,
     batch_gradient,
     build_objective,
+    F_SAMPLES,
     multilinear_estimate,
     multilinear_exact,
     multilinear_mc,
@@ -259,9 +260,15 @@ class TestBatchGradient:
     # batch_gradient estimates every dF/dx_e = F(x | x_e=1) - F(x | x_e=0)
     # from shared draws R ~ x, each draw giving f(R + e) - f(R - e)
     def test_linear_has_zero_variance(self):
+        # the closed form w: no draw, and a copy the caller may change
         obj = LinearObjective([2.0, 7.0])
-        grad = batch_gradient(obj, [0.4, 0.9], 64, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        grad = batch_gradient(obj, [0.4, 0.9], 64, rng)
         assert grad.tolist() == [2.0, 7.0]
+        assert rng.bit_generator.state == state
+        grad[0] = 0.0
+        assert obj.weights.tolist() == [2.0, 7.0]
 
     def test_matches_exact_finite_difference(self, rng):
         # each draw's gain lies in [0, f(E)], so by Hoeffding the mean of n
@@ -324,8 +331,8 @@ class TestCoverageClosedForm:
         x = np.random.default_rng(3).random(obj.n_edges) * 0.3
         x[::7] = 1.0
         value, grad = obj._multilinear(x)
-        assert multilinear_estimate(obj, x, 5, 1) == (value, 0.0)
-        assert multilinear_estimate(obj, x, 50, 2) == (value, 0.0)
+        assert multilinear_estimate(obj, x, 1) == (value, 0.0)
+        assert multilinear_estimate(obj, x, 2) == (value, 0.0)
         rng = np.random.default_rng(4)
         state = rng.bit_generator.state
         assert batch_gradient(obj, x, 20, rng).tobytes() == grad.tobytes()
@@ -333,10 +340,36 @@ class TestCoverageClosedForm:
         mc, se = multilinear_mc(obj, x, 400, 5)
         assert abs(mc - value) <= 4 * se
 
-    def test_enumeration_stays_first_on_small_ground_sets(self, rng):
-        obj = small_objective("coverage", 8, rng)
-        x = rng.random(8)
-        assert multilinear_estimate(obj, x, 5, 0) == (multilinear_exact(obj, x), 0.0)
+    @pytest.mark.parametrize("kind", ["linear", "coverage", "per_user_coverage",
+                                      "budget_additive"])
+    def test_closed_form_comes_first(self, rng, kind):
+        # a closed form is taken bit for bit before the enumeration, which
+        # agrees with it to rounding; without one (budget-additive) F is the
+        # enumeration itself
+        for m in (1, 8, 12):
+            obj = small_objective(kind, m, rng)
+            x = rng.random(m)
+            x[rng.random(m) < 0.2] = 1.0
+            exact = multilinear_exact(obj, x)
+            if kind == "budget_additive":
+                assert obj._multilinear(x) is None
+                assert multilinear_estimate(obj, x, 0) == (exact, 0.0)
+                continue
+            value, _ = obj._multilinear(x)
+            assert multilinear_estimate(obj, x, 0) == (value, 0.0)
+            assert value == pytest.approx(exact, rel=1e-12)
+
+    def test_monte_carlo_estimate_draws_from_its_own_stream(self):
+        # past the enumeration, F without a closed form is the mean of
+        # F_SAMPLES draws from (seed, 2), the stream no gradient and no trial
+        # draws from
+        problem = generate_synthetic("budget_additive", 11)
+        obj = BudgetAdditiveObjective(problem.features.edge_weights, 150.0)
+        x = np.full(obj.n_edges, 0.28)  # w . x = 147.2, near the budget
+        est, se = multilinear_estimate(obj, x, 5)
+        assert (est, se) == multilinear_mc(obj, x, F_SAMPLES, (5, 2))
+        assert se > 0.0
+        assert multilinear_estimate(obj, x, 6)[0] != est
 
     def test_no_features_and_no_edges(self):
         obj = CoverageObjective([frozenset()] * 3, [1.0, 2.0])

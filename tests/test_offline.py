@@ -14,9 +14,12 @@ from osbm import offline as offline_mod
 from osbm.lp import (LinearProgram, build_matching_lmo, feasible_for_matching, solve,
                      solve_offline_lp)
 from osbm.objectives import (
+    F_SAMPLES,
+    BudgetAdditiveObjective,
     LinearObjective,
     build_objective,
     multilinear_exact,
+    multilinear_mc,
 )
 from osbm.offline import (
     OfflineSolution,
@@ -45,6 +48,19 @@ def grid_fractional_max(objective, inst, step=0.25):
         if feasible_for_matching(inst, x):
             best = max(best, multilinear_exact(objective, x))
     return best
+
+
+def recipe_objective(kind):
+    """The seed-11 recipe instance and an objective of ``kind`` on it: the
+    coverage recipe's own, or the budget recipe's weights as a linear
+    objective or under an unsaturated budget of 150 (the recipe's is 50)."""
+    problem = generate_synthetic("coverage" if kind == "coverage" else "budget_additive", 11)
+    obj = build_objective(problem)
+    if kind == "linear":
+        obj = LinearObjective(obj.weights)
+    elif kind == "budget_additive":
+        obj = BudgetAdditiveObjective(obj.weights, 150.0)
+    return problem.instance, obj
 
 
 class TestContinuousGreedy:
@@ -139,27 +155,46 @@ class TestContinuousGreedy:
                           grad_samples=20, seed=7)
         assert steps_seen == [False] + [True] * (steps - 1)
 
-    def test_coverage_ascent_draws_nothing(self, rng):
-        # the gradient and the final F are exact: the seed and the sample
-        # count change nothing, and the estimate's error is 0
-        problem = generate_synthetic("coverage", 11)
-        obj = build_objective(problem)
-        a = continuous_greedy(obj, problem.instance, steps=4, grad_samples=3, seed=1)
-        b = continuous_greedy(obj, problem.instance, steps=4, grad_samples=9, seed=2)
+    @pytest.mark.parametrize("kind", ["coverage", "linear"])
+    def test_exact_ascent_draws_nothing(self, monkeypatch, kind):
+        # the gradient and the final F are closed forms: the generator is
+        # never drawn from, the seed and the sample count change nothing, and
+        # the estimate's error is 0
+        inst, obj = recipe_objective(kind)
+        gradient, states = offline_mod.batch_gradient, []
+
+        def watched(objective, x, samples, rng):
+            before = rng.bit_generator.state
+            grad = gradient(objective, x, samples, rng)
+            states.append(rng.bit_generator.state == before)
+            return grad
+
+        monkeypatch.setattr(offline_mod, "batch_gradient", watched)
+        a = continuous_greedy(obj, inst, steps=4, grad_samples=3, seed=1)
+        b = continuous_greedy(obj, inst, steps=4, grad_samples=9, seed=2)
+        assert states == [True] * 8
         assert a.x.tobytes() == b.x.tobytes()
         assert a.objective_estimate == b.objective_estimate
         assert a.estimate_std_error == 0.0
 
-    def test_coverage_guide_scaled_is_one_value(self, tmp_path):
-        # the artifact's bound and compute_benchmark's are both exact F(x)
-        # scaled, so they agree bit for bit
-        problem = generate_synthetic("coverage", 11)
-        inst, obj = problem.instance, build_objective(problem)
+    @pytest.mark.parametrize("kind", ["coverage", "budget_additive", "linear",
+                                      "per_user_coverage"])
+    def test_guide_scaled_is_one_value(self, tmp_path, rng, kind):
+        # the artifact's bound and compute_benchmark's both scale
+        # multilinear_estimate at the guide and the seed, so they agree bit
+        # for bit; budget-additive at an unsaturated budget keeps a Monte
+        # Carlo F
+        if kind == "per_user_coverage":
+            inst = small_instance(rng)
+            obj = small_objective(kind, inst.n_edges, rng)
+        else:
+            inst, obj = recipe_objective(kind)
         path = tmp_path / "x.txt"
-        save_solution(path, inst, continuous_greedy(obj, inst, steps=3, grad_samples=3,
+        save_solution(path, inst, continuous_greedy(obj, inst, steps=12, grad_samples=3,
                                                     seed=5))
         sol = load_solution(path, inst)
-        assert compute_benchmark("guide-scaled", inst, obj, x_star=sol.x, seed=5) == (
+        assert (sol.estimate_std_error > 0.0) == (kind == "budget_additive")
+        assert compute_benchmark("guide-scaled", inst, obj, x_star=sol.x, seed=sol.seed) == (
             "guide-scaled", sol.benchmark_value)
 
     @pytest.mark.parametrize("x, outside", [([0.7, 0.3, 0.4], 1),   # star u0 at 1.1
@@ -183,25 +218,28 @@ class TestContinuousGreedy:
 
 
     def test_estimate_is_exact_on_small_ground_sets(self, rng):
-        # F(x) over at most 20 edges is enumerated, not sampled
+        # F(x) over at most 20 edges is a closed form or enumerated, never
+        # sampled
         for kind in ("coverage", "budget_additive", "linear"):
             inst = small_instance(rng)
             assert inst.n_edges <= 20
             obj = small_objective(kind, inst.n_edges, rng)
             sol = continuous_greedy(obj, inst, steps=5, grad_samples=5, seed=0)
-            if kind == "linear":
-                assert sol.objective_estimate == float(obj.weights @ sol.x)
+            if kind == "budget_additive":
+                assert sol.objective_estimate == multilinear_exact(obj, sol.x)
+            else:
+                assert sol.objective_estimate == obj._multilinear(sol.x)[0]
                 assert sol.objective_estimate == pytest.approx(
                     multilinear_exact(obj, sol.x), rel=1e-12)
-            else:
-                assert sol.objective_estimate == multilinear_exact(obj, sol.x)
             assert sol.estimate_std_error == 0.0
 
 
 class TestLpGuide:
-    def test_carries_the_lp_bound_and_an_estimate_at_its_guide(self, rng, monkeypatch):
-        inst = small_instance(rng)
-        obj = small_objective("coverage", inst.n_edges, rng)
+    def test_carries_the_lp_bound_and_an_estimate_at_its_guide(self, monkeypatch):
+        # F at the guide is multilinear_estimate at the guide's seed: here,
+        # with no closed form past the enumeration, F_SAMPLES draws from the
+        # stream (seed, 2)
+        inst, obj = recipe_objective("budget_additive")
         calls = []
         estimate = offline_mod.multilinear_estimate
         monkeypatch.setattr(offline_mod, "multilinear_estimate",
@@ -211,9 +249,18 @@ class TestLpGuide:
         assert sol.x.tobytes() == x.tobytes()
         assert (sol.solver, sol.seed, sol.benchmark_kind, sol.benchmark_value) == (
             "lp", 4, "lp", value)
-        assert calls == [(200 + inst.n_edges, 4)]  # min(2000, 200 + m) samples
-        assert (sol.objective_estimate, sol.estimate_std_error) == estimate(
-            obj, x, 200 + inst.n_edges, 4)
+        assert calls == [(4,)]
+        assert (sol.objective_estimate, sol.estimate_std_error) == multilinear_mc(
+            obj, x, F_SAMPLES, (4, 2))
+        assert F_SAMPLES == 2000
+
+    @pytest.mark.parametrize("kind", ["coverage", "budget_additive"])
+    def test_guide_scaled_is_its_estimate_scaled(self, kind):
+        # one guide and one seed give one guide-scaled value
+        inst, obj = recipe_objective(kind)
+        sol = lp_guide(obj, inst, seed=3)
+        assert compute_benchmark("guide-scaled", inst, obj, x_star=sol.x, seed=3) == (
+            "guide-scaled", guide_scaled(sol.objective_estimate))
 
 
 class TestPipage:
