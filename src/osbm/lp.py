@@ -1,22 +1,29 @@
 """Exact linear programming over the b-matching polytope.
 
 One dense primal simplex serves both the linear maximization oracle inside
-the fractional ascent and the special-case offline programs.  The entering
-variable is the eligible one with the largest reduced cost |d_j| (Dantzig
-pricing, lowest index on ties); after DEGENERATE_LIMIT consecutive degenerate
-pivots it is the lowest eligible index instead (Bland's rule) until the next
-nondegenerate pivot, so the solver cannot cycle.  The leaving variable is
-always the lowest variable index among minimum ratios.  Variable upper
-bounds are handled implicitly (nonbasic variables may sit at either bound),
-so the tableau has one row per row of A.  It keeps only the n nonbasic
-columns of [A | I] (the dictionary form, Chvatal 1983, ch. 2 and 8): the
-basic columns are unit vectors, and a pivot swaps the entering and leaving
-variables' columns.  All generated programs have nonnegative right-hand
-sides, so the all-slack basis is always primal feasible and no phase-1 is
-needed.  A pivot updates the rows with a nonzero entry in the entering
-column in place, one row at a time, with the float operations [A | I] would
-perform on its nonbasic entries, so every result is bit for bit the full
-tableau's.
+the fractional ascent and the special-case offline programs.  Entering is
+priced by devex (Harris 1973; a cheap form of the steepest edge of Forrest
+and Goldfarb 1992): the eligible variable with the largest |d_j| / norm_j
+enters, lowest index on ties.  The reference norms start at 1.0 in every
+solve; a pivot on T[r,q] sets norm_k = max(norm_k, |T[r,k] / T[r,q]| norm_q)
+and gives the leaving variable max(norm_q / |T[r,q]|, 1).  On the coverage
+epigraph devex enters sparser columns, so its pivots update fewer rows.  On
+a totally unimodular program, such as every matching LMO, each tableau entry
+is 0 or +-1, so every norm stays 1.0 and devex walks the largest-|d_j|
+(Dantzig) path bit for bit.  After DEGENERATE_LIMIT consecutive degenerate
+pivots entering is the lowest eligible index instead (Bland's rule) until
+the next nondegenerate pivot, so the solver cannot cycle.  The leaving
+variable is always the lowest variable index among minimum ratios.  Variable
+upper bounds are handled implicitly (nonbasic variables may sit at either
+bound), so the tableau has one row per row of A.  It keeps only the n
+nonbasic columns of [A | I] (the dictionary form, Chvatal 1983, ch. 2 and
+8): the basic columns are unit vectors, and a pivot swaps the entering and
+leaving variables' columns.  All generated programs have nonnegative
+right-hand sides, so the all-slack basis is always primal feasible and no
+phase-1 is needed.  A pivot updates the rows with a nonzero entry in the
+entering column in place, one row at a time, with the float operations
+[A | I] would perform on its nonbasic entries, so every result is bit for
+bit the full tableau's.
 
 A solve may start from the optimal dictionary of an earlier solve of a
 program with the same constraints and another objective: only the reduced
@@ -136,11 +143,10 @@ def solve(lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
     """Dense bounded-variable primal simplex on the condensed tableau.
 
     Column k of T holds nonbasic variable nb[k], row r the basic variable
-    basis[r].  Dantzig pricing enters the eligible variable with the largest
-    |d_j|; a run of DEGENERATE_LIMIT degenerate pivots switches entering to
-    Bland's lowest index until a pivot moves the objective.  Both rules and
-    the lowest-index leaving rule break ties by variable index, so the result
-    is a deterministic function of the program and the start.
+    basis[r].  Devex pricing with its Bland fallback (see the module
+    docstring) chooses entering; it and the lowest-index leaving rule break
+    ties by variable index, so the result is a deterministic function of
+    the program and the start.
 
     Without ``start`` the solve starts from the all-slack basis.  With it,
     the optimal solution of an earlier solve of a program with the same
@@ -168,19 +174,23 @@ def solve(lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
     side, ub_row = state.side, state.ub_row
     upper = np.concatenate([lp.upper, np.full(m, np.inf)])
     ratio = np.empty(m)
-    scratch = np.empty(n)
+    scratch, priced = np.empty(n), np.empty(n)
     max_iterations = 200 * (n + 2 * m) + 10_000
 
+    norm = np.ones(n)  # devex: each column's reference norm, the root of its weight
     iterations = 0
     degenerate = 0
     degenerate_run = 0
     while True:
         score = side * d
-        best = score.max(initial=0.0)
-        if best <= PIVOT_TOL:
-            break
+        np.divide(score, norm, out=priced)
+        best = priced.max(initial=-np.inf)
+        if best <= PIVOT_TOL:  # an eligible column may price below the tolerance
+            priced[score <= PIVOT_TOL] = -np.inf
+            if (best := priced.max(initial=-np.inf)) == -np.inf:
+                break
         if degenerate_run < DEGENERATE_LIMIT:
-            cand = np.flatnonzero(score == best)  # Dantzig
+            cand = np.flatnonzero(priced == best)  # devex
         else:
             cand = np.flatnonzero(score > PIVOT_TOL)  # Bland
         q = int(cand[np.argmin(nb[cand])])
@@ -241,6 +251,10 @@ def solve(lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
         for i in np.flatnonzero(colj):
             np.multiply(pivot_row, colj[i], out=scratch)
             np.subtract(T[i], scratch, out=T[i])
+        norm_q = norm[q]
+        np.multiply(np.abs(pivot_row, out=scratch), norm_q, out=scratch)
+        np.maximum(norm, scratch, out=norm)
+        norm[q] = max(norm_q / abs(piv), 1.0)  # the leaving variable's slot
         dj = d[q]
         d[q] = 0.0
         d -= dj * pivot_row
@@ -386,7 +400,8 @@ def solve_offline_lp(inst: Instance, objective) -> tuple[np.ndarray, float, LpSo
     if sol.status != "optimal":
         raise RuntimeError(f"offline program not optimal: {sol.status}")
     value = min(objective.budget, sol.value) if budget_additive else sol.value
-    singleton = objective.coordinate_gains(np.zeros(inst.n_edges, dtype=bool))
+    closed = objective._multilinear(np.zeros(inst.n_edges))  # at 0, F's gradient is f({e})
+    singleton = closed[1] if closed else objective.coordinate_gains(np.zeros(inst.n_edges, bool))
     x = saturate_marginals(inst, sol.x[:inst.n_edges], singleton)
     return x, value, sol
 

@@ -1,7 +1,7 @@
 """Monotone submodular objectives over edge subsets, with multilinear tools.
 
-Each objective is one class: its value oracle (``value``), its vectorized
-coordinate gains for gradient estimation on the multilinear extension
+Each objective is one class: its value oracle (``value``), its coordinate
+gains for Monte Carlo gradient estimation on the multilinear extension
 F(x) = E[f(R_x)], where R_x includes each edge ``e`` independently with
 probability ``x_e``, and its marginal-gain hooks over many edge sets at once,
 as greedy runs them.  The hooks are ``_row_state(rows)``, the per-set state,
@@ -122,9 +122,6 @@ class LinearObjective(SubmodularObjective):
     def value(self, edges) -> float:
         return float(self.weights[self._edge_set(edges)].sum())
 
-    def coordinate_gains(self, member) -> np.ndarray:
-        return self.weights.copy()
-
     def _multilinear(self, x):
         return float(self.weights @ x), self.weights.copy()
 
@@ -214,19 +211,6 @@ class CoverageObjective(SubmodularObjective):
 
     def value(self, edges) -> float:
         return float(self.feature_weights[self._covered(edges)].sum())
-
-    def coordinate_gains(self, member) -> np.ndarray:
-        member = np.asarray(member, dtype=bool)
-        active = member[self._flat_edge]
-        counts = np.bincount(self._flat_feat[active], minlength=self.n_features)
-        # weight newly covered by e: features with no cover outside e
-        zero_w = np.where(counts == 0, self.feature_weights, 0.0)
-        one_w = np.where(counts == 1, self.feature_weights, 0.0)
-        gain_if_out = np.bincount(self._flat_edge, weights=zero_w[self._flat_feat],
-                                  minlength=self.n_edges)
-        gain_if_sole = np.bincount(self._flat_edge, weights=one_w[self._flat_feat],
-                                   minlength=self.n_edges)
-        return gain_if_out + np.where(member, gain_if_sole, 0.0)
 
     def _row_state(self, rows):
         return np.zeros((rows, self.n_features), dtype=bool)

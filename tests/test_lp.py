@@ -39,9 +39,14 @@ from osbm.objectives import (
 )
 from osbm.offline import expected_opt
 
-# sha256 of x, duals, reduced costs and pivot counts of the programs in
-# TestSolve.test_golden_digest, recorded before the in-place pivot update
-SOLVE_GOLDEN = "137f8dfb84d54c1f9fed5e832c5df2f946bc2d6db7a13fbb61db609fc16563d1"
+# sha256 of x, duals, reduced costs and pivot counts of the four matching
+# LMOs in TestSolve.test_golden_digest, recorded under Dantzig pricing: their
+# tableaus hold only 0 and +-1, so devex must walk Dantzig's path bit for bit
+SOLVE_GOLDEN = "5ec15b89ce5687b4131ce89838beee7fd90c5d7976cd829bd082b591e77402fd"
+
+# the same of the unpresolved coverage epigraph at b=5, recorded under devex
+# pricing (1,355 pivots, 106 degenerate; 1,344 and 107 under Dantzig)
+EPIGRAPH_GOLDEN = "c3cbc3619cb770c5a9f244a97c92df8e229204538bfdf814052812f08cf048a9"
 
 
 # sha256 of c, A, b and upper of the presolved coverage-recipe programs at
@@ -92,7 +97,8 @@ LOWER, UPPER, BASIC = 0, 1, 2
 
 
 def reference_tableau_solve(lp: LinearProgram) -> LpSolution:
-    """The full-tableau simplex: `solve` on [A | I], every basic column kept.
+    """The full-tableau simplex: `solve` on [A | I], every basic column kept,
+    with one devex norm per variable.
 
     `solve` keeps only the nonbasic columns and must equal this bit for bit.
     """
@@ -111,6 +117,7 @@ def reference_tableau_solve(lp: LinearProgram) -> LpSolution:
     scratch = np.empty(N)
     max_iterations = 200 * (N + m) + 10_000
 
+    norm = np.ones(N)  # devex: one reference norm per variable
     iterations = 0
     degenerate = 0
     degenerate_run = 0
@@ -123,7 +130,7 @@ def reference_tableau_solve(lp: LinearProgram) -> LpSolution:
         if cand.size == 0:
             break
         if degenerate_run < lpmod.DEGENERATE_LIMIT:
-            j = int(cand[np.argmax(np.abs(d[cand]))])  # Dantzig
+            j = int(cand[np.argmax(np.abs(d[cand]) / norm[cand])])  # devex
         else:
             j = int(cand[0])  # Bland: lowest index enters
         sigma = 1.0 if vstat[j] == LOWER else -1.0
@@ -189,6 +196,10 @@ def reference_tableau_solve(lp: LinearProgram) -> LpSolution:
         for i in np.flatnonzero(colj):
             np.multiply(pivot_row, colj[i], out=scratch)
             np.subtract(M[i], scratch, out=M[i])
+        # a basic column's norm is never read, so every column may be raised
+        norm_j = norm[j]
+        norm = np.maximum(norm, np.abs(pivot_row) * norm_j)
+        norm[old_var] = max(norm_j / abs(piv), 1.0)
         d -= d[j] * pivot_row
         beta[leave_row] = entering_value
 
@@ -265,11 +276,29 @@ class TestSolve:
         assert s.value == pytest.approx(1.0)
         assert float(reference_solve(lp)) == pytest.approx(1.0)
 
+    @staticmethod
+    def solve_digest(programs) -> str:
+        digest = hashlib.sha256()
+        for lp in programs:
+            s = solve(lp)
+            for arr in (s.x, s.duals, s.reduced_costs):
+                digest.update(arr.tobytes())
+            digest.update(f"{s.iterations} {s.degenerate_pivots};".encode())
+        return digest.hexdigest()
+
+    def test_devex_enters_by_reference_norm(self):
+        # x1 enters, then x3; the pivot rows raise x2's norm to 6 and s1's to
+        # 2, so devex enters s1 (score 2/2) over x2 (5/6) and stops after 3
+        # pivots, where Dantzig enters x2 (5 > 2) and takes 4
+        lp = dense_program(c=[2.0, 1.0, 2.0], A=[[1.0, 4.0, 0.0], [2.0, 2.0, 1.0]],
+                           b=[1.0, 4.0], upper=[np.inf] * 3)
+        s = solve(lp)
+        assert s.iterations == 3 and s.x.tolist() == [0.0, 0.0, 4.0] and s.value == 8.0
+        assert_same_solution(s, reference_tableau_solve(lp))
+
     def test_golden_digest(self):
-        # pins the float path bit for bit: recipe-size matching LMOs with
-        # weights drawn from a fixed stream, and the unpresolved coverage
-        # epigraph at b=5 (107 degenerate pivots) from the test-local
-        # builder, so a presolve or pricing-input change cannot move them
+        # pins the float path bit for bit on recipe-size matching LMOs with
+        # weights drawn from a fixed stream
         rng = np.random.default_rng(11)
         programs = []
         for kind in ("coverage", "budget_additive"):
@@ -277,16 +306,15 @@ class TestSolve:
             for b in (1, 5):
                 programs.append(build_matching_lmo(inst.with_capacities(b),
                                                    rng.random(inst.n_edges)))
+        assert self.solve_digest(programs) == SOLVE_GOLDEN, golden_note("SOLVE_GOLDEN")
+
+    def test_epigraph_golden_digest(self):
+        # the unpresolved coverage epigraph at b=5 from the test-local
+        # builder, so a presolve change cannot move it; its tableau is not
+        # 0/+-1, so devex and Dantzig pivot differently on it
         problem = generate_synthetic("coverage", 11)
-        programs.append(raw_epigraph_lp(problem.instance.with_capacities(5),
-                                        build_objective(problem)))
-        digest = hashlib.sha256()
-        for lp in programs:
-            s = solve(lp)
-            for arr in (s.x, s.duals, s.reduced_costs):
-                digest.update(arr.tobytes())
-            digest.update(f"{s.iterations} {s.degenerate_pivots};".encode())
-        assert digest.hexdigest() == SOLVE_GOLDEN, golden_note("SOLVE_GOLDEN")
+        lp = raw_epigraph_lp(problem.instance.with_capacities(5), build_objective(problem))
+        assert self.solve_digest([lp]) == EPIGRAPH_GOLDEN, golden_note("EPIGRAPH_GOLDEN")
 
 
 def beale_lp():
@@ -301,6 +329,18 @@ def beale_lp():
     )
 
 
+def beale_family(count):
+    """Beale's program with each coefficient scaled by a factor in [2^-1/2,
+    2^1/2], rounded to quarters, from seeds 0, 1, ...; largest-coefficient
+    pricing without the Bland fallback cycles on 5 of the first 151."""
+    A0, c0 = beale_lp().A[:2], beale_lp().c
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        f = np.maximum(np.round(2.0 ** rng.uniform(-0.5, 0.5, (3, 4)) * 4) / 4, 0.25)
+        yield dense_program(c=c0 * f[2], A=np.vstack([A0 * f[:2], [0.0, 0.0, 1.0, 0.0]]),
+                            b=[0.0, 0.0, 1.0], upper=[np.inf] * 4)
+
+
 class TestAntiCycling:
     def test_beale_reaches_optimum(self):
         lp = beale_lp()
@@ -311,10 +351,22 @@ class TestAntiCycling:
         assert lp_audit(a, lp) == []
         assert np.array_equal(a.x, b.x)
 
-    def test_beale_cycles_without_the_bland_fallback(self, monkeypatch):
-        monkeypatch.setattr(lpmod, "DEGENERATE_LIMIT", 10**9)
-        with pytest.raises(RuntimeError, match="iteration limit"):
-            solve(beale_lp())
+    def test_bland_fallback_engages_on_degenerate_programs(self, monkeypatch):
+        # without the fallback, devex cycled neither on Beale's program nor
+        # on any of the first 100,000 of beale_family; so the fallback is
+        # pinned to engage (more degenerate pivots than the limit) and to
+        # reach the rational optimum, or unboundedness, wherever it does
+        monkeypatch.setattr(lpmod, "DEGENERATE_LIMIT", 1)
+        engaged = 0
+        for lp in [beale_lp(), *beale_family(200)]:
+            s = solve(lp)
+            engaged += s.degenerate_pivots > 1
+            if s.status == "unbounded":
+                with pytest.raises(RuntimeError, match="unbounded"):
+                    reference_solve(lp)
+            else:
+                assert abs(s.value - float(reference_solve(lp))) <= 1e-9
+        assert engaged >= 150
 
     def test_degenerate_pivots_counted_on_beale(self):
         s = solve(beale_lp())
@@ -436,13 +488,21 @@ class TestCondensedTableau:
 
     @pytest.mark.parametrize("limit", [0, 1, 2, 5])
     def test_equals_the_full_tableau_under_blands_rule(self, monkeypatch, limit):
-        # Beale's program is degenerate from the first pivot, so a lowered
-        # limit hands entering to Bland's rule
+        # Beale's program is degenerate from the first pivot, and every
+        # pivot of a cone (b = 0) is degenerate, so a lowered limit hands
+        # entering to Bland's rule; devex alone takes 2 and 8 degenerate
+        # pivots, so the cone's count passes every limit here
         monkeypatch.setattr(lpmod, "DEGENERATE_LIMIT", limit)
-        s = solve(beale_lp())
+        cone = dense_program(
+            c=[1.0, 2.0, 0.5, 1.0],
+            A=[[1.0, 0.0, -1.0, 0.0], [0.0, 0.5, -1.0, -2.0], [1.0, 0.5, -1.0, 1.0],
+               [-1.0, 0.0, -2.0, 0.0], [0.5, 3.0, 0.5, -2.0], [-1.0, 0.0, 3.0, 0.5]],
+            b=np.zeros(6), upper=[1.0, np.inf, 1.0, np.inf])
+        for lp, optimum in ((beale_lp(), 1.25), (cone, float(reference_solve(cone)))):
+            s = solve(lp)
+            assert s.value == pytest.approx(optimum, rel=1e-12, abs=1e-12)
+            assert_same_solution(s, reference_tableau_solve(lp))
         assert s.degenerate_pivots > limit
-        assert s.value == pytest.approx(1.25, rel=1e-12)
-        assert_same_solution(s, reference_tableau_solve(beale_lp()))
 
     def test_peak_memory_is_one_copy_of_the_constraint_matrix(self):
         # the full tableau [A | I] needs m x (n + m) floats and an m x m
@@ -552,11 +612,13 @@ class TestHighsCrossCheck:
 
     @pytest.mark.parametrize("b", [1, 5])
     def test_coverage_epigraph_lp(self, b):
-        problem = generate_synthetic("coverage", 11)
-        inst = problem.instance.with_capacities(b)
-        obj = build_objective(problem)
-        self.assert_matches_highs(build_special_lp(inst, obj),
-                                  raw=raw_epigraph_lp(inst, obj))
+        # across recipe seeds, so a pricing rule is not judged on one program
+        for seed in (1, 2, 3, 4, 11):
+            problem = generate_synthetic("coverage", seed)
+            inst = problem.instance.with_capacities(b)
+            obj = build_objective(problem)
+            self.assert_matches_highs(build_special_lp(inst, obj),
+                                      raw=raw_epigraph_lp(inst, obj))
 
     @pytest.mark.parametrize("eta", [1, 2])
     def test_budget_additive_matching_lmo(self, eta):

@@ -378,7 +378,20 @@ class TestCoverageClosedForm:
         value, grad = CoverageObjective([], [1.0])._multilinear(np.zeros(0))
         assert value == 0.0 and grad.dtype == float and len(grad) == 0
 
-    @pytest.mark.parametrize("b, ratio", [(1, 0.842), (5, 0.934)])
+    def test_gradient_at_zero_is_the_singleton_values(self):
+        # the offline guide's water-filling order: bit for bit the singleton
+        # gains f({e}) that coverage and linear once computed apart, the sum
+        # of w_z over e's features in feature order (plus 0.0) and w
+        for seed in (11, 3):
+            obj = build_objective(generate_synthetic("coverage", seed))
+            singleton = np.bincount(obj._flat_edge, minlength=obj.n_edges,
+                                    weights=obj.feature_weights[obj._flat_feat])
+            grad = obj._multilinear(np.zeros(obj.n_edges))[1]
+            assert grad.tobytes() == (singleton + np.zeros(obj.n_edges)).tobytes()
+        w = generate_synthetic("budget_additive", 11).features.edge_weights
+        assert LinearObjective(w)._multilinear(np.zeros(len(w)))[1].tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("b, ratio", [(1, 0.848), (5, 0.935)])
     def test_lp_guide_is_within_ageev_sviridenko(self, b, ratio):
         # F(x) >= (1 - 1/e) L(x) for coverage (Ageev-Sviridenko, J. Comb.
         # Optim. 2004), so the LP guide keeps that share of the LP optimum
@@ -496,11 +509,11 @@ class TestGenericValueOracle:
         return inst, _ValueOnlyLinear(w), LinearObjective(w)
 
     def test_coordinate_gains(self, pair, rng):
+        # the value-oracle fallback f(R + e) - f(R - e) is w_e at every R
         _, generic, linear = pair
         for _ in range(10):
             mask = rng.random(generic.n_edges) < 0.5
-            assert np.array_equal(generic.coordinate_gains(mask),
-                                  linear.coordinate_gains(mask))
+            assert np.array_equal(generic.coordinate_gains(mask), linear.weights)
 
     def test_evaluator_gains_and_values(self, pair, rng):
         # three rows add the edges in different orders; every (row, edge)
@@ -564,9 +577,9 @@ class TestEmptyIncidence:
     def test_gains_and_value_are_zero(self, sets, weights):
         obj = CoverageObjective(sets, weights)
         for member in (np.zeros(len(sets), bool), np.ones(len(sets), bool)):
-            gains = obj.coordinate_gains(member)
-            assert gains.dtype == float
-            assert np.array_equal(gains, np.zeros(len(sets)))
+            for gains in (obj.coordinate_gains(member), obj._multilinear(member * 1.0)[1]):
+                assert gains.dtype == float
+                assert np.array_equal(gains, np.zeros(len(sets)))
         assert obj.value(range(len(sets))) == 0.0
         assert obj.value([]) == 0.0
         assert [len(edges) for edges in obj.covering_edges()] == [0] * len(weights)
@@ -602,8 +615,9 @@ class TestPerUserCoverage:
                         for _ in range(7)],
             user_weights=rng.random((3, 4)),
         )
+        # at a 0/1 point the closed-form gradient is f(R + e) - f(R - e)
         mask = rng.random(7) < 0.5
-        fast = obj.coordinate_gains(mask)
+        fast = obj._multilinear(mask * 1.0)[1]
         base = set(np.flatnonzero(mask).tolist())
         slow = [obj.value(base | {e}) - obj.value(base - {e}) for e in range(7)]
         np.testing.assert_allclose(fast, slow, atol=1e-12)
